@@ -5,6 +5,7 @@
 #include <array>
 
 #include "core/global_status.hpp"
+#include "core/walk.hpp"
 
 namespace slcube::core {
 
@@ -73,56 +74,6 @@ SourceDecision decide_at_source_egs(const topo::Hypercube& cube,
   return dec;
 }
 
-namespace {
-
-/// Trace helpers — only reached when a sink is attached. Same event
-/// chain as route_unicast, plus the EGS two-view decision context.
-void emit_source_egs(obs::TraceSink* trace, const SourceDecision& dec,
-                     Level self_level, NodeId s, NodeId d, int chosen_dim,
-                     unsigned ties, bool spare) {
-  obs::SourceDecisionEvent ev;
-  ev.source = s;
-  ev.dest = d;
-  ev.hamming = dec.hamming;
-  ev.c1 = dec.c1;
-  ev.c2 = dec.c2;
-  ev.c3 = dec.c3;
-  ev.chosen_dim = chosen_dim;
-  ev.ties = ties;
-  ev.spare = spare;
-  ev.egs = true;
-  ev.self_level = self_level;
-  ev.dest_link_faulty = dec.dest_link_faulty;
-  trace->on_event(ev);
-}
-
-void emit_done_egs(obs::TraceSink* trace, NodeId s, NodeId d,
-                   RouteStatus status, unsigned hops) {
-  obs::RouteDoneEvent ev;
-  ev.source = s;
-  ev.dest = d;
-  ev.status = to_string(status);
-  ev.hops = hops;
-  trace->on_event(ev);
-}
-
-void emit_hop_egs(obs::TraceSink* trace, NodeId from, NodeId to, Dim dim,
-                  Level level, std::uint32_t nav_before,
-                  std::uint32_t nav_after, bool preferred, unsigned ties) {
-  obs::HopEvent ev;
-  ev.from = from;
-  ev.to = to;
-  ev.dim = dim;
-  ev.level = level;
-  ev.nav_before = nav_before;
-  ev.nav_after = nav_after;
-  ev.preferred = preferred;
-  ev.ties = ties;
-  trace->on_event(ev);
-}
-
-}  // namespace
-
 RouteResult route_unicast_egs(const topo::Hypercube& cube,
                               const fault::FaultSet& faults,
                               const fault::LinkFaultSet& link_faults,
@@ -131,150 +82,9 @@ RouteResult route_unicast_egs(const topo::Hypercube& cube,
   const obs::StageScope stage("route.egs");
   SLC_EXPECT_MSG(faults.is_healthy(s), "unicast source must be healthy");
   SLC_EXPECT_MSG(faults.is_healthy(d), "unicast destination must be healthy");
-
-  obs::TraceSink* const trace = options.trace;
-  const Level self_level = views.self_view[s];
   RouteResult result;
-  result.decision = decide_at_source_egs(cube, link_faults, views, s, d);
-  result.path.push_back(s);
-
-  std::uint32_t nav = cube.navigation_vector(s, d);
-  if (nav == 0) {
-    result.status = RouteStatus::kDeliveredOptimal;
-    if (trace != nullptr) {
-      emit_source_egs(trace, result.decision, self_level, s, d, -1, 0, false);
-      emit_done_egs(trace, s, d, result.status, 0);
-    }
-    return result;
-  }
-
-  NodeId cur = s;
-  bool suboptimal = false;
-  // As in route_unicast, the source event is emitted lazily at the first
-  // hop so the chosen dimension is known and the untraced path stays
-  // branch-identical (kRandom's RNG sequence is never perturbed).
-  bool source_emitted = false;
-  if (!result.decision.optimal_feasible()) {
-    if (!result.decision.c3) {
-      result.status = RouteStatus::kSourceRefused;
-      if (trace != nullptr) {
-        emit_source_egs(trace, result.decision, self_level, s, d, -1, 0,
-                        false);
-        emit_done_egs(trace, s, d, result.status, 0);
-      }
-      return result;
-    }
-    // Spare levels >= H + 1 >= 2 imply the spare is in N1, and a faulty
-    // link to it would have put it in N2 (public 0), so no link check is
-    // needed beyond the one in choose_spare's level threshold.
-    unsigned ties = 0;
-    const auto spare =
-        choose_spare(cube, views.public_view, cur, nav, options,
-                     trace != nullptr ? &ties : nullptr);
-    SLC_ASSERT_MSG(spare.has_value(), "C3 held but no spare qualified");
-    SLC_ASSERT(!link_faults.is_faulty(cur, *spare));
-    const NodeId detour = cube.neighbor(cur, *spare);
-    if (trace != nullptr) {
-      emit_source_egs(trace, result.decision, self_level, s, d,
-                      static_cast<int>(*spare), ties, true);
-      source_emitted = true;
-      emit_hop_egs(trace, cur, detour, *spare, views.public_view[detour],
-                   nav, nav | bits::unit(*spare), false, ties);
-    }
-    cur = detour;
-    nav |= bits::unit(*spare);
-    result.path.push_back(cur);
-    suboptimal = true;
-  }
-
-  // The untraced loop is kept free of tracing bookkeeping — it is the
-  // throughput-critical path of the link-fault sweeps.
-  if (trace == nullptr) {
-    while (nav != 0) {
-      if (bits::popcount(nav) == 1) {
-        // Final hop: the only preferred neighbor is the destination,
-        // which may be an N2 node everyone else treats as faulty
-        // (footnote 3) — deliver across the link if it is healthy.
-        const Dim dim = bits::lowest_set(nav);
-        if (link_faults.is_faulty(cur, dim)) {
-          result.status = RouteStatus::kStuck;
-          return result;
-        }
-        cur = cube.neighbor(cur, dim);
-        nav = 0;
-        result.path.push_back(cur);
-        break;
-      }
-      const auto next =
-          choose_preferred(cube, views.public_view, cur, nav, options);
-      if (!next || link_faults.is_faulty(cur, *next)) {
-        result.status = RouteStatus::kStuck;
-        return result;
-      }
-      cur = cube.neighbor(cur, *next);
-      nav &= ~bits::unit(*next);
-      result.path.push_back(cur);
-    }
-  } else {
-    while (nav != 0) {
-      if (bits::popcount(nav) == 1) {
-        const Dim dim = bits::lowest_set(nav);
-        if (link_faults.is_faulty(cur, dim)) {
-          result.status = RouteStatus::kStuck;
-          if (!source_emitted) {
-            emit_source_egs(trace, result.decision, self_level, s, d, -1, 0,
-                            false);
-          }
-          emit_done_egs(trace, s, d, result.status, result.hops());
-          return result;
-        }
-        const NodeId to = cube.neighbor(cur, dim);
-        if (!source_emitted) {
-          emit_source_egs(trace, result.decision, self_level, s, d,
-                          static_cast<int>(dim), 1, false);
-          source_emitted = true;
-        }
-        // The destination's public level may legitimately be 0 (an N2
-        // node); remaining distance is 0, so the Theorem-2 floor holds.
-        emit_hop_egs(trace, cur, to, dim, views.public_view[to], nav, 0,
-                     true, 1);
-        cur = to;
-        nav = 0;
-        result.path.push_back(cur);
-        break;
-      }
-      unsigned ties = 0;
-      const auto next =
-          choose_preferred(cube, views.public_view, cur, nav, options, &ties);
-      if (!next || link_faults.is_faulty(cur, *next)) {
-        result.status = RouteStatus::kStuck;
-        if (!source_emitted) {
-          emit_source_egs(trace, result.decision, self_level, s, d, -1, 0,
-                          false);
-        }
-        emit_done_egs(trace, s, d, result.status, result.hops());
-        return result;
-      }
-      const NodeId to = cube.neighbor(cur, *next);
-      if (!source_emitted) {
-        emit_source_egs(trace, result.decision, self_level, s, d,
-                        static_cast<int>(*next), ties, false);
-        source_emitted = true;
-      }
-      emit_hop_egs(trace, cur, to, *next, views.public_view[to], nav,
-                   nav & ~bits::unit(*next), true, ties);
-      cur = to;
-      nav &= ~bits::unit(*next);
-      result.path.push_back(cur);
-    }
-  }
-
-  SLC_ASSERT(cur == d);
-  result.status = suboptimal ? RouteStatus::kDeliveredSuboptimal
-                             : RouteStatus::kDeliveredOptimal;
-  if (trace != nullptr) {
-    emit_done_egs(trace, s, d, result.status, result.hops());
-  }
+  NoGround ground;
+  walk_route(EgsView{cube, link_faults, views}, ground, s, d, options, result);
   return result;
 }
 

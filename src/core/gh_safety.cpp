@@ -3,42 +3,9 @@
 #include <algorithm>
 #include <array>
 
+#include "core/walk.hpp"
+
 namespace slcube::core {
-
-namespace {
-
-/// Generic max-level selection over explicitly enumerated candidates.
-struct Candidate {
-  NodeId node = 0;
-  Level level = 0;
-};
-
-std::optional<NodeId> argmax_level(const std::vector<Candidate>& cands,
-                                   const UnicastOptions& options) {
-  Level best = 0;
-  std::size_t ties = 0;
-  std::vector<NodeId> pool;
-  for (const Candidate& c : cands) {
-    if (c.level > best) {
-      best = c.level;
-      pool.clear();
-      pool.push_back(c.node);
-      ties = 1;
-    } else if (c.level == best && best > 0) {
-      pool.push_back(c.node);
-      ++ties;
-    }
-  }
-  if (ties == 0) return std::nullopt;
-  if (options.tie_break == TieBreak::kLowestDim || ties == 1) {
-    return pool.front();  // candidates enumerated low dim / low coord first
-  }
-  SLC_EXPECT_MSG(options.rng != nullptr,
-                 "TieBreak::kRandom requires UnicastOptions::rng");
-  return pool[options.rng->below(pool.size())];
-}
-
-}  // namespace
 
 Level implied_level_gh(const topo::GeneralizedHypercube& gh,
                        const fault::FaultSet& faults,
@@ -148,17 +115,7 @@ RouteResult route_unicast_gh(const topo::GeneralizedHypercube& gh,
 
   NodeId cur = s;
   bool suboptimal = false;
-  std::vector<Candidate> cands;
-
-  auto preferred_candidates = [&](NodeId a) {
-    cands.clear();
-    for (Dim i = 0; i < gh.dimension(); ++i) {
-      const std::uint32_t dc = gh.coordinate(d, i);
-      if (gh.coordinate(a, i) == dc) continue;
-      const NodeId b = gh.with_coordinate(a, i, dc);
-      cands.push_back({b, levels[b]});
-    }
-  };
+  unsigned ties = 0;  // GH routes are not traced
 
   if (!result.decision.optimal_feasible()) {
     if (!result.decision.c3) {
@@ -166,28 +123,34 @@ RouteResult route_unicast_gh(const topo::GeneralizedHypercube& gh,
       return result;
     }
     // Suboptimal detour: best spare neighbor with level >= H + 1.
-    cands.clear();
-    for (Dim i = 0; i < gh.dimension(); ++i) {
-      const std::uint32_t sc = gh.coordinate(cur, i);
-      if (sc != gh.coordinate(d, i)) continue;
-      for (std::uint32_t c = 0; c < gh.radix(i); ++c) {
-        if (c == sc) continue;
-        const NodeId b = gh.with_coordinate(cur, i, c);
-        if (levels[b] >= result.decision.hamming + 1u) {
-          cands.push_back({b, levels[b]});
+    const auto spare = argmax_level<NodeId>(options, ties, [&](auto&& visit) {
+      for (Dim i = 0; i < gh.dimension(); ++i) {
+        const std::uint32_t sc = gh.coordinate(cur, i);
+        if (sc != gh.coordinate(d, i)) continue;
+        for (std::uint32_t c = 0; c < gh.radix(i); ++c) {
+          if (c == sc) continue;
+          const NodeId b = gh.with_coordinate(cur, i, c);
+          if (levels[b] >= result.decision.hamming + 1u) visit(b, levels[b]);
         }
       }
-    }
-    const auto spare = argmax_level(cands, options);
+    });
     SLC_ASSERT_MSG(spare.has_value(), "C3 held but no spare qualified");
     cur = *spare;
     result.path.push_back(cur);
     suboptimal = true;
   }
 
+  // Max-level preferred neighbor: along each differing dimension, the
+  // node carrying the destination's coordinate.
   while (cur != d) {
-    preferred_candidates(cur);
-    const auto next = argmax_level(cands, options);
+    const auto next = argmax_level<NodeId>(options, ties, [&](auto&& visit) {
+      for (Dim i = 0; i < gh.dimension(); ++i) {
+        const std::uint32_t dc = gh.coordinate(d, i);
+        if (gh.coordinate(cur, i) == dc) continue;
+        const NodeId b = gh.with_coordinate(cur, i, dc);
+        visit(b, levels[b]);
+      }
+    });
     if (!next) {
       result.status = RouteStatus::kStuck;
       return result;

@@ -1,6 +1,6 @@
 #include "core/safety_vector.hpp"
 
-#include <array>
+#include "core/walk.hpp"
 
 namespace slcube::core {
 
@@ -51,90 +51,16 @@ SourceDecision decide_at_source_sv(const topo::Hypercube& cube,
   return dec;
 }
 
-namespace {
-
-/// Preferred dimension whose neighbor has V(j-1) set (j = popcount(nav)
-/// >= 2), lowest dimension first or random among qualifiers.
-std::optional<Dim> choose_by_vector(const topo::Hypercube& cube,
-                                    const SafetyVectors& vectors, NodeId a,
-                                    std::uint32_t nav,
-                                    const UnicastOptions& options) {
-  const unsigned j = bits::popcount(nav);
-  SLC_ASSERT(j >= 2);
-  std::array<Dim, topo::Hypercube::kMaxDimension> pool{};
-  std::size_t qualifiers = 0;
-  bits::for_each_set(nav, [&](Dim dim) {
-    if (vectors.bit(cube.neighbor(a, dim), j - 1)) pool[qualifiers++] = dim;
-  });
-  if (qualifiers == 0) return std::nullopt;
-  if (options.tie_break == TieBreak::kLowestDim || qualifiers == 1) {
-    return pool[0];
-  }
-  SLC_EXPECT(options.rng != nullptr);
-  return pool[options.rng->below(qualifiers)];
-}
-
-}  // namespace
-
 RouteResult route_unicast_sv(const topo::Hypercube& cube,
                              const fault::FaultSet& faults,
                              const SafetyVectors& vectors, NodeId s, NodeId d,
                              const UnicastOptions& options) {
   SLC_EXPECT_MSG(faults.is_healthy(s), "unicast source must be healthy");
   SLC_EXPECT_MSG(faults.is_healthy(d), "unicast destination must be healthy");
-
   RouteResult result;
-  result.decision = decide_at_source_sv(cube, vectors, s, d);
-  result.path.push_back(s);
-
-  std::uint32_t nav = cube.navigation_vector(s, d);
-  if (nav == 0) {
-    result.status = RouteStatus::kDeliveredOptimal;
-    return result;
-  }
-
-  NodeId cur = s;
-  bool suboptimal = false;
-  if (!result.decision.optimal_feasible()) {
-    if (!result.decision.c3) {
-      result.status = RouteStatus::kSourceRefused;
-      return result;
-    }
-    // Spare detour onto a node whose V(H+1) bit covers the new distance.
-    std::optional<Dim> spare;
-    bits::for_each_clear(nav, cube.dimension(), [&](Dim dim) {
-      if (!spare &&
-          vectors.bit(cube.neighbor(cur, dim), result.decision.hamming + 1)) {
-        spare = dim;
-      }
-    });
-    SLC_ASSERT_MSG(spare.has_value(), "C3 held but no spare qualified");
-    cur = cube.neighbor(cur, *spare);
-    nav |= bits::unit(*spare);
-    result.path.push_back(cur);
-    suboptimal = true;
-  }
-
-  while (nav != 0) {
-    if (bits::popcount(nav) == 1) {  // the only preferred neighbor is d
-      cur = cube.neighbor(cur, bits::lowest_set(nav));
-      nav = 0;
-      result.path.push_back(cur);
-      break;
-    }
-    const auto next = choose_by_vector(cube, vectors, cur, nav, options);
-    if (!next) {
-      result.status = RouteStatus::kStuck;
-      return result;
-    }
-    cur = cube.neighbor(cur, *next);
-    nav &= ~bits::unit(*next);
-    result.path.push_back(cur);
-  }
-
-  SLC_ASSERT(cur == d);
-  result.status = suboptimal ? RouteStatus::kDeliveredSuboptimal
-                             : RouteStatus::kDeliveredOptimal;
+  NoGround ground;
+  NullEvents events;  // vector routes are never traced
+  walk(VectorView{cube, vectors}, ground, events, s, d, options, result);
   return result;
 }
 

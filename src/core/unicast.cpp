@@ -1,7 +1,6 @@
 #include "core/unicast.hpp"
+#include "core/walk.hpp"
 #include "obs/profiler.hpp"
-
-#include <array>
 
 namespace slcube::core {
 
@@ -15,82 +14,15 @@ const char* to_string(RouteStatus s) {
       return "source-refused";
     case RouteStatus::kStuck:
       return "stuck";
+    case RouteStatus::kDroppedSource:
+      return "dropped-source";
+    case RouteStatus::kDroppedNode:
+      return "dropped-node";
+    case RouteStatus::kDroppedLink:
+      return "dropped-link";
   }
   SLC_UNREACHABLE("bad RouteStatus");
 }
-
-namespace {
-
-/// Among the dimensions selected from `nav` by ForEach, find those whose
-/// neighbor level is maximal; break ties by option. Returns nullopt when
-/// the maximal level is 0 (all candidates faulty) or there are none.
-template <typename ForEach>
-std::optional<Dim> argmax_level(const UnicastOptions& options,
-                                unsigned* ties_out, ForEach&& for_each) {
-  std::array<Dim, topo::Hypercube::kMaxDimension> best{};
-  std::size_t ties = 0;
-  int best_level = 0;  // level 0 == faulty is never a valid choice
-  for_each([&](Dim d, Level level) {
-    if (static_cast<int>(level) > best_level) {
-      best_level = level;
-      best[0] = d;
-      ties = 1;
-    } else if (level == best_level && best_level > 0) {
-      best[ties++] = d;
-    }
-  });
-  if (ties_out != nullptr) *ties_out = static_cast<unsigned>(ties);
-  if (ties == 0) return std::nullopt;
-  if (options.tie_break == TieBreak::kLowestDim || ties == 1) {
-    return best[0];  // candidates are generated low-dimension-first
-  }
-  SLC_EXPECT_MSG(options.rng != nullptr,
-                 "TieBreak::kRandom requires UnicastOptions::rng");
-  return best[options.rng->below(ties)];
-}
-
-/// Trace helpers — only reached when a sink is attached.
-void emit_source(obs::TraceSink* trace, const SourceDecision& dec, NodeId s,
-                 NodeId d, int chosen_dim, unsigned ties, bool spare) {
-  obs::SourceDecisionEvent ev;
-  ev.source = s;
-  ev.dest = d;
-  ev.hamming = dec.hamming;
-  ev.c1 = dec.c1;
-  ev.c2 = dec.c2;
-  ev.c3 = dec.c3;
-  ev.chosen_dim = chosen_dim;
-  ev.ties = ties;
-  ev.spare = spare;
-  trace->on_event(ev);
-}
-
-void emit_done(obs::TraceSink* trace, NodeId s, NodeId d, RouteStatus status,
-               unsigned hops) {
-  obs::RouteDoneEvent ev;
-  ev.source = s;
-  ev.dest = d;
-  ev.status = to_string(status);
-  ev.hops = hops;
-  trace->on_event(ev);
-}
-
-void emit_hop(obs::TraceSink* trace, NodeId from, NodeId to, Dim dim,
-              Level level, std::uint32_t nav_before, std::uint32_t nav_after,
-              bool preferred, unsigned ties) {
-  obs::HopEvent ev;
-  ev.from = from;
-  ev.to = to;
-  ev.dim = dim;
-  ev.level = level;
-  ev.nav_before = nav_before;
-  ev.nav_after = nav_after;
-  ev.preferred = preferred;
-  ev.ties = ties;
-  trace->on_event(ev);
-}
-
-}  // namespace
 
 SourceDecision decide_at_source(const topo::Hypercube& cube,
                                 const SafetyLevels& levels, NodeId s,
@@ -112,32 +44,6 @@ SourceDecision decide_at_source(const topo::Hypercube& cube,
   return dec;
 }
 
-std::optional<Dim> choose_preferred(const topo::Hypercube& cube,
-                                    const SafetyLevels& levels, NodeId a,
-                                    std::uint32_t nav,
-                                    const UnicastOptions& options,
-                                    unsigned* ties_out) {
-  return argmax_level(options, ties_out, [&](auto&& visit) {
-    cube.for_each_preferred(a, nav,
-                            [&](Dim d, NodeId b) { visit(d, levels[b]); });
-  });
-}
-
-std::optional<Dim> choose_spare(const topo::Hypercube& cube,
-                                const SafetyLevels& levels, NodeId a,
-                                std::uint32_t nav,
-                                const UnicastOptions& options,
-                                unsigned* ties_out) {
-  const unsigned h = bits::popcount(nav);
-  const auto pick = argmax_level(options, ties_out, [&](auto&& visit) {
-    cube.for_each_spare(a, nav,
-                        [&](Dim d, NodeId b) { visit(d, levels[b]); });
-  });
-  if (!pick) return std::nullopt;
-  if (levels[cube.neighbor(a, *pick)] < h + 1u) return std::nullopt;
-  return pick;
-}
-
 RouteResult route_unicast(const topo::Hypercube& cube,
                           const fault::FaultSet& faults,
                           const SafetyLevels& levels, NodeId s, NodeId d,
@@ -146,106 +52,9 @@ RouteResult route_unicast(const topo::Hypercube& cube,
   SLC_EXPECT_MSG(faults.is_healthy(s), "unicast source must be healthy");
   SLC_EXPECT_MSG(faults.is_healthy(d), "unicast destination must be healthy");
   SLC_EXPECT(levels.size() == cube.num_nodes());
-
-  obs::TraceSink* const trace = options.trace;
   RouteResult result;
-  result.decision = decide_at_source(cube, levels, s, d);
-  result.path.push_back(s);
-
-  std::uint32_t nav = cube.navigation_vector(s, d);
-  if (nav == 0) {  // s == d
-    result.status = RouteStatus::kDeliveredOptimal;
-    if (trace != nullptr) {
-      emit_source(trace, result.decision, s, d, -1, 0, false);
-      emit_done(trace, s, d, result.status, 0);
-    }
-    return result;
-  }
-
-  NodeId cur = s;
-  bool suboptimal = false;
-  // The source event wants the chosen first-hop dimension, which for the
-  // optimal case is only known inside the forwarding loop below — emit
-  // lazily at the first hop so the untraced path stays branch-identical
-  // (and kRandom's RNG sequence is never perturbed by a traced peek).
-  bool source_emitted = false;
-  if (!result.decision.optimal_feasible()) {
-    if (!result.decision.c3) {
-      result.status = RouteStatus::kSourceRefused;
-      if (trace != nullptr) {
-        emit_source(trace, result.decision, s, d, -1, 0, false);
-        emit_done(trace, s, d, result.status, 0);
-      }
-      return result;
-    }
-    // SUBOPTIMAL_UNICASTING: one detour hop along the best spare
-    // dimension; its navigation bit is set so it gets corrected later.
-    unsigned ties = 0;
-    const auto spare =
-        choose_spare(cube, levels, cur, nav, options,
-                     trace != nullptr ? &ties : nullptr);
-    SLC_ASSERT_MSG(spare.has_value(), "C3 held but no spare qualified");
-    const NodeId detour = cube.neighbor(cur, *spare);
-    if (trace != nullptr) {
-      emit_source(trace, result.decision, s, d, static_cast<int>(*spare),
-                  ties, true);
-      source_emitted = true;
-      emit_hop(trace, cur, detour, *spare, levels[detour], nav,
-               nav | bits::unit(*spare), false, ties);
-    }
-    cur = detour;
-    nav |= bits::unit(*spare);
-    result.path.push_back(cur);
-    suboptimal = true;
-  }
-
-  // UNICASTING_AT_INTERMEDIATE_NODE, repeated until the navigation vector
-  // empties. Each hop clears one bit, so this loop runs popcount(nav)
-  // times unless the level table is inconsistent and we get stuck. The
-  // untraced loop is kept free of any tracing bookkeeping — it is the
-  // throughput-critical path of every sweep bench.
-  if (trace == nullptr) {
-    while (nav != 0) {
-      const auto next = choose_preferred(cube, levels, cur, nav, options);
-      if (!next) {
-        result.status = RouteStatus::kStuck;
-        return result;
-      }
-      cur = cube.neighbor(cur, *next);
-      nav &= ~bits::unit(*next);
-      result.path.push_back(cur);
-    }
-  } else {
-    while (nav != 0) {
-      unsigned ties = 0;
-      const auto next =
-          choose_preferred(cube, levels, cur, nav, options, &ties);
-      if (!next) {
-        result.status = RouteStatus::kStuck;
-        if (!source_emitted) {
-          emit_source(trace, result.decision, s, d, -1, 0, false);
-        }
-        emit_done(trace, s, d, result.status, result.hops());
-        return result;
-      }
-      const NodeId to = cube.neighbor(cur, *next);
-      if (!source_emitted) {
-        emit_source(trace, result.decision, s, d, static_cast<int>(*next),
-                    ties, false);
-        source_emitted = true;
-      }
-      emit_hop(trace, cur, to, *next, levels[to], nav,
-               nav & ~bits::unit(*next), true, ties);
-      cur = to;
-      nav &= ~bits::unit(*next);
-      result.path.push_back(cur);
-    }
-  }
-
-  SLC_ASSERT(cur == d);
-  result.status = suboptimal ? RouteStatus::kDeliveredSuboptimal
-                             : RouteStatus::kDeliveredOptimal;
-  if (trace != nullptr) emit_done(trace, s, d, result.status, result.hops());
+  NoGround ground;
+  walk_route(LevelView{cube, levels}, ground, s, d, options, result);
   return result;
 }
 
@@ -256,57 +65,10 @@ RouteResult route_unicast_greedy(const topo::Hypercube& cube,
   const obs::StageScope stage("route.greedy");
   SLC_EXPECT_MSG(faults.is_healthy(s), "unicast source must be healthy");
   SLC_EXPECT_MSG(faults.is_healthy(d), "unicast destination must be healthy");
-  obs::TraceSink* const trace = options.trace;
   RouteResult result;
-  result.decision = decide_at_source(cube, levels, s, d);
-  result.path.push_back(s);
-  std::uint32_t nav = cube.navigation_vector(s, d);
-  NodeId cur = s;
-  bool source_emitted = false;
-  if (trace == nullptr) {
-    while (nav != 0) {
-      const auto next = choose_preferred(cube, levels, cur, nav, options);
-      if (!next) {
-        result.status = RouteStatus::kStuck;
-        return result;
-      }
-      cur = cube.neighbor(cur, *next);
-      nav &= ~bits::unit(*next);
-      result.path.push_back(cur);
-    }
-  } else {
-    while (nav != 0) {
-      unsigned ties = 0;
-      const auto next =
-          choose_preferred(cube, levels, cur, nav, options, &ties);
-      if (!next) {
-        result.status = RouteStatus::kStuck;
-        if (!source_emitted) {
-          emit_source(trace, result.decision, s, d, -1, 0, false);
-        }
-        emit_done(trace, s, d, result.status, result.hops());
-        return result;
-      }
-      const NodeId to = cube.neighbor(cur, *next);
-      if (!source_emitted) {
-        emit_source(trace, result.decision, s, d, static_cast<int>(*next),
-                    ties, false);
-        source_emitted = true;
-      }
-      emit_hop(trace, cur, to, *next, levels[to], nav,
-               nav & ~bits::unit(*next), true, ties);
-      cur = to;
-      nav &= ~bits::unit(*next);
-      result.path.push_back(cur);
-    }
-  }
-  result.status = RouteStatus::kDeliveredOptimal;
-  if (trace != nullptr) {
-    if (!source_emitted) {
-      emit_source(trace, result.decision, s, d, -1, 0, false);
-    }
-    emit_done(trace, s, d, result.status, result.hops());
-  }
+  NoGround ground;
+  walk_route(LevelView{cube, levels}, ground, s, d, options, result,
+             /*dispatch=*/false);
   return result;
 }
 

@@ -23,10 +23,12 @@
 // Tie-breaking among equally-maximal neighbors is not specified by the
 // paper; kLowestDim reproduces every concrete route the paper walks
 // through (Figs. 1 and 3), and kRandom is the ablation (DESIGN.md #1).
+//
+// The walk itself, shared with the EGS, safety-vector and serving
+// routers, is core/walk.hpp; the routers here are its instantiations.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "analysis/path.hpp"
 #include "common/rng.hpp"
@@ -42,7 +44,18 @@ enum class RouteStatus : std::uint8_t {
   kStuck,                ///< mid-route dead end — impossible unless the
                          ///< level table is inconsistent/stale (used by
                          ///< robustness experiments)
+  // Serving only (svc::serve_route): the decision table allowed a
+  // traversal the live ground truth refused.
+  kDroppedSource,  ///< source already dead in the ground epoch
+  kDroppedNode,    ///< a hop landed on a node faulty in the ground epoch
+  kDroppedLink,    ///< a hop crossed a link faulty in the ground epoch
+  /// The serving layer's name for kSourceRefused, kept for perfbench.
+  kRefused = kSourceRefused,
 };
+
+[[nodiscard]] constexpr bool is_drop(RouteStatus s) noexcept {
+  return s >= RouteStatus::kDroppedSource;
+}
 
 [[nodiscard]] const char* to_string(RouteStatus s);
 
@@ -53,8 +66,9 @@ struct UnicastOptions {
   /// Required when tie_break == kRandom.
   Xoshiro256ss* rng = nullptr;
   /// When non-null, the route emits structured events (source decision,
-  /// every hop, spare detour, terminal status) to this sink. The default
-  /// null sink costs one branch per decision.
+  /// every hop, spare detour, terminal status) to this sink. The router
+  /// picks its traced or untraced walk once, before the first decision;
+  /// the untraced walk contains no trace code.
   obs::TraceSink* trace = nullptr;
 };
 
@@ -83,13 +97,14 @@ struct RouteResult {
   RouteStatus status = RouteStatus::kSourceRefused;
   SourceDecision decision;
   /// Visited nodes, source first; complete on delivery, partial on kStuck,
-  /// just {s} on kSourceRefused.
+  /// cut at the last node reached on a drop, just {s} on kSourceRefused.
   analysis::Path path;
 
   [[nodiscard]] bool delivered() const noexcept {
     return status == RouteStatus::kDeliveredOptimal ||
            status == RouteStatus::kDeliveredSuboptimal;
   }
+  [[nodiscard]] bool dropped() const noexcept { return is_drop(status); }
   [[nodiscard]] unsigned hops() const noexcept {
     return static_cast<unsigned>(path.size() - 1);
   }
@@ -104,27 +119,6 @@ struct RouteResult {
                                         const SafetyLevels& levels, NodeId s,
                                         NodeId d,
                                         const UnicastOptions& options = {});
-
-/// One intermediate-node forwarding decision: the preferred dimension
-/// (set bit of `nav`) whose neighbor has the maximal *nonzero* level, or
-/// nullopt when every preferred neighbor is faulty. Exposed for the
-/// message-level protocol in src/sim, which must make hop decisions one
-/// node at a time. `ties_out` (optional) receives the number of
-/// equally-maximal candidates the tie-break chose among — trace fodder.
-[[nodiscard]] std::optional<Dim> choose_preferred(
-    const topo::Hypercube& cube, const SafetyLevels& levels, NodeId a,
-    std::uint32_t nav, const UnicastOptions& options = {},
-    unsigned* ties_out = nullptr);
-
-/// The spare-dimension choice of SUBOPTIMAL_UNICASTING: the clear bit of
-/// `nav` whose neighbor has maximal level, provided that level >= H + 1;
-/// nullopt otherwise.
-[[nodiscard]] std::optional<Dim> choose_spare(const topo::Hypercube& cube,
-                                              const SafetyLevels& levels,
-                                              NodeId a, std::uint32_t nav,
-                                              const UnicastOptions& options =
-                                                  {},
-                                              unsigned* ties_out = nullptr);
 
 /// ABLATION — "route anyway": skip the C1/C2/C3 feasibility check and
 /// greedily forward to the max-level healthy preferred neighbor at every

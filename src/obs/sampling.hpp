@@ -114,7 +114,7 @@ struct Breadcrumb {
   std::uint32_t route_id_lo = 0;  ///< low 32 bits of the route id
   std::uint32_t decision_epoch_lo = 0;
   std::uint16_t hops = 0;
-  std::uint8_t status = 0;  ///< caller's status code (svc::ServeStatus)
+  std::uint8_t status = 0;  ///< caller's status code (core::RouteStatus)
   /// log2 bucket of latency in nanoseconds; 0xFF = not measured.
   std::uint8_t latency_bucket = 0xFF;
   std::uint8_t reason = 0;  ///< PromoteReason decided for this route
@@ -133,7 +133,7 @@ struct RouteSummary {
   std::uint64_t route_id = 0;
   std::uint64_t decision_epoch = 0;
   std::uint64_t ground_epoch = 0;
-  const char* status = "";       ///< e.g. to_string(svc::ServeStatus)
+  const char* status = "";       ///< e.g. to_string(core::RouteStatus)
   std::uint8_t status_code = 0;  ///< small code for breadcrumbs/digest
   unsigned hops = 0;
   bool dropped = false;

@@ -6,7 +6,8 @@
 //
 // Cost model: producers hold a nullable `TraceSink*` and construct events
 // only inside an `if (sink)` guard, so the untraced hot path pays one
-// predictable branch. Three sinks ship: NullSink (explicit no-op),
+// predictable branch. The routers check once per route and then run an
+// untraced walk with no trace code at all (core/walk.hpp). Three sinks ship: NullSink (explicit no-op),
 // RingBufferSink (bounded in-memory flight recorder for post-mortems),
 // and JsonlSink (one JSON object per line, stable field names — the
 // schema is documented in EXPERIMENTS.md and consumed by
@@ -153,7 +154,7 @@ struct EpochPublishEvent {
 
 /// Per-route verdict from obs::SamplingSink: emitted after the full
 /// chain for promoted routes, and (optionally) alone for breadcrumb-only
-/// routes. `status` is the serving-layer status string (svc::ServeStatus
+/// routes. `status` is the serving-layer status string (core::RouteStatus
 /// for the service benches), which refines the chain's route_done status
 /// ("lost" chains carry the precise dropped-source/node/link cause here).
 struct RouteSummaryEvent {

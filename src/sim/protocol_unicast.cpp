@@ -1,8 +1,9 @@
 #include "sim/protocol_unicast.hpp"
 
 #include <algorithm>
-#include <array>
 #include <optional>
+
+#include "core/walk.hpp"
 
 namespace slcube::sim {
 
@@ -56,74 +57,19 @@ core::SourceDecision local_decide(const Network& net, NodeId s, NodeId d) {
   return dec;
 }
 
-/// Max-register preferred dimension (level > 0), lowest dim or random.
+/// Max-register preferred (bit of `mask` set) or spare (bit clear)
+/// dimension, through the core walker's max-level kernel.
 std::optional<Dim> local_choose(const Network& net, NodeId a,
                                 std::uint32_t mask, bool preferred,
                                 const core::UnicastOptions& options,
-                                unsigned* ties_out = nullptr) {
-  const unsigned n = net.cube().dimension();
-  std::array<Dim, topo::Hypercube::kMaxDimension> pool{};
-  std::size_t ties = 0;
-  int best = 0;
-  for (Dim dim = 0; dim < n; ++dim) {
-    if (bits::test(mask, dim) != preferred) continue;
-    const int level = net.neighbor_register(a, dim);
-    if (level > best) {
-      best = level;
-      pool[0] = dim;
-      ties = 1;
-    } else if (level == best && best > 0) {
-      pool[ties++] = dim;
+                                unsigned& ties) {
+  return core::argmax_level<Dim>(options, ties, [&](auto&& visit) {
+    for (Dim dim = 0; dim < net.cube().dimension(); ++dim) {
+      if (bits::test(mask, dim) == preferred) {
+        visit(dim, net.neighbor_register(a, dim));
+      }
     }
-  }
-  if (ties_out != nullptr) *ties_out = static_cast<unsigned>(ties);
-  if (ties == 0) return std::nullopt;
-  if (options.tie_break == core::TieBreak::kLowestDim || ties == 1) {
-    return pool[0];
-  }
-  SLC_EXPECT(options.rng != nullptr);
-  return pool[options.rng->below(ties)];
-}
-
-void emit_source(obs::TraceSink* trace, const core::SourceDecision& dec,
-                 NodeId s, NodeId d, int chosen_dim, unsigned ties,
-                 bool spare) {
-  obs::SourceDecisionEvent ev;
-  ev.source = s;
-  ev.dest = d;
-  ev.hamming = dec.hamming;
-  ev.c1 = dec.c1;
-  ev.c2 = dec.c2;
-  ev.c3 = dec.c3;
-  ev.chosen_dim = chosen_dim;
-  ev.ties = ties;
-  ev.spare = spare;
-  trace->on_event(ev);
-}
-
-void emit_hop(obs::TraceSink* trace, const Network& net, NodeId from,
-              Dim dim, std::uint32_t nav_before, std::uint32_t nav_after,
-              bool preferred, unsigned ties) {
-  obs::HopEvent ev;
-  ev.from = from;
-  ev.to = net.cube().neighbor(from, dim);
-  ev.dim = dim;
-  ev.level = net.neighbor_register(from, dim);
-  ev.nav_before = nav_before;
-  ev.nav_after = nav_after;
-  ev.preferred = preferred;
-  ev.ties = ties;
-  trace->on_event(ev);
-}
-
-void emit_done(obs::TraceSink* trace, NodeId s, NodeId d,
-               SimRouteStatus status, std::size_t path_len) {
-  obs::RouteDoneEvent ev;
-  ev.source = s;
-  ev.dest = d;
-  ev.status = to_string(status);
-  ev.hops = path_len > 0 ? static_cast<unsigned>(path_len - 1) : 0;
-  trace->on_event(ev);
+  });
 }
 
 }  // namespace
@@ -158,14 +104,34 @@ SimRouteResult route_unicast_sim(Network& net, NodeId s, NodeId d,
   result.path.push_back(s);
   apply_due_failures(net.now());
 
+  // The route-chain events come from the core walker's one builder; the
+  // terminal status speaks the simulator's own dialect.
+  core::TraceEvents events{trace, s, d, &result.decision};
+  const auto trace_done = [&] {
+    if (trace == nullptr) return;
+    events.source(-1, 0, false);  // no-op once the launch announced it
+    events.done(to_string(result.status),
+                static_cast<unsigned>(result.path.size() - 1));
+  };
+  // Forward `pkt` along `dim`, tracing the hop as decided from the
+  // holder's own register.
+  const auto forward = [&](NodeId from, Dim dim, std::uint32_t nav_before,
+                           const UnicastPacket& pkt, unsigned ties) {
+    const NodeId to = net.cube().neighbor(from, dim);
+    const bool preferred = bits::test(nav_before, dim);
+    if (trace != nullptr) {
+      events.source(static_cast<int>(dim), ties, !preferred);
+      events.hop(from, to, dim, net.neighbor_register(from, dim), nav_before,
+                 pkt.nav, preferred, ties);
+    }
+    net.send(from, to, pkt);
+  };
+
   std::uint32_t nav = net.cube().navigation_vector(s, d);
   if (nav == 0) {
     result.status = SimRouteStatus::kDelivered;
     result.finished_at = net.now();
-    if (trace != nullptr) {
-      emit_source(trace, result.decision, s, d, -1, 0, false);
-      emit_done(trace, s, d, result.status, result.path.size());
-    }
+    trace_done();
     return result;
   }
 
@@ -191,40 +157,25 @@ SimRouteResult route_unicast_sim(Network& net, NodeId s, NodeId d,
   if (result.decision.optimal_feasible()) {
     unsigned ties = 1;  // final_hop_dim is a forced move
     auto dim = final_hop_dim(s, nav);
-    if (!dim) dim = local_choose(net, s, nav, true, options, &ties);
+    if (!dim) dim = local_choose(net, s, nav, true, options, ties);
     if (dim) {
-      UnicastPacket pkt{0, s, d, nav & ~bits::unit(*dim), false};
-      if (trace != nullptr) {
-        emit_source(trace, result.decision, s, d, static_cast<int>(*dim),
-                    ties, false);
-        emit_hop(trace, net, s, *dim, nav, pkt.nav, true, ties);
-      }
-      net.send(s, net.cube().neighbor(s, *dim), pkt);
+      forward(s, *dim, nav, {0, s, d, nav & ~bits::unit(*dim), false}, ties);
       launched = true;
     }
   }
   if (!launched && result.decision.c3) {
     unsigned ties = 0;
-    const auto dim = local_choose(net, s, nav, false, options, &ties);
+    const auto dim = local_choose(net, s, nav, false, options, ties);
     if (dim && net.neighbor_register(s, *dim) >=
                    result.decision.hamming + 1u) {
-      UnicastPacket pkt{0, s, d, nav | bits::unit(*dim), true};
-      if (trace != nullptr) {
-        emit_source(trace, result.decision, s, d, static_cast<int>(*dim),
-                    ties, true);
-        emit_hop(trace, net, s, *dim, nav, pkt.nav, false, ties);
-      }
-      net.send(s, net.cube().neighbor(s, *dim), pkt);
+      forward(s, *dim, nav, {0, s, d, nav | bits::unit(*dim), true}, ties);
       launched = true;
     }
   }
   if (!launched) {
     result.status = SimRouteStatus::kRefused;
     result.finished_at = net.now();
-    if (trace != nullptr) {
-      emit_source(trace, result.decision, s, d, -1, 0, false);
-      emit_done(trace, s, d, result.status, result.path.size());
-    }
+    trace_done();
     return result;
   }
 
@@ -244,7 +195,7 @@ SimRouteResult route_unicast_sim(Network& net, NodeId s, NodeId d,
     }
     unsigned ties = 1;
     auto dim = final_hop_dim(a, pkt.nav);
-    if (!dim) dim = local_choose(net, a, pkt.nav, true, options, &ties);
+    if (!dim) dim = local_choose(net, a, pkt.nav, true, options, ties);
     if (!dim) {
       result.status = SimRouteStatus::kStuck;
       result.finished_at = net.now();
@@ -252,16 +203,11 @@ SimRouteResult route_unicast_sim(Network& net, NodeId s, NodeId d,
     }
     UnicastPacket fwd = pkt;
     fwd.nav &= ~bits::unit(*dim);
-    if (trace != nullptr) {
-      emit_hop(trace, net, a, *dim, pkt.nav, fwd.nav, true, ties);
-    }
-    net.send(a, net.cube().neighbor(a, *dim), fwd);
+    forward(a, *dim, pkt.nav, fwd, ties);
     return true;
   });
   if (result.status == SimRouteStatus::kLost) result.finished_at = net.now();
-  if (trace != nullptr) {
-    emit_done(trace, s, d, result.status, result.path.size());
-  }
+  trace_done();
   return result;
 }
 

@@ -18,63 +18,39 @@
 //     the latest published epoch; a hop onto a ground-faulty node or
 //     across a ground-faulty link drops the message.
 //
-// When ground == decision (no churn since acquire) the walk reproduces
-// core::route_unicast_egs bit-for-bit — same status, same path — which
-// test_snapshot_oracle pins. When they differ, the result records how
-// far behind the decision epoch was and what the staleness cost:
-// delivered anyway, delivered on the H+2 spare detour, or dropped.
+// The walk is core/walk.hpp's, on the EGS view of the decision snapshot
+// with a snapshot ground judge, so when ground == decision (no churn
+// since acquire) it reproduces core::route_unicast_egs bit-for-bit —
+// same status, same path, same trace — which test_snapshot_oracle pins.
+// When they differ, the result records how far behind the decision epoch
+// was and what the staleness cost: delivered anyway, delivered on the
+// H+2 spare detour, or dropped.
 #pragma once
 
 #include <cstdint>
 
-#include "analysis/path.hpp"
 #include "core/egs.hpp"
 #include "obs/trace.hpp"
 #include "svc/snapshot_oracle.hpp"
 
 namespace slcube::svc {
 
-enum class ServeStatus : std::uint8_t {
-  kDeliveredOptimal,     ///< landed in exactly H hops
-  kDeliveredSuboptimal,  ///< landed in exactly H + 2 hops (spare detour)
-  kRefused,              ///< C1/C2/C3 all failed on the decision snapshot
-  kStuck,                ///< decision-table dead end (impossible when the
-                         ///< snapshot is a true fixed point — audited)
-  kDroppedSource,        ///< source already dead in the live epoch
-  kDroppedNode,          ///< a hop landed on a node faulty in the live epoch
-  kDroppedLink,          ///< a hop crossed a link faulty in the live epoch
-};
+/// Serving statuses are core::RouteStatus: the core router's four plus
+/// kDroppedSource / kDroppedNode / kDroppedLink, whose numeric codes are
+/// what digests and obs::SamplingSink fold.
+using ServeStatus = core::RouteStatus;
 
-[[nodiscard]] const char* to_string(ServeStatus s);
-
-struct ServeResult {
-  ServeStatus status = ServeStatus::kRefused;
-  /// Feasibility flags as decided on the decision snapshot.
-  core::SourceDecision decision;
-  /// Nodes actually visited, source first: complete on delivery, cut at
-  /// the last node reached on a drop, {s} on refusal.
-  analysis::Path path;
+/// A core route result plus the two epochs it ran between.
+struct ServeResult : core::RouteResult {
   std::uint64_t decision_epoch = 0;
   /// Highest epoch consulted as ground truth during the walk (epochs are
   /// published in increasing order, so this is simply the last one).
   std::uint64_t ground_epoch = 0;
 
-  [[nodiscard]] bool delivered() const noexcept {
-    return status == ServeStatus::kDeliveredOptimal ||
-           status == ServeStatus::kDeliveredSuboptimal;
-  }
-  [[nodiscard]] bool dropped() const noexcept {
-    return status == ServeStatus::kDroppedSource ||
-           status == ServeStatus::kDroppedNode ||
-           status == ServeStatus::kDroppedLink;
-  }
   /// The route was decided on an epoch older than the ground truth it
   /// ran against — the measured form of the paper's stale-table regime.
   [[nodiscard]] bool stale() const noexcept {
     return ground_epoch > decision_epoch;
-  }
-  [[nodiscard]] unsigned hops() const noexcept {
-    return static_cast<unsigned>(path.size() - 1);
   }
 };
 
@@ -96,15 +72,10 @@ struct ServeOptions {
                                       NodeId d,
                                       const ServeOptions& options = {});
 
-/// Live serving: acquires the decision snapshot once, then re-acquires
-/// the latest epoch before every hop — a writer publishing mid-route is
-/// observed exactly the way a real network observes mid-flight faults.
-[[nodiscard]] ServeResult serve_route(const SnapshotOracle& oracle, NodeId s,
-                                      NodeId d,
-                                      const ServeOptions& options = {});
-
-/// Live serving against a pre-acquired decision snapshot (readers that
-/// batch many requests per acquire).
+/// Live serving against a pre-acquired decision snapshot: re-acquires
+/// the latest epoch at launch and before every hop, so a writer
+/// publishing mid-route is observed exactly the way a real network
+/// observes mid-flight faults.
 [[nodiscard]] ServeResult serve_route(const SnapshotOracle& oracle,
                                       const SnapshotPtr& decision, NodeId s,
                                       NodeId d,

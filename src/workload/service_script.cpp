@@ -132,7 +132,7 @@ obs::RouteSummary ServiceScript::summarize(const Request& req,
   s.route_id = req.route_id;
   s.decision_epoch = res.decision_epoch;
   s.ground_epoch = res.ground_epoch;
-  s.status = svc::to_string(res.status);
+  s.status = core::to_string(res.status);
   s.status_code = static_cast<std::uint8_t>(res.status);
   s.hops = res.hops();
   s.dropped = res.dropped();

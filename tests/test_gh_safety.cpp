@@ -159,6 +159,10 @@ TEST_P(GhShapeSweep, RoutingDeliversWithinClassBounds) {
           break;
         case RouteStatus::kStuck:
           FAIL() << "stuck with stabilized GH levels";
+        case RouteStatus::kDroppedSource:
+        case RouteStatus::kDroppedNode:
+        case RouteStatus::kDroppedLink:
+          FAIL() << "a route without a ground judge cannot be dropped";
       }
       if (r.delivered()) {
         // Path validity: healthy interior, adjacency in GH.

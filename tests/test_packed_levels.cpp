@@ -30,7 +30,9 @@ namespace {
 TEST(PackedLevels, GetSetRoundTripAcrossWordBoundaries) {
   PackedLevels p(40, 0);
   // 40 slots span 4 words; write a distinct 5-bit pattern everywhere.
-  for (NodeId i = 0; i < 40; ++i) p.set(i, (i * 7 + 3) % 21);
+  for (NodeId i = 0; i < 40; ++i) {
+    p.set(i, static_cast<std::uint8_t>((i * 7 + 3) % 21));
+  }
   for (NodeId i = 0; i < 40; ++i) EXPECT_EQ(p.get(i), (i * 7 + 3) % 21);
   // Word-boundary slots specifically (11|12 and 23|24).
   p.set(11, 31);

@@ -132,6 +132,10 @@ TEST_P(VectorSweep, RoutingGuarantees) {
           break;
         case RouteStatus::kStuck:
           FAIL() << "vector routing stuck with consistent vectors";
+        case RouteStatus::kDroppedSource:
+        case RouteStatus::kDroppedNode:
+        case RouteStatus::kDroppedLink:
+          FAIL() << "a route without a ground judge cannot be dropped";
       }
       if (r.delivered()) {
         for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {

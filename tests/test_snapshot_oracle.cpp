@@ -20,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -162,11 +164,29 @@ TEST(SnapshotOracle, ApplyBatchAndRetargetPublishOnce) {
   EXPECT_EQ(oracle.epoch(), 3u);
 }
 
+/// The events a sink received, as the JSONL lines JsonlSink would write.
+std::vector<std::string> jsonl_lines(const obs::RingBufferSink& ring) {
+  std::vector<std::string> lines;
+  for (const obs::TraceEvent& ev : ring.snapshot()) {
+    std::ostringstream line;
+    obs::write_json(line, ev);
+    lines.push_back(line.str());
+  }
+  return lines;
+}
+
 // Guarantee 2: with ground == decision the serving path IS the paper's
-// routing algorithm — same status, same path, across randomized
-// configurations and every healthy pair of a small cube.
+// routing algorithm — same status, same path, same trace — across
+// randomized configurations and every healthy pair of a small cube, and
+// tracing does not change what serve_route returns.
 TEST(Serve, MatchesRouteUnicastEgsWhenGroundEqualsDecision) {
   Xoshiro256ss rng(0x0DD5EED);
+  obs::RingBufferSink core_ring;
+  obs::RingBufferSink serve_ring;
+  core::UnicastOptions core_traced;
+  core_traced.trace = &core_ring;
+  ServeOptions serve_traced;
+  serve_traced.trace = &serve_ring;
   for (unsigned dim = 3; dim <= 5; ++dim) {
     const topo::Hypercube q(dim);
     for (int t = 0; t < 30; ++t) {
@@ -176,24 +196,37 @@ TEST(Serve, MatchesRouteUnicastEgsWhenGroundEqualsDecision) {
       const SnapshotOracle oracle(q, faults, links);
       const SnapshotPtr snap = oracle.acquire();
       for (const auto& [s, d] : workload::all_healthy_pairs(faults)) {
+        core_ring.clear();
+        serve_ring.clear();
         const core::RouteResult expected = core::route_unicast_egs(
             q, faults, links, snap->views(), s, d);
         const ServeResult got = serve_route(*snap, *snap, s, d);
-        ASSERT_EQ(got.path, expected.path)
-            << "dim " << dim << " trial " << t << " s=" << s << " d=" << d;
+        SCOPED_TRACE(::testing::Message() << "dim " << dim << " trial " << t
+                                          << " s=" << s << " d=" << d);
+        ASSERT_EQ(got.path, expected.path);
         ASSERT_FALSE(got.stale());
-        switch (expected.status) {
-          case core::RouteStatus::kDeliveredOptimal:
-            ASSERT_EQ(got.status, ServeStatus::kDeliveredOptimal);
-            break;
-          case core::RouteStatus::kDeliveredSuboptimal:
-            ASSERT_EQ(got.status, ServeStatus::kDeliveredSuboptimal);
-            break;
-          case core::RouteStatus::kSourceRefused:
-            ASSERT_EQ(got.status, ServeStatus::kRefused);
-            break;
-          case core::RouteStatus::kStuck:
-            FAIL() << "fixed-point tables cannot produce kStuck";
+        ASSERT_EQ(got.status, expected.status);
+        ASSERT_NE(got.status, ServeStatus::kStuck)
+            << "fixed-point tables cannot produce kStuck";
+
+        // Traced twins: same results, and the same event chain.
+        const core::RouteResult expected_traced = core::route_unicast_egs(
+            q, faults, links, snap->views(), s, d, core_traced);
+        const ServeResult got_traced =
+            serve_route(*snap, *snap, s, d, serve_traced);
+        ASSERT_EQ(expected_traced.status, expected.status);
+        ASSERT_EQ(expected_traced.path, expected.path);
+        ASSERT_EQ(got_traced.status, got.status);
+        ASSERT_EQ(got_traced.path, got.path);
+        ASSERT_EQ(got_traced.decision_epoch, got.decision_epoch);
+        ASSERT_EQ(got_traced.ground_epoch, got.ground_epoch);
+        const auto core_events = jsonl_lines(core_ring);
+        const auto serve_events = jsonl_lines(serve_ring);
+        ASSERT_EQ(core_ring.dropped() + serve_ring.dropped(), 0u);
+        ASSERT_GE(core_events.size(), 2u);  // source decision + route done
+        ASSERT_EQ(serve_events.size(), core_events.size());
+        for (std::size_t i = 0; i < core_events.size(); ++i) {
+          ASSERT_EQ(serve_events[i], core_events[i]) << "event " << i;
         }
       }
     }

@@ -9,6 +9,7 @@
 #include "analysis/bfs.hpp"
 #include "analysis/path.hpp"
 #include "common/format.hpp"
+#include "core/egs.hpp"
 #include "core/global_status.hpp"
 #include "fault/injection.hpp"
 #include "fault/scenario.hpp"
@@ -240,6 +241,10 @@ TEST_P(Theorem3Sweep, GuaranteesHold) {
         case RouteStatus::kStuck:
           FAIL() << "stuck with consistent levels: "
                  << analysis::format_path(r.path, n);
+        case RouteStatus::kDroppedSource:
+        case RouteStatus::kDroppedNode:
+        case RouteStatus::kDroppedLink:
+          FAIL() << "a route without a ground judge cannot be dropped";
       }
     }
   }
@@ -314,6 +319,31 @@ TEST(Unicast, StaleLevelsCanGetStuckButNeverLoop) {
       ASSERT_LE(r.hops(), q.distance(s, d) + 2);
     }
   }
+}
+
+// The one place the decision views must differ. A stale table still
+// reads the (now healthy) destination 1 as level 0. For the plain view
+// level 0 means faulty (Section 3), so the last hop has no candidate and
+// the route is stuck; the EGS view's footnote-3 final hop crosses any
+// healthy link into the destination, whatever its public level.
+TEST(Unicast, StaleZeroDestinationStuckForPlainViewDeliveredByEgs) {
+  const topo::Hypercube q(3);
+  const fault::FaultSet none(q.num_nodes());
+  const auto stale =
+      compute_safety_levels(q, fault::FaultSet(q.num_nodes(), {1}));
+  ASSERT_EQ(stale[1], 0);
+
+  const auto plain = route_unicast(q, none, stale, 0, 1);
+  EXPECT_EQ(plain.status, RouteStatus::kStuck);
+  EXPECT_STREQ(to_string(plain.status), "stuck");
+  EXPECT_EQ(plain.path, (analysis::Path{0}));
+
+  const fault::LinkFaultSet no_links(q);
+  const auto egs =
+      route_unicast_egs(q, none, no_links, EgsViews{stale, stale}, 0, 1);
+  EXPECT_EQ(egs.status, RouteStatus::kDeliveredOptimal);
+  EXPECT_STREQ(to_string(egs.status), "delivered-optimal");
+  EXPECT_EQ(egs.path, (analysis::Path{0, 1}));
 }
 
 TEST(SourceDecision, ConditionsMatchDefinition) {
