@@ -1,10 +1,12 @@
 // PERF — google-benchmark microbenchmarks: throughput of the GS fixed
-// point, a single routing decision, a full unicast, the safe-node fixed
-// points, and the simulator's event loop. These quantify the paper's
+// point, a single routing decision, a full unicast (on plain tables and
+// under EGS node + link faults), the safe-node fixed points, and the
+// simulator's event loop. These quantify the paper's
 // cost argument (safety levels are cheap limited-global information) in
 // wall-clock terms on this machine.
 #include <benchmark/benchmark.h>
 
+#include "core/egs.hpp"
 #include "core/global_status.hpp"
 #include "core/safe_node.hpp"
 #include "core/unicast.hpp"
@@ -75,6 +77,49 @@ void BM_RouteUnicast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouteUnicast)->DenseRange(6, 14, 2);
+
+/// Section 4.1's setting: 2% node faults plus 2n faulty links, the EGS
+/// views, and the same 256-pair ring as BM_RouteUnicast. Link state is
+/// read at the source and on every hop here, unlike on plain tables.
+struct EgsRing {
+  topo::Hypercube cube;
+  fault::FaultSet faults;
+  fault::LinkFaultSet links;
+  core::EgsResult egs;
+  std::vector<workload::Pair> pairs;
+
+  explicit EgsRing(unsigned n) : cube(n), links(cube) {
+    Xoshiro256ss rng(5);
+    faults = fault::inject_uniform(cube, cube.num_nodes() / 50, rng);
+    links = fault::inject_links_uniform(cube, 2 * n, rng);
+    egs = core::run_egs(cube, faults, links);
+    for (int i = 0; i < 256; ++i) {
+      pairs.push_back(*workload::sample_uniform_pair(faults, rng));
+    }
+  }
+};
+
+void BM_SourceDecisionEgs(benchmark::State& state) {
+  const EgsRing ring(static_cast<unsigned>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& p = ring.pairs[i++ & 255];
+    benchmark::DoNotOptimize(
+        core::decide_at_source_egs(ring.cube, ring.links, ring.egs, p.s, p.d));
+  }
+}
+BENCHMARK(BM_SourceDecisionEgs)->Arg(10)->Arg(16);
+
+void BM_RouteUnicastEgs(benchmark::State& state) {
+  const EgsRing ring(static_cast<unsigned>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& p = ring.pairs[i++ & 255];
+    benchmark::DoNotOptimize(core::route_unicast_egs(
+        ring.cube, ring.faults, ring.links, ring.egs, p.s, p.d));
+  }
+}
+BENCHMARK(BM_RouteUnicastEgs)->Arg(10)->Arg(16);
 
 void BM_DistributedGsRound(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));

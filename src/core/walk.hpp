@@ -320,6 +320,9 @@ void walk(const View& view, Judge& judge, Events& events, NodeId s, NodeId d,
           const UnicastOptions& options, RouteResult& r,
           bool dispatch = true) {
   r.decision = view.decide(s, d);
+  // Every route lands at most H + 2 nodes after the source (C3's detour),
+  // so the path allocates once.
+  r.path.reserve(r.decision.hamming + 3u);
   r.path.push_back(s);
   const auto end = [&](RouteStatus status) {
     r.status = status;
