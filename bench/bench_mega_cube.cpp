@@ -3,12 +3,13 @@
 // Two measurements per run:
 //
 //  * Table build: for each dim in {14,16,18,20} (capped by --dim), sample
-//    a deterministic max(2n, N/50)-fault set and run the GS fixed point
-//    twice — once serial, once over the thread pool. The fixed points must be
-//    bit-identical (packed_digest compares whole words, spare bits and
-//    all); the run aborts if any dim disagrees. Reported per dim: rounds
-//    to stabilize, serial/parallel build wall, and bytes/node of the
-//    packed table (5 bits x 12 levels per u64 word ≈ 0.667 at any dim).
+//    a deterministic max(2n, N/50)-fault set and build the fixed point
+//    twice — with the GS rounds (run_gs) and with the peel
+//    (compute_safety_levels). The two packed tables must be word-for-word
+//    identical, spare bits and all; the run aborts if any dim disagrees.
+//    Reported per dim: GS rounds to stabilize, GS and peel build wall, and
+//    bytes/node of the packed table (5 bits x 12 levels per u64 word ≈
+//    0.667 at any dim).
 //
 //  * Route sweep: for each dim in {14,16} (capped by --dim), route
 //    --trials uniform healthy pairs on the stabilized table through the
@@ -62,43 +63,37 @@ fault::FaultSet sample_faults(const topo::Hypercube& cube,
 struct BuildRow {
   unsigned dim = 0;
   unsigned rounds = 0;
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
+  double gs_ms = 0.0;
+  double peel_ms = 0.0;
   std::uint64_t digest = 0;
   double bytes_per_node = 0.0;
 };
 
-/// Build the fixed point serial and parallel; abort on any divergence —
-/// rounds, per-round change counts, or table words.
+/// Build the fixed point with the GS rounds and with the peel; abort if
+/// the two packed tables differ in any word.
 BuildRow build_tables(const topo::Hypercube& cube,
-                      const fault::FaultSet& faults, unsigned threads) {
+                      const fault::FaultSet& faults) {
   BuildRow row;
   row.dim = cube.dimension();
 
-  core::GsOptions serial_opt;
-  serial_opt.threads = 1;
-  const obs::Stopwatch serial_clock;
-  const auto serial = core::run_gs(cube, faults, serial_opt);
-  row.serial_ms = serial_clock.millis();
+  const obs::Stopwatch gs_clock;
+  const auto gs = core::run_gs(cube, faults);
+  row.gs_ms = gs_clock.millis();
 
-  core::GsOptions parallel_opt;
-  parallel_opt.threads = threads;
-  const obs::Stopwatch parallel_clock;
-  const auto parallel = core::run_gs(cube, faults, parallel_opt);
-  row.parallel_ms = parallel_clock.millis();
+  const obs::Stopwatch peel_clock;
+  const auto peeled = core::compute_safety_levels(cube, faults);
+  row.peel_ms = peel_clock.millis();
 
-  if (serial.levels.packed() != parallel.levels.packed() ||
-      serial.rounds_to_stabilize != parallel.rounds_to_stabilize ||
-      serial.changes_per_round != parallel.changes_per_round) {
-    std::cerr << "FATAL: serial and parallel GS diverged at Q" << row.dim
-              << " — the parallel rounds are not deterministic\n";
+  if (gs.levels.packed() != peeled.packed()) {
+    std::cerr << "FATAL: the peel and GS reached different fixed points at Q"
+              << row.dim << "\n";
     std::exit(1);
   }
 
-  row.rounds = serial.rounds_to_stabilize;
-  row.digest = core::packed_digest(serial.levels.packed());
+  row.rounds = gs.rounds_to_stabilize;
+  row.digest = core::packed_digest(peeled.packed());
   row.bytes_per_node =
-      static_cast<double>(serial.levels.packed().storage_bytes()) /
+      static_cast<double>(peeled.packed().storage_bytes()) /
       static_cast<double>(cube.num_nodes());
   return row;
 }
@@ -194,15 +189,14 @@ int main(int argc, char** argv) {
   std::vector<BuildRow> builds;
   for (unsigned d : build_dims) {
     const topo::Hypercube cube(d);
-    builds.push_back(
-        build_tables(cube, sample_faults(cube, seed), opt.threads));
+    builds.push_back(build_tables(cube, sample_faults(cube, seed)));
   }
 
   std::vector<RouteRow> routes;
   for (unsigned d : route_dims) {
     const topo::Hypercube cube(d);
     const auto faults = sample_faults(cube, seed);
-    const auto levels = core::compute_safety_levels(cube, faults, opt.threads);
+    const auto levels = core::compute_safety_levels(cube, faults);
     routes.push_back(
         run_routes(cube, faults, levels, requests, seed, opt.threads));
   }
@@ -213,7 +207,7 @@ int main(int argc, char** argv) {
     const unsigned d = route_dims.front();
     const topo::Hypercube cube(d);
     const auto faults = sample_faults(cube, seed);
-    const auto levels = core::compute_safety_levels(cube, faults, 1);
+    const auto levels = core::compute_safety_levels(cube, faults);
     const auto serial = run_routes(cube, faults, levels, requests, seed, 1);
     const RouteRow& threaded = routes.front();
     if (serial.tally.digest != threaded.tally.digest ||
@@ -229,9 +223,8 @@ int main(int argc, char** argv) {
       1, exp::SweepEngine({opt.threads, seed, nullptr, nullptr}).workers()));
 
   Table build_table(
-      "MEGA_CUBE: packed GS fixed point, max(2n, 2%) faults, " +
-          std::to_string(workers) + " workers",
-      {"dim", "nodes", "rounds", "serial ms", "parallel ms", "speedup",
+      "MEGA_CUBE: packed fixed point, GS rounds vs peel, max(2n, 2%) faults",
+      {"dim", "nodes", "rounds", "GS ms", "peel ms", "speedup",
        "bytes/node", "digest"});
   build_table.set_precision(3, 1);
   build_table.set_precision(4, 1);
@@ -239,16 +232,16 @@ int main(int argc, char** argv) {
   build_table.set_precision(6, 3);
   for (const BuildRow& b : builds) {
     build_table.row() << b.dim << (std::uint64_t{1} << b.dim) << b.rounds
-                      << b.serial_ms << b.parallel_ms
-                      << (b.parallel_ms > 0.0 ? b.serial_ms / b.parallel_ms
-                                              : 0.0)
+                      << b.gs_ms << b.peel_ms
+                      << (b.peel_ms > 0.0 ? b.gs_ms / b.peel_ms : 0.0)
                       << b.bytes_per_node << std::to_string(b.digest);
   }
   bench::emit(build_table, opt);
 
   Table route_table(
       "MEGA_CUBE: unicast sweep on the packed table (" +
-          std::to_string(requests) + " requests/dim)",
+          std::to_string(requests) + " requests/dim, " +
+          std::to_string(workers) + " workers)",
       {"dim", "optimal", "suboptimal", "refused", "stuck", "wall ms",
        "routes/s"});
   route_table.set_precision(5, 1);
@@ -260,7 +253,7 @@ int main(int argc, char** argv) {
   }
   bench::emit(route_table, opt);
 
-  std::cout << "serial/parallel tables identical at every dim: yes\n"
+  std::cout << "peel/GS tables identical at every dim: yes\n"
             << "serial/threaded route digests identical at Q"
             << route_dims.front() << ": yes\n";
 
@@ -279,8 +272,8 @@ int main(int argc, char** argv) {
     for (const BuildRow& b : builds) {
       const std::string q = "q" + std::to_string(b.dim);
       out << "  \"build_" << q << "_rounds\": " << b.rounds << ",\n"
-          << "  \"build_" << q << "_serial_ms\": " << b.serial_ms << ",\n"
-          << "  \"build_" << q << "_parallel_ms\": " << b.parallel_ms << ",\n"
+          << "  \"build_" << q << "_serial_ms\": " << b.gs_ms << ",\n"
+          << "  \"build_" << q << "_peel_ms\": " << b.peel_ms << ",\n"
           << "  \"table_digest_" << q << "\": " << b.digest << ",\n"
           << "  \"bytes_per_node_" << q << "\": " << b.bytes_per_node
           << ",\n";

@@ -1,9 +1,9 @@
-// PERF — google-benchmark microbenchmarks: throughput of the GS fixed
-// point, a single routing decision, a full unicast (on plain tables and
-// under EGS node + link faults), the safe-node fixed points, and the
-// simulator's event loop. These quantify the paper's
-// cost argument (safety levels are cheap limited-global information) in
-// wall-clock terms on this machine.
+// PERF — google-benchmark microbenchmarks: throughput of the table build
+// (GS rounds, the peel, and its Definition-1 check), a single routing
+// decision, a full unicast (on plain tables and under EGS node + link
+// faults), the safe-node fixed points, and the simulator's event loop.
+// These quantify the paper's cost argument (safety levels are cheap
+// limited-global information) in wall-clock terms on this machine.
 #include <benchmark/benchmark.h>
 
 #include "core/egs.hpp"
@@ -19,19 +19,68 @@ namespace {
 
 using namespace slcube;
 
+/// The fault sets every table-build benchmark runs on: {n, pct} is Q_n
+/// with pct% of the nodes faulty, and pct 0 means 2n faults. 2n faults on
+/// Q6–Q14 leave almost every node safe; 1% peels 2% (Q16) and 6% (Q20)
+/// of the nodes; 2% peels 31% at Q16 and 98% at Q20, where the fixed
+/// point collapses.
+void TableBuildArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n", "pct"});
+  for (int n = 6; n <= 14; n += 2) b->Args({n, 0});
+  for (int n : {16, 20}) {
+    for (int pct : {1, 2}) b->Args({n, pct});
+  }
+}
+
+struct TableBuildInput {
+  topo::Hypercube cube;
+  fault::FaultSet faults;
+
+  explicit TableBuildInput(const benchmark::State& state)
+      : cube(static_cast<unsigned>(state.range(0))) {
+    Xoshiro256ss rng(1);
+    const auto pct = static_cast<std::uint64_t>(state.range(1));
+    faults = fault::inject_uniform(
+        cube, pct == 0 ? 2 * cube.dimension() : cube.num_nodes() * pct / 100,
+        rng);
+  }
+};
+
 void BM_GsFixedPoint(benchmark::State& state) {
-  const auto n = static_cast<unsigned>(state.range(0));
-  const topo::Hypercube cube(n);
-  Xoshiro256ss rng(1);
-  const auto faults = fault::inject_uniform(cube, 2 * n, rng);
+  const TableBuildInput in(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_gs(cube, faults));
+    benchmark::DoNotOptimize(core::run_gs(in.cube, in.faults));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(cube.num_nodes()));
+      static_cast<std::int64_t>(in.cube.num_nodes()));
 }
-BENCHMARK(BM_GsFixedPoint)->DenseRange(6, 14, 2);
+BENCHMARK(BM_GsFixedPoint)->Apply(TableBuildArgs);
+
+/// The peel plus its Definition-1 postcondition; BM_IsConsistent times
+/// that check alone, so the peel's own share is the difference.
+void BM_ComputeSafetyLevels(benchmark::State& state) {
+  const TableBuildInput in(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::compute_safety_levels(in.cube, in.faults));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(in.cube.num_nodes()));
+}
+BENCHMARK(BM_ComputeSafetyLevels)->Apply(TableBuildArgs);
+
+void BM_IsConsistent(benchmark::State& state) {
+  const TableBuildInput in(state);
+  const auto levels = core::compute_safety_levels(in.cube, in.faults);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::is_consistent(in.cube, in.faults, levels));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(in.cube.num_nodes()));
+}
+BENCHMARK(BM_IsConsistent)->Apply(TableBuildArgs);
 
 void BM_SafeNodeFixedPoint(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
@@ -150,16 +199,5 @@ void BM_SimUnicast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimUnicast);
-
-void BM_ConstructiveAssignment(benchmark::State& state) {
-  const auto n = static_cast<unsigned>(state.range(0));
-  const topo::Hypercube cube(n);
-  Xoshiro256ss rng(7);
-  const auto faults = fault::inject_uniform(cube, 2 * n, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::constructive_assignment(cube, faults));
-  }
-}
-BENCHMARK(BM_ConstructiveAssignment)->DenseRange(6, 12, 2);
 
 }  // namespace

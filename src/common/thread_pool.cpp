@@ -81,30 +81,6 @@ void parallel_for_chunks(
   pool.wait_idle();
 }
 
-void parallel_for_aligned(
-    ThreadPool& pool, std::size_t n, std::size_t align,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  SLC_EXPECT(align > 0);
-  if (n == 0) return;
-  const std::size_t units = (n + align - 1) / align;  // whole align-blocks
-  const std::size_t chunks =
-      std::min(units, std::max<std::size_t>(1, pool.size()));
-  if (chunks == 1) {
-    body(0, 0, n);
-    return;
-  }
-  const std::size_t base = units / chunks;
-  const std::size_t extra = units % chunks;
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = (base + (c < extra ? 1 : 0)) * align;
-    const std::size_t end = std::min(n, begin + len);
-    pool.submit([&body, c, begin, end] { body(c, begin, end); });
-    begin = end;
-  }
-  pool.wait_idle();
-}
-
 ThreadPool& default_pool() {
   static ThreadPool pool;
   return pool;

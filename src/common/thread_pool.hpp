@@ -52,16 +52,6 @@ void parallel_for_chunks(
     ThreadPool& pool, std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
 
-/// parallel_for_chunks with every chunk boundary rounded down to a
-/// multiple of `align` (the last chunk absorbs the remainder). Bulk
-/// writers over bit-packed arrays need this: two chunks must never share
-/// a storage word, so ranges are split on word boundaries only. Chunk
-/// geometry is a pure function of (n, align, pool.size()) — deterministic
-/// consumers may fold per-chunk results in chunk order.
-void parallel_for_aligned(
-    ThreadPool& pool, std::size_t n, std::size_t align,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
-
 /// Process-wide default pool (lazily constructed, sized to the hardware).
 ThreadPool& default_pool();
 

@@ -25,9 +25,7 @@ EgsResult run_egs(const topo::Hypercube& cube, const fault::FaultSet& faults,
     }
   }
 
-  const GsResult gs = run_gs(cube, pseudo);
-  result.public_view = gs.levels;
-  result.rounds_to_stabilize = gs.rounds_to_stabilize;
+  result.public_view = compute_safety_levels(cube, pseudo);
 
   // Last round: each N2 node runs NODE_STATUS once on its own view. Far
   // ends of its faulty links are forced to 0 explicitly, though they are

@@ -37,8 +37,6 @@ struct EgsResult {
   SafetyLevels self_view;
   /// in_n2[a] — healthy node a has at least one adjacent faulty link.
   std::vector<bool> in_n2;
-  /// Rounds the N1 fixed point needed (the paper's n-1 bound applies).
-  unsigned rounds_to_stabilize = 0;
 };
 
 [[nodiscard]] EgsResult run_egs(const topo::Hypercube& cube,

@@ -1,12 +1,13 @@
 // EgsOracle — a stateful EGS two-view table (Section 4.1) with
 // incremental updates for node AND link fault events.
 //
-// run_egs() rebuilds both views from scratch: one full GS fixed point
-// over the pseudo-fault set (real faults ∪ N2) plus one NODE_STATUS pass
-// per N2 node. A link-fault sweep pays that again for every sampled
-// configuration even though consecutive configurations differ by a
-// handful of links. EgsOracle is the Section-4.1 analogue of
-// SafetyOracle: the same two views, restored by bounded cascades.
+// run_egs() rebuilds both views from scratch: one compute_safety_levels
+// build over the pseudo-fault set (real faults ∪ N2, O(N · n) with its
+// Definition-1 check) plus one NODE_STATUS pass per N2 node. A link-fault
+// sweep pays that again for every sampled configuration even though
+// consecutive configurations differ by a handful of links. EgsOracle is
+// the Section-4.1 analogue of SafetyOracle: the same two views, restored
+// by bounded cascades.
 //
 // The reduction is the observation run_egs itself is built on: the
 // public view is exactly the Theorem-1 fixed point of the pseudo-fault
@@ -107,7 +108,7 @@ class EgsOracle {
   /// Move to an arbitrary configuration by toggling both symmetric
   /// differences — the sweep-engine entry point. Inherits SafetyOracle's
   /// rebuild fallback: a large pseudo delta triggers one from-scratch
-  /// GS, whose change log covers every node and forces a full self-view
+  /// build, whose change log covers every node and forces a full self-view
   /// resync, so retarget is never asymptotically worse than run_egs.
   void retarget(const fault::FaultSet& target_faults,
                 const fault::LinkFaultSet& target_links);

@@ -1,23 +1,18 @@
 #include "core/global_status.hpp"
 
-#include <memory>
-
-#include "common/thread_pool.hpp"
-
 namespace slcube::core {
 
 namespace {
 
-/// One synchronous round over [begin, end): recompute every healthy
-/// node's level from the previous-round snapshot `cur` into `next`.
-/// Returns how many nodes changed. Ranges are packed-word-aligned at the
-/// call site, so writes through `next` never share a word across chunks.
-std::uint64_t round_over_range(const topo::Hypercube& cube,
-                               const fault::FaultSet& faults,
-                               const SafetyLevels& cur, SafetyLevels& next,
-                               NodeId begin, NodeId end) {
+/// One synchronous round: recompute every healthy node's level from the
+/// previous-round snapshot `cur` into `next`. Returns how many nodes
+/// changed.
+std::uint64_t gs_round(const topo::Hypercube& cube,
+                       const fault::FaultSet& faults, const SafetyLevels& cur,
+                       SafetyLevels& next) {
   std::uint64_t changed = 0;
-  for (NodeId a = begin; a < end; ++a) {
+  const auto end = static_cast<NodeId>(cube.num_nodes());
+  for (NodeId a = 0; a < end; ++a) {
     if (faults.is_faulty(a)) continue;
     const Level updated = implied_level(cube, faults, cur, a);
     next.set(a, updated);
@@ -37,17 +32,6 @@ GsResult run_gs(const topo::Hypercube& cube, const fault::FaultSet& faults,
       options.pessimistic_start ? Level{0} : static_cast<Level>(n));
   for (const NodeId a : faults.faulty_nodes()) result.levels[a] = 0;
 
-  // Cache-blocked parallel rounds: the pool is built once and reused for
-  // every round; each round is a barrier (parallel_for_aligned returns
-  // only when all chunks finished), which is what keeps the synchronous
-  // parbegin/parend semantics — and therefore bit-identity with the
-  // serial loop — at any worker count.
-  std::unique_ptr<ThreadPool> pool;
-  if (options.threads != 1) {
-    pool = std::make_unique<ThreadPool>(options.threads);
-  }
-  const auto num_nodes = static_cast<std::size_t>(cube.num_nodes());
-
   // Synchronous rounds: every healthy node recomputes from the previous
   // round's snapshot (the paper's parbegin/parend). From the optimistic
   // start levels only fall; from the pessimistic start only rise; either
@@ -60,23 +44,7 @@ GsResult run_gs(const topo::Hypercube& cube, const fault::FaultSet& faults,
   for (std::uint64_t round = 1;; ++round) {
     if (options.max_rounds != 0 && round > options.max_rounds) break;
     SLC_ASSERT_MSG(round <= hard_cap, "GS failed to converge");
-    std::uint64_t changed = 0;
-    if (pool == nullptr) {
-      changed = round_over_range(cube, faults, result.levels, next, 0,
-                                 static_cast<NodeId>(num_nodes));
-    } else {
-      std::vector<std::uint64_t> chunk_changed(
-          std::max<std::size_t>(1, pool->size()), 0);
-      parallel_for_aligned(
-          *pool, num_nodes, PackedLevels::kLevelsPerWord,
-          [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-            chunk_changed[chunk] =
-                round_over_range(cube, faults, result.levels, next,
-                                 static_cast<NodeId>(begin),
-                                 static_cast<NodeId>(end));
-          });
-      for (const std::uint64_t c : chunk_changed) changed += c;
-    }
+    const std::uint64_t changed = gs_round(cube, faults, result.levels, next);
     if (changed == 0) {
       result.stabilized = true;
       break;
@@ -94,11 +62,48 @@ GsResult run_gs(const topo::Hypercube& cube, const fault::FaultSet& faults,
 }
 
 SafetyLevels compute_safety_levels(const topo::Hypercube& cube,
-                                   const fault::FaultSet& faults,
-                                   unsigned threads) {
-  GsOptions options;
-  options.threads = threads;
-  return run_gs(cube, faults, options).levels;
+                                   const fault::FaultSet& faults) {
+  const unsigned n = cube.dimension();
+  // Unassigned nodes hold level n, the level a node keeps when no stage
+  // claims it. low[b] counts b's neighbors assigned in stages before the
+  // one being built; kAssigned marks b as taken (faulty or peeled), which
+  // spares the packed level read on every probe.
+  constexpr std::uint8_t kAssigned = 0xFF;
+  static_assert(topo::Hypercube::kMaxDimension < kAssigned);
+  SafetyLevels levels(n, cube.num_nodes(), static_cast<Level>(n));
+  std::vector<std::uint8_t> low(static_cast<std::size_t>(cube.num_nodes()),
+                                0);
+  std::vector<NodeId> frontier;
+  frontier.reserve(static_cast<std::size_t>(faults.count()));
+  faults.for_each_faulty([&](NodeId a) {
+    levels.set(a, 0);
+    low[a] = kAssigned;
+    frontier.push_back(a);
+  });
+  // Pass k builds stage k+1 from stage k's frontier. An unassigned b
+  // enters it with low[b] <= k neighbors at level <= k-1 (k+1 would have
+  // met stage k's threshold). Raising low[b] for the frontier's level-k
+  // nodes makes it count level <= k, and b takes level k+1 at the
+  // increment that reaches k+2; only the frontier's neighbors are raised,
+  // so only they can qualify. Stage k+1's own nodes raise their neighbors
+  // on the next pass: the proof assigns a whole stage at once, from the
+  // levels of earlier stages alone.
+  std::vector<NodeId> next;
+  for (unsigned k = 0; k + 1 < n && !frontier.empty(); ++k) {
+    next.clear();
+    for (const NodeId a : frontier) {
+      cube.for_each_neighbor(a, [&](Dim, NodeId b) {
+        if (low[b] == kAssigned || ++low[b] != k + 2) return;
+        low[b] = kAssigned;
+        levels.set(b, static_cast<Level>(k + 1));
+        next.push_back(b);
+      });
+    }
+    std::swap(frontier, next);
+  }
+  SLC_ENSURE_MSG(is_consistent(cube, faults, levels),
+                 "the peeled assignment must satisfy Definition 1");
+  return levels;
 }
 
 }  // namespace slcube::core

@@ -7,10 +7,11 @@
 // The Corollary to Property 1 guarantees stabilization within n-1 rounds
 // for every fault distribution, including disconnected cubes.
 //
-// This is the centralized "oracle" execution used by the routing code and
-// the experiment harness; src/sim runs the same protocol message-by-
-// message over the discrete-event simulator, and tests assert the two
-// agree bit-for-bit.
+// run_gs is the centralized execution that counts rounds (Fig. 2, ROUNDS);
+// src/sim runs the same protocol message-by-message over the discrete-
+// event simulator, and tests assert the two agree bit-for-bit. Tables that
+// only need the fixed point come from compute_safety_levels, which reaches
+// it without rounds.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +49,6 @@ struct GsOptions {
   /// (n-start) — the 0-start needs the stabilization loop to keep
   /// running while levels *rise*, which plain GS also handles.
   bool pessimistic_start = false;
-  /// Worker threads for the synchronous rounds: 1 = the classic serial
-  /// loop, 0 = one per hardware thread, k = exactly k. Every round is a
-  /// pure function of the previous round's snapshot and a barrier ends
-  /// it, so the fixed point — and rounds_to_stabilize/changes_per_round —
-  /// are bit-identical at every thread count (test_packed_levels pins
-  /// {1,4,8}). Node ranges are split on packed-word boundaries so no two
-  /// workers ever write the same 64-bit word.
-  unsigned threads = 1;
 };
 
 /// Run GS to stabilization (or the round cap).
@@ -63,10 +56,15 @@ struct GsOptions {
                               const fault::FaultSet& faults,
                               const GsOptions& options = {});
 
-/// Convenience: just the stabilized levels. `threads` as in
-/// GsOptions::threads — the mega-cube scratch-build entry point.
-[[nodiscard]] SafetyLevels compute_safety_levels(const topo::Hypercube& cube,
-                                                 const fault::FaultSet& faults,
-                                                 unsigned threads = 1);
+/// The Theorem-1 fixed point without the rounds: the existence
+/// construction from the proof, run as a peel (DESIGN.md, "Peeling
+/// build"). Stage k gives level k to every unassigned healthy node with
+/// at least k+1 neighbors at level <= k-1, and only neighbors of stage
+/// k-1's nodes can qualify, so the stages cost O((faults + non-safe
+/// nodes) * n) after an O(N) initialisation. It ends with run_gs's
+/// O(N * n) Definition-1 postcondition. By uniqueness the result is
+/// bit-identical to run_gs's levels from either start.
+[[nodiscard]] SafetyLevels compute_safety_levels(
+    const topo::Hypercube& cube, const fault::FaultSet& faults);
 
 }  // namespace slcube::core

@@ -3,19 +3,16 @@
 // A safety level is an integer 0..n with n <= topo::Hypercube::kMaxDimension,
 // so 5 bits suffice; 12 levels share one 64-bit word (60 bits used, the top
 // 4 bits always zero). This is the single storage layer behind
-// core::SafetyLevels: the scratch GLOBAL_STATUS fixed point, the parallel
-// blocked GS rounds, and the incremental SafetyOracle/EgsOracle cascades all
-// read and write the same packed words, which is what makes a Q20 table
-// (2^20 nodes) cost ~700 KiB instead of the 1 MiB of a byte-per-level array
-// — and, more importantly, what lets one GS round's neighbor gather touch
-// 12 node levels per word load.
+// core::SafetyLevels: the peeled scratch build, the GLOBAL_STATUS rounds,
+// and the incremental SafetyOracle/EgsOracle cascades all read and write
+// the same packed words, which is what makes a Q20 table (2^20 nodes) cost
+// ~700 KiB instead of the 1 MiB of a byte-per-level array.
 //
 // Invariants (maintained by every mutator, relied on by operator==):
 //   * the 4 spare top bits of every word are zero;
 //   * slots at index >= size() in the last word are zero.
-// Word-granular writes mean two threads may safely write *different words*
-// concurrently but never different slots of the same word — the parallel GS
-// rounds therefore split node ranges on kLevelsPerWord boundaries.
+// Writes are word-granular: two threads must never write different slots
+// of the same word concurrently.
 #pragma once
 
 #include <cstdint>
@@ -80,11 +77,6 @@ class PackedLevels {
   /// The packed words (read-only). Word i holds slots
   /// [i * kLevelsPerWord, (i + 1) * kLevelsPerWord).
   [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
-    return words_;
-  }
-  /// Mutable word access for bulk writers (the parallel GS round kernel).
-  /// Callers own the two invariants documented above.
-  [[nodiscard]] std::span<std::uint64_t> mutable_words() noexcept {
     return words_;
   }
 

@@ -66,43 +66,4 @@ bool is_consistent(const topo::Hypercube& cube, const fault::FaultSet& faults,
   return true;
 }
 
-SafetyLevels constructive_assignment(const topo::Hypercube& cube,
-                                     const fault::FaultSet& faults) {
-  const unsigned n = cube.dimension();
-  // Unassigned healthy nodes carry the sentinel n during construction;
-  // that is exactly the value they keep if never assigned (last round of
-  // the proof), so no fix-up pass is needed — but we must not let the
-  // sentinel count as "level <= k-1", which n never does for k <= n-1.
-  SafetyLevels levels(n, cube.num_nodes(), static_cast<Level>(n));
-  std::vector<bool> assigned(static_cast<std::size_t>(cube.num_nodes()),
-                             false);
-  for (NodeId a = 0; a < cube.num_nodes(); ++a) {
-    if (faults.is_faulty(a)) {
-      levels[a] = 0;
-      assigned[a] = true;
-    }
-  }
-  std::vector<NodeId> newly;
-  for (unsigned k = 1; k <= n - 1; ++k) {
-    newly.clear();
-    for (NodeId a = 0; a < cube.num_nodes(); ++a) {
-      if (assigned[a]) continue;
-      unsigned low = 0;  // neighbors already assigned a level <= k-1
-      cube.for_each_neighbor(a, [&](Dim, NodeId bnode) {
-        if (assigned[bnode] && levels[bnode] <= k - 1) ++low;
-      });
-      if (low >= k + 1) newly.push_back(a);
-    }
-    // Assign after the scan: the proof assigns all of round k's nodes
-    // simultaneously, based on levels from rounds < k only.
-    for (const NodeId a : newly) {
-      levels[a] = static_cast<Level>(k);
-      assigned[a] = true;
-    }
-  }
-  SLC_ENSURE_MSG(is_consistent(cube, faults, levels),
-                 "constructive assignment must satisfy Definition 1");
-  return levels;
-}
-
 }  // namespace slcube::core

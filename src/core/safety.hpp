@@ -13,8 +13,8 @@
 // the sequence forces S_i = i - 1 exactly, which node_status() asserts.
 //
 // Theorem 1: for every fault set the consistent assignment exists and is
-// unique; constructive_assignment() implements the round-by-round
-// existence construction from the proof, and is_consistent() is the
+// unique; compute_safety_levels() (global_status.hpp) runs the stage-by-
+// stage existence construction from the proof, and is_consistent() is the
 // Definition-1 predicate used to verify any candidate assignment.
 #pragma once
 
@@ -45,10 +45,10 @@ static_assert(topo::Hypercube::kMaxDimension < 32,
 /// Safety levels for every node of one cube, indexed by NodeId.
 ///
 /// Storage is the bit-packed PackedLevels (5 bits per level, 12 per
-/// 64-bit word): every consumer — scratch GS, the incremental oracles,
-/// routing, the serving snapshots — shares this one layer. Reads return
-/// Level by value; writes go through set() or the WriteRef proxy that
-/// `levels[a] = k` resolves to.
+/// 64-bit word): every consumer — the scratch build, the incremental
+/// oracles, routing, the serving snapshots — shares this one layer. Reads
+/// return Level by value; writes go through set() or the WriteRef proxy
+/// that `levels[a] = k` resolves to.
 class SafetyLevels {
  public:
   /// Write proxy returned by the non-const operator[]; converts to Level
@@ -133,12 +133,5 @@ class SafetyLevels {
 [[nodiscard]] bool is_consistent(const topo::Hypercube& cube,
                                  const fault::FaultSet& faults,
                                  const SafetyLevels& levels);
-
-/// The existence construction from the proof of Theorem 1: round k
-/// assigns level k to every still-unassigned healthy node with at least
-/// k+1 neighbors of level <= k-1; survivors of rounds 1..n-1 get level n.
-/// Returns the (unique) consistent assignment.
-[[nodiscard]] SafetyLevels constructive_assignment(
-    const topo::Hypercube& cube, const fault::FaultSet& faults);
 
 }  // namespace slcube::core

@@ -11,11 +11,10 @@ SafetyOracle::SafetyOracle(const topo::Hypercube& cube)
       queued_(static_cast<std::size_t>(cube.num_nodes()), 0) {}
 
 SafetyOracle::SafetyOracle(const topo::Hypercube& cube,
-                           const fault::FaultSet& faults,
-                           unsigned build_threads)
+                           const fault::FaultSet& faults)
     : cube_(cube),
       faults_(faults),
-      levels_(compute_safety_levels(cube, faults, build_threads)),
+      levels_(compute_safety_levels(cube, faults)),
       queued_(static_cast<std::size_t>(cube.num_nodes()), 0) {
   SLC_EXPECT(faults.num_nodes() == cube.num_nodes());
 }

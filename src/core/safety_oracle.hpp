@@ -1,8 +1,9 @@
 // SafetyOracle — a stateful safety-level table with incremental updates.
 //
 // compute_safety_levels() rebuilds the whole Theorem-1 fixed point from
-// scratch: O(rounds · N · n) work per fault set, paid again for every
-// sampled configuration of a sweep. But the paper's own state-change
+// scratch: an O(N) initialisation, a peel over the non-safe nodes, and
+// the O(N · n) Definition-1 check, paid again for every sampled
+// configuration of a sweep. But the paper's own state-change
 // discipline (Section 2.2, run as message traffic by
 // sim/protocol_gs.cpp's recompute-and-cascade kernel) shows that a
 // single fault event only perturbs levels along a bounded monotone
@@ -37,7 +38,10 @@ namespace slcube::core {
 /// cost model"): a cascade costs roughly this many node_status
 /// recomputes per toggled node, while a from-scratch GS costs a few
 /// sweeps over all N nodes — so incremental retargeting only wins below
-/// about N / kRetargetRebuildFactor toggles.
+/// about N / kRetargetRebuildFactor toggles. The factor was fitted at Q10
+/// against GS rounds; against the peeled rebuild the measured crossover
+/// sits lower at Q14 and Q16 (EXPERIMENTS.md), and moving it is left to
+/// a change with its own A/B on the live workloads.
 inline constexpr std::uint64_t kRetargetRebuildFactor = 48;
 
 /// The shared fallback predicate: both SafetyOracle::retarget and
@@ -57,12 +61,9 @@ class SafetyOracle {
   /// Fault-free start: every node at the fixed-point level n.
   explicit SafetyOracle(const topo::Hypercube& cube);
 
-  /// Start at the fixed point of an arbitrary fault set (one full GS).
-  /// `build_threads` parallelizes that initial scratch build only
-  /// (GsOptions::threads semantics); every later cascade is serial and
-  /// the fixed point is identical for every value.
-  SafetyOracle(const topo::Hypercube& cube, const fault::FaultSet& faults,
-               unsigned build_threads = 1);
+  /// Start at the fixed point of an arbitrary fault set (one
+  /// compute_safety_levels peel).
+  SafetyOracle(const topo::Hypercube& cube, const fault::FaultSet& faults);
 
   [[nodiscard]] const topo::Hypercube& cube() const noexcept { return cube_; }
   [[nodiscard]] const fault::FaultSet& faults() const noexcept {

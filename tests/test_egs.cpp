@@ -31,6 +31,28 @@ TEST(Egs, NoLinkFaultsReducesToGs) {
   }
 }
 
+TEST(Egs, PublicViewIsGsFixedPointOfPseudoFaults) {
+  // run_egs peels the public view; GS rounds over the pseudo-fault set
+  // (real faults plus every healthy node touching a faulty link) must
+  // reach the same table.
+  Xoshiro256ss rng(51);
+  for (unsigned n = 4; n <= 9; ++n) {
+    const topo::Hypercube q(n);
+    for (int t = 0; t < 4; ++t) {
+      const auto f =
+          fault::inject_uniform(q, 1 + rng.below(q.num_nodes() / 8), rng);
+      const auto lf =
+          fault::inject_links_uniform(q, 1 + rng.below(2 * n), rng);
+      fault::FaultSet pseudo = f;
+      for (NodeId a = 0; a < q.num_nodes(); ++a) {
+        if (f.is_healthy(a) && lf.touches(a)) pseudo.mark_faulty(a);
+      }
+      EXPECT_EQ(run_egs(q, f, lf).public_view, run_gs(q, pseudo).levels)
+          << "Q" << n << " trial " << t;
+    }
+  }
+}
+
 TEST(Egs, BothEndsOfFaultyLinkInN2) {
   const topo::Hypercube q(4);
   const fault::FaultSet none(q.num_nodes());

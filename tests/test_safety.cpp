@@ -1,8 +1,9 @@
 // Definition 1 and Theorem 1: the NODE_STATUS kernel, consistency
 // checking, and existence + uniqueness of the safety-level assignment
 // (uniqueness is verified exhaustively over ALL fault sets of small
-// cubes by comparing the constructive proof algorithm with the GS fixed
-// point — per Theorem 1 they must agree everywhere).
+// cubes by comparing the peeled existence construction with the GS fixed
+// point from both starts — per Theorem 1 the three must agree
+// everywhere).
 #include "core/safety.hpp"
 
 #include <gtest/gtest.h>
@@ -114,56 +115,60 @@ TEST(Consistency, FaultyNodeMustBeZero) {
   EXPECT_FALSE(is_consistent(q, f, lv));
 }
 
-TEST(Constructive, FaultFreeAllSafe) {
-  const topo::Hypercube q(4);
-  const fault::FaultSet none(q.num_nodes());
-  const auto lv = constructive_assignment(q, none);
-  for (NodeId a = 0; a < q.num_nodes(); ++a) EXPECT_EQ(lv[a], 4);
-}
-
-/// Theorem 1 (uniqueness), exhaustively: for EVERY fault subset of Q_3
-/// (2^8 = 256 of them) and every fault subset of size <= 3 of Q_4, the
-/// constructive existence algorithm and the GS fixed point agree.
-TEST(Theorem1, UniquenessExhaustiveQ3) {
-  const topo::Hypercube q(3);
-  for (std::uint32_t mask = 0; mask < 256; ++mask) {
-    fault::FaultSet f(q.num_nodes());
-    for (NodeId a = 0; a < 8; ++a) {
-      if ((mask >> a) & 1u) f.mark_faulty(a);
-    }
-    const auto constructive = constructive_assignment(q, f);
-    const auto fixed_point = compute_safety_levels(q, f);
-    ASSERT_EQ(constructive, fixed_point) << "fault mask " << mask;
+/// Theorem 1 both ways: the peel (compute_safety_levels, the existence
+/// construction) must equal the GS fixed point reached from above (the
+/// paper's all-n start) and from below (the all-0 start).
+::testing::AssertionResult peel_equals_gs(const topo::Hypercube& q,
+                                          const fault::FaultSet& f) {
+  const SafetyLevels peeled = compute_safety_levels(q, f);
+  if (peeled != run_gs(q, f).levels) {
+    return ::testing::AssertionFailure() << "peel != GS from the all-n start";
   }
-}
-
-class Q4FaultCount : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(Q4FaultCount, UniquenessExhaustive) {
-  const unsigned k = GetParam();
-  const topo::Hypercube q(4);
-  // All k-subsets of 16 nodes via bitmask enumeration.
-  for (std::uint32_t mask = 0; mask < (1u << 16); ++mask) {
-    if (bits::popcount(mask) != k) continue;
-    fault::FaultSet f(q.num_nodes());
-    for (NodeId a = 0; a < 16; ++a) {
-      if ((mask >> a) & 1u) f.mark_faulty(a);
-    }
-    ASSERT_EQ(constructive_assignment(q, f), compute_safety_levels(q, f))
-        << "fault mask " << mask;
+  GsOptions pessimistic;
+  pessimistic.pessimistic_start = true;
+  if (peeled != run_gs(q, f, pessimistic).levels) {
+    return ::testing::AssertionFailure() << "peel != GS from the all-0 start";
   }
+  return ::testing::AssertionSuccess();
 }
 
-INSTANTIATE_TEST_SUITE_P(UpTo3Faults, Q4FaultCount,
-                         ::testing::Values(0u, 1u, 2u, 3u));
+/// Every fault set of Q1–Q4: 4 + 16 + 256 + 65,536 = 65,812 sets, so
+/// every stage order the peel can meet on these cubes is covered.
+TEST(Theorem1, PeelEqualsGsExhaustiveQ1ToQ4) {
+  std::uint64_t sets = 0;
+  for (unsigned n = 1; n <= 4; ++n) {
+    const topo::Hypercube q(n);
+    const auto nodes = static_cast<NodeId>(q.num_nodes());
+    for (std::uint32_t mask = 0; mask < (1u << nodes); ++mask) {
+      fault::FaultSet f(q.num_nodes());
+      for (NodeId a = 0; a < nodes; ++a) {
+        if ((mask >> a) & 1u) f.mark_faulty(a);
+      }
+      ASSERT_TRUE(peel_equals_gs(q, f)) << "Q" << n << " fault mask " << mask;
+      ++sets;
+    }
+  }
+  EXPECT_EQ(sets, 65'812u);
+}
 
-TEST(Theorem1, UniquenessRandomizedQ6) {
-  const topo::Hypercube q(6);
+/// Q5–Q12: the fault-free cube, then fault counts from one up to N/4,
+/// the density at which the fixed point collapses and most healthy
+/// nodes are peeled.
+TEST(Theorem1, PeelEqualsGsRandomizedQ5ToQ12) {
   Xoshiro256ss rng(123);
-  for (int t = 0; t < 40; ++t) {
-    const auto f =
-        fault::inject_uniform(q, rng.below(q.num_nodes() / 2), rng);
-    ASSERT_EQ(constructive_assignment(q, f), compute_safety_levels(q, f));
+  for (unsigned n = 5; n <= 12; ++n) {
+    const topo::Hypercube q(n);
+    const std::uint64_t collapse = q.num_nodes() / 4;
+    const fault::FaultSet none(q.num_nodes());
+    EXPECT_EQ(compute_safety_levels(q, none),
+              SafetyLevels(n, q.num_nodes(), static_cast<Level>(n)));
+    ASSERT_TRUE(peel_equals_gs(q, none)) << "Q" << n << " fault-free";
+    std::vector<std::uint64_t> counts = {1, collapse};
+    for (int t = 0; t < 10; ++t) counts.push_back(1 + rng.below(collapse));
+    for (const std::uint64_t count : counts) {
+      ASSERT_TRUE(peel_equals_gs(q, fault::inject_uniform(q, count, rng)))
+          << "Q" << n << ", " << count << " faults";
+    }
   }
 }
 
