@@ -17,6 +17,7 @@
 
 #include "common/table.hpp"
 #include "obs/audit.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -203,11 +204,14 @@ class TelemetrySession {
       std::cerr << "cannot open " << file_ << " for writing\n";
       return false;
     }
-    out << "{\"event\":\"telemetry_meta\",\"dim\":" << dim
-        << ",\"threads\":" << threads << ",\"mode\":\""
-        << (recorder_->timed() ? "timed" : "ticks")
-        << "\",\"samples\":" << recorder_->size()
-        << ",\"ticks\":" << recorder_->total_ticks() << "}\n";
+    obs::JsonWriter(out)
+        .field("event", "telemetry_meta")
+        .field("dim", dim)
+        .field("threads", threads)
+        .field("mode", recorder_->timed() ? "timed" : "ticks")
+        .field("samples", recorder_->size())
+        .field("ticks", recorder_->total_ticks());
+    out << '\n';
     obs::write_timeseries_jsonl(out, recorder_->samples(),
                                 /*include_wall_time=*/recorder_->timed());
     obs::write_stage_jsonl(out, profiler_->report());

@@ -8,9 +8,14 @@
 //   $ ./inspect 4 0011,0100,0110,1001 1110 0001  # + route a unicast
 //   $ ./inspect 4 ... 1110 0001 --trace t.jsonl  # + write & replay trace
 //   $ ./inspect --replay t.jsonl                 # narrate a saved trace
-//   $ ./inspect --audit t.jsonl                  # invariant-check a trace
+//   $ ./inspect --audit t.jsonl [--dim 4]        # invariant-check a trace
+//   $ ./inspect --audit t.jsonl --json           # ... as one JSON object
 //   $ ./inspect --dash telemetry.jsonl           # render a telemetry dash
 //   $ ./inspect --timeline t.jsonl               # -> t.trace.json (Perfetto)
+//   $ ./inspect --timeline t.jsonl -o out.json   # explicit output path
+//
+// Exit status: 0 success (a clean audit), 1 an input could not be read, a
+// route endpoint is faulty or the audit found violations, 2 usage error.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -18,6 +23,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "analysis/components.hpp"
@@ -47,12 +53,78 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
-/// Node label for the narrative: bit string when the dimension is known
-/// (the --trace path), decimal otherwise (standalone --replay).
-std::string node_label(std::int64_t a, unsigned n) {
-  if (n > 0) return to_bits(static_cast<NodeId>(a), n);
-  return std::to_string(a);
-}
+/// One narrative line per typed trace event.
+struct Narrator {
+  unsigned n;  ///< cube dimension; 0 when unknown (standalone --replay)
+
+  /// Bit string when the dimension is known, decimal otherwise.
+  std::string label(NodeId a) const {
+    return n > 0 ? to_bits(a, n) : std::to_string(a);
+  }
+  void operator()(const obs::SourceDecisionEvent& e) const {
+    std::printf("source %s -> %s: H=%u C1=%d C2=%d C3=%d",
+                label(e.source).c_str(), label(e.dest).c_str(), e.hamming,
+                e.c1, e.c2, e.c3);
+    if (e.chosen_dim >= 0) {
+      std::printf(" | launch on dim %d (%s", e.chosen_dim,
+                  e.spare ? "spare detour" : "preferred");
+      if (e.ties > 1) std::printf(", %u-way tie", e.ties);
+      std::printf(")");
+    } else {
+      std::printf(" | no hop taken");
+    }
+    std::printf("\n");
+  }
+  void operator()(const obs::HopEvent& e) const {
+    std::printf("  %s -(dim %u, level %u)-> %s  nav %u -> %u%s\n",
+                label(e.from).c_str(), e.dim, e.level, label(e.to).c_str(),
+                e.nav_before, e.nav_after,
+                e.preferred ? "" : "  [spare detour]");
+  }
+  void operator()(const obs::RouteDoneEvent& e) const {
+    std::printf("  => %s after %u hop(s)\n", e.status, e.hops);
+  }
+  void operator()(const obs::GsRoundEvent& e) const {
+    std::printf("%s round %u: %llu level change(s), %llu message(s)\n",
+                e.egs ? "egs" : "gs", e.round,
+                static_cast<unsigned long long>(e.changed),
+                static_cast<unsigned long long>(e.messages));
+  }
+  void operator()(const obs::MessageSendEvent& e) const {
+    std::printf("t=%llu send %s -> %s (%s)\n",
+                static_cast<unsigned long long>(e.time), label(e.from).c_str(),
+                label(e.to).c_str(), obs::to_string(e.kind));
+  }
+  void operator()(const obs::MessageDropEvent& e) const {
+    std::printf("t=%llu DROP %s -> %s (%s: %s)\n",
+                static_cast<unsigned long long>(e.time), label(e.from).c_str(),
+                label(e.to).c_str(), obs::to_string(e.kind), e.reason);
+  }
+  void operator()(const obs::NodeFailEvent& e) const {
+    std::printf("t=%llu node %s failed\n",
+                static_cast<unsigned long long>(e.time),
+                label(e.node).c_str());
+  }
+  void operator()(const obs::NodeRecoverEvent& e) const {
+    std::printf("t=%llu node %s recovered\n",
+                static_cast<unsigned long long>(e.time),
+                label(e.node).c_str());
+  }
+  void operator()(const obs::SpanEvent& e) const {
+    std::printf("span %s: %.0f us (%llu item(s))\n", e.name, e.micros,
+                static_cast<unsigned long long>(e.items));
+  }
+  void operator()(const obs::SweepPointEvent& e) const {
+    std::printf("sweep %s: faults=%llu wall=%.1f ms util=%.2f "
+                "trial p50/p90/p99=%.0f/%.0f/%.0f us\n",
+                e.sweep, static_cast<unsigned long long>(e.fault_count),
+                e.wall_ms, e.utilization, e.trial_p50_us, e.trial_p90_us,
+                e.trial_p99_us);
+  }
+  void operator()(const auto& e) const {
+    std::printf("(%s event)\n", e.kName);
+  }
+};
 
 /// Render a JSONL trace as a hop-by-hop narrative.
 int replay_trace(const std::string& path, unsigned n) {
@@ -60,88 +132,14 @@ int replay_trace(const std::string& path, unsigned n) {
     std::fprintf(stderr, "replay: cannot open %s\n", path.c_str());
     return 1;
   }
-  std::size_t malformed = 0;
-  const auto events = obs::read_jsonl_file(path, &malformed);
+  std::size_t malformed = 0, unknown = 0;
+  const auto events = obs::read_trace_file(path, &malformed, &unknown);
   std::printf("replay: %s — %zu event(s)", path.c_str(), events.size());
   if (malformed > 0) std::printf(", %zu malformed line(s)", malformed);
+  if (unknown > 0) std::printf(", %zu unknown event kind(s)", unknown);
   std::printf("\n");
   if (events.empty()) return malformed > 0 ? 1 : 0;
-
-  for (const auto& ev : events) {
-    const auto kind = ev.kind();
-    if (kind == "source_decision") {
-      std::printf("source %s -> %s: H=%lld C1=%d C2=%d C3=%d",
-                  node_label(ev.integer("source"), n).c_str(),
-                  node_label(ev.integer("dest"), n).c_str(),
-                  static_cast<long long>(ev.integer("h")),
-                  ev.boolean("c1"), ev.boolean("c2"), ev.boolean("c3"));
-      const auto dim = ev.integer("chosen_dim", -1);
-      if (dim >= 0) {
-        std::printf(" | launch on dim %lld (%s",
-                    static_cast<long long>(dim),
-                    ev.boolean("spare") ? "spare detour" : "preferred");
-        if (ev.integer("ties") > 1) {
-          std::printf(", %lld-way tie",
-                      static_cast<long long>(ev.integer("ties")));
-        }
-        std::printf(")");
-      } else {
-        std::printf(" | no hop taken");
-      }
-      std::printf("\n");
-    } else if (kind == "hop") {
-      std::printf("  %s -(dim %lld, level %lld)-> %s  nav %llu -> %llu%s\n",
-                  node_label(ev.integer("from"), n).c_str(),
-                  static_cast<long long>(ev.integer("dim")),
-                  static_cast<long long>(ev.integer("level")),
-                  node_label(ev.integer("to"), n).c_str(),
-                  static_cast<unsigned long long>(ev.integer("nav_before")),
-                  static_cast<unsigned long long>(ev.integer("nav_after")),
-                  ev.boolean("preferred", true) ? "" : "  [spare detour]");
-    } else if (kind == "route_done") {
-      std::printf("  => %s after %lld hop(s)\n",
-                  std::string(ev.str("status", "?")).c_str(),
-                  static_cast<long long>(ev.integer("hops")));
-    } else if (kind == "gs_round") {
-      std::printf("%s round %lld: %lld level change(s), %lld message(s)\n",
-                  ev.boolean("egs") ? "egs" : "gs",
-                  static_cast<long long>(ev.integer("round")),
-                  static_cast<long long>(ev.integer("changed")),
-                  static_cast<long long>(ev.integer("messages")));
-    } else if (kind == "send") {
-      std::printf("t=%lld send %s -> %s (%s)\n",
-                  static_cast<long long>(ev.integer("time")),
-                  node_label(ev.integer("from"), n).c_str(),
-                  node_label(ev.integer("to"), n).c_str(),
-                  std::string(ev.str("kind", "?")).c_str());
-    } else if (kind == "drop") {
-      std::printf("t=%lld DROP %s -> %s (%s: %s)\n",
-                  static_cast<long long>(ev.integer("time")),
-                  node_label(ev.integer("from"), n).c_str(),
-                  node_label(ev.integer("to"), n).c_str(),
-                  std::string(ev.str("kind", "?")).c_str(),
-                  std::string(ev.str("reason", "?")).c_str());
-    } else if (kind == "node_fail" || kind == "node_recover") {
-      std::printf("t=%lld node %s %s\n",
-                  static_cast<long long>(ev.integer("time")),
-                  node_label(ev.integer("node"), n).c_str(),
-                  kind == "node_fail" ? "failed" : "recovered");
-    } else if (kind == "span") {
-      std::printf("span %s: %.0f us (%lld item(s))\n",
-                  std::string(ev.str("name", "?")).c_str(), ev.num("micros"),
-                  static_cast<long long>(ev.integer("items")));
-    } else if (kind == "sweep_point") {
-      std::printf("sweep %s: faults=%lld wall=%.1f ms util=%.2f "
-                  "trial p50/p90/p99=%.0f/%.0f/%.0f us\n",
-                  std::string(ev.str("sweep", "?")).c_str(),
-                  static_cast<long long>(ev.integer("fault_count")),
-                  ev.num("wall_ms"), ev.num("utilization"),
-                  ev.num("trial_p50_us"), ev.num("trial_p90_us"),
-                  ev.num("trial_p99_us"));
-    } else {
-      std::printf("(%s event)\n", std::string(kind).c_str());
-    }
-  }
+  for (const obs::TraceEvent& ev : events) std::visit(Narrator{n}, ev);
   return 0;
 }
 
@@ -167,22 +165,23 @@ int dash_telemetry(const std::string& path) {
   return 0;
 }
 
-/// Export a saved serving trace as a Chrome-trace / Perfetto timeline
-/// next to the input (foo.jsonl -> foo.trace.json).
-int timeline_trace(const std::string& path) {
+/// Export a saved serving trace as a Chrome-trace / Perfetto timeline to
+/// `out_path`, by default next to the input (foo.jsonl -> foo.trace.json).
+int timeline_trace(const std::string& path, std::string out_path) {
   if (!std::ifstream(path).good()) {
     std::fprintf(stderr, "timeline: cannot open %s\n", path.c_str());
     return 1;
   }
   std::size_t malformed = 0;
-  const std::vector<obs::ParsedEvent> events =
-      obs::read_jsonl_file(path, &malformed);
-  std::string out_path = path;
-  const std::size_t dot = out_path.rfind(".jsonl");
-  if (dot != std::string::npos && dot == out_path.size() - 6) {
-    out_path.resize(dot);
+  const auto events = obs::read_trace_file(path, &malformed);
+  if (out_path.empty()) {
+    out_path = path;
+    const std::size_t dot = out_path.rfind(".jsonl");
+    if (dot != std::string::npos && dot == out_path.size() - 6) {
+      out_path.resize(dot);
+    }
+    out_path += ".trace.json";
   }
-  out_path += ".trace.json";
   std::ofstream out(out_path, std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "timeline: cannot write %s\n", out_path.c_str());
@@ -196,7 +195,9 @@ int timeline_trace(const std::string& path) {
       static_cast<unsigned long long>(stats.epoch_slices),
       static_cast<unsigned long long>(stats.route_slices),
       static_cast<unsigned long long>(stats.breadcrumb_instants));
-  if (malformed > 0) std::printf("timeline: %zu malformed line(s)\n", malformed);
+  if (malformed > 0) {
+    std::printf("timeline: %zu malformed line(s)\n", malformed);
+  }
   if (stats.epoch_slices + stats.route_slices + stats.breadcrumb_instants ==
       0) {
     std::fprintf(stderr, "timeline: nothing to plot in %s\n", path.c_str());
@@ -205,30 +206,43 @@ int timeline_trace(const std::string& path) {
   return 0;
 }
 
-/// Stream a saved trace through the audit engine and report violations.
-int audit_trace(const std::string& path) {
+/// Stream a saved trace through the audit engine and print the report:
+/// text tables, or the one-line JSON object with --json. `dim` > 0 adds
+/// the cube-width and GS round-bound checks. Exit 0 clean, 1 violations.
+int audit_trace(const std::string& path, unsigned dim, bool json) {
   if (!std::ifstream(path).good()) {
     std::fprintf(stderr, "audit: cannot open %s\n", path.c_str());
     return 1;
   }
+  obs::AuditConfig config;
+  config.dimension = dim;
   std::size_t malformed = 0, unknown = 0;
-  const auto report = obs::audit_jsonl_file(path, {}, &malformed, &unknown);
-  std::printf("audit: %s — %llu event(s), %llu route(s)", path.c_str(),
-              static_cast<unsigned long long>(report.events),
-              static_cast<unsigned long long>(report.routes));
-  if (malformed > 0) std::printf(", %zu malformed line(s)", malformed);
-  if (unknown > 0) std::printf(", %zu unknown event kind(s)", unknown);
-  std::printf("\n");
-  if (report.clean()) {
-    std::printf("audit: clean — every checked invariant held\n");
-    return 0;
+  const auto report =
+      obs::audit_jsonl_file(path, config, &malformed, &unknown);
+  if (json) {
+    report.write_json(std::cout);
+    std::cout << '\n';
+  } else {
+    std::printf("audit: %s — %llu event(s)", path.c_str(),
+                static_cast<unsigned long long>(report.events));
+    if (malformed > 0) std::printf(", %zu malformed line(s)", malformed);
+    if (unknown > 0) std::printf(", %zu unknown event kind(s)", unknown);
+    std::printf("\n\n");
+    report.render_text(std::cout);
   }
-  std::printf("audit: %llu VIOLATION(S)\n",
-              static_cast<unsigned long long>(report.violations_total));
-  for (const auto& v : report.details) {
-    std::printf("  [%s] %s\n", obs::to_string(v.kind), v.detail.c_str());
-  }
-  return 1;
+  return report.clean() ? 0 : 1;
+}
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <dimension> <faults: b1,b2,...|none> "
+               "[<source bits> <dest bits>] [--trace FILE]\n"
+               "       %s --replay FILE\n"
+               "       %s --audit FILE [--dim N] [--json]\n"
+               "       %s --dash FILE\n"
+               "       %s --timeline FILE [-o OUT]\n",
+               argv0, argv0, argv0, argv0, argv0);
+  return 2;
 }
 
 }  // namespace
@@ -237,47 +251,51 @@ int main(int argc, char** argv) {
   using namespace slcube;
 
   // Pull the flag arguments out; what remains is positional.
-  std::string trace_file, replay_file, audit_file, dash_file, timeline_file;
+  std::string trace_file, replay_file, audit_file, dash_file, timeline_file,
+      out_file;
+  unsigned audit_dim = 0;
+  bool json = false;
   std::vector<char*> pos;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--trace" && i + 1 < argc) {
-      trace_file = argv[++i];
-    } else if (std::string(argv[i]) == "--replay" && i + 1 < argc) {
-      replay_file = argv[++i];
-    } else if (std::string(argv[i]) == "--audit" && i + 1 < argc) {
-      audit_file = argv[++i];
-    } else if (std::string(argv[i]) == "--dash" && i + 1 < argc) {
-      dash_file = argv[++i];
-    } else if (std::string(argv[i]) == "--timeline" && i + 1 < argc) {
-      timeline_file = argv[++i];
-    } else {
+    const std::string arg = argv[i];
+    if (arg == "--json") {
+      json = true;
+    } else if (arg[0] != '-') {
       pos.push_back(argv[i]);
+    } else if (i + 1 == argc) {
+      return usage(argv[0]);
+    } else if (arg == "--trace") {
+      trace_file = argv[++i];
+    } else if (arg == "--replay") {
+      replay_file = argv[++i];
+    } else if (arg == "--audit") {
+      audit_file = argv[++i];
+    } else if (arg == "--dim") {
+      audit_dim = static_cast<unsigned>(std::atoi(argv[++i]));
+    } else if (arg == "--dash") {
+      dash_file = argv[++i];
+    } else if (arg == "--timeline") {
+      timeline_file = argv[++i];
+    } else if (arg == "-o") {
+      out_file = argv[++i];
+    } else {
+      return usage(argv[0]);
     }
   }
   if (!timeline_file.empty() && pos.empty()) {
-    return timeline_trace(timeline_file);
+    return timeline_trace(timeline_file, out_file);
   }
   if (!dash_file.empty() && pos.empty()) {
     return dash_telemetry(dash_file);
   }
   if (!audit_file.empty() && pos.empty()) {
-    return audit_trace(audit_file);
+    return audit_trace(audit_file, audit_dim, json);
   }
   if (!replay_file.empty() && pos.empty()) {
     return replay_trace(replay_file, 0);
   }
 
-  if (pos.size() != 2 && pos.size() != 4) {
-    std::fprintf(stderr,
-                 "usage: %s <dimension> <faults: b1,b2,...|none> "
-                 "[<source bits> <dest bits>] [--trace FILE]\n"
-                 "       %s --replay FILE\n"
-                 "       %s --audit FILE\n"
-                 "       %s --dash FILE\n"
-                 "       %s --timeline FILE\n",
-                 argv[0], argv[0], argv[0], argv[0], argv[0]);
-    return 2;
-  }
+  if (pos.size() != 2 && pos.size() != 4) return usage(argv[0]);
   const unsigned n = static_cast<unsigned>(std::atoi(pos[0]));
   if (n < 1 || n > 16) {
     std::fprintf(stderr, "dimension must be in 1..16\n");

@@ -1,7 +1,6 @@
 #include "obs/audit.hpp"
 #include "obs/profiler.hpp"
 
-#include <set>
 #include <sstream>
 #include <string_view>
 
@@ -392,18 +391,16 @@ void AuditSink::close_route(Lane& lane, const RouteDoneEvent& done) {
          << " although neither C1 nor C2 held";
       violation(ViolationKind::kFlagsInconsistent, ss.str());
     }
-    if (config_.check_hop_levels) {
-      for (const HopEvent& hop : lane.hops) {
-        // Theorem-2 floor: the chosen neighbor's advertised level covers
-        // the distance that remains after the hop (holds for spare hops
-        // too — their threshold is H+1 = |nav_after|).
-        const unsigned remaining = bits::popcount(hop.nav_after);
-        if (hop.level < remaining) {
-          std::ostringstream ss;
-          ss << "hop " << hop.from << "->" << hop.to << " advertised level "
-             << hop.level << " below remaining distance " << remaining;
-          violation(ViolationKind::kHopLevelTooLow, ss.str());
-        }
+    for (const HopEvent& hop : lane.hops) {
+      // Theorem-2 floor: the chosen neighbor's advertised level covers
+      // the distance that remains after the hop (holds for spare hops
+      // too — their threshold is H+1 = |nav_after|).
+      const unsigned remaining = bits::popcount(hop.nav_after);
+      if (hop.level < remaining) {
+        std::ostringstream ss;
+        ss << "hop " << hop.from << "->" << hop.to << " advertised level "
+           << hop.level << " below remaining distance " << remaining;
+        violation(ViolationKind::kHopLevelTooLow, ss.str());
       }
     }
     report_.hops_per_route.observe(static_cast<double>(done.hops));
@@ -439,8 +436,7 @@ void AuditSink::close_route(Lane& lane, const RouteDoneEvent& done) {
          << done.hops << " hops but " << nhops << " hop events were seen";
       violation(ViolationKind::kHopCountMismatch, ss.str());
     }
-    if (config_.stuck_is_violation && !lane.route_saw_fault_churn &&
-        !lane.stale_tables) {
+    if (!lane.route_saw_fault_churn && !lane.stale_tables) {
       std::ostringstream ss;
       ss << "route " << src.source << "->" << src.dest << " stuck after "
          << done.hops << " hops with no mid-route fault churn (impossible "
@@ -714,178 +710,12 @@ std::uint64_t AuditSink::violation_count() const {
   return report_.violations_total;
 }
 
-// --- JSONL reconstruction --------------------------------------------------
-
-namespace {
-
-/// Process-lifetime string pool backing the const char* fields of
-/// reconstructed events (status/reason/name strings normally point at
-/// string literals in the producers).
-const char* intern(std::string_view s) {
-  static std::mutex mutex;
-  static std::set<std::string, std::less<>> pool;
-  const std::scoped_lock lock(mutex);
-  auto it = pool.find(s);
-  if (it == pool.end()) it = pool.emplace(s).first;
-  return it->c_str();
-}
-
-MsgKind parse_kind(std::string_view s) {
-  return s == "unicast" ? MsgKind::kUnicast : MsgKind::kLevelUpdate;
-}
-
-template <typename T>
-T as(const ParsedEvent& p, std::string_view key) {
-  return static_cast<T>(p.integer(key));
-}
-
-}  // namespace
-
-bool to_trace_event(const ParsedEvent& parsed, TraceEvent& out) {
-  const std::string_view kind = parsed.kind();
-  if (kind == "source_decision") {
-    SourceDecisionEvent ev;
-    ev.source = as<NodeId>(parsed, "source");
-    ev.dest = as<NodeId>(parsed, "dest");
-    ev.hamming = as<unsigned>(parsed, "h");
-    ev.c1 = parsed.boolean("c1");
-    ev.c2 = parsed.boolean("c2");
-    ev.c3 = parsed.boolean("c3");
-    ev.chosen_dim = as<int>(parsed, "chosen_dim");
-    ev.ties = as<unsigned>(parsed, "ties");
-    ev.spare = parsed.boolean("spare");
-    ev.egs = parsed.boolean("egs");
-    ev.self_level = as<unsigned>(parsed, "self_level");
-    ev.dest_link_faulty = parsed.boolean("dest_link_faulty");
-    out = ev;
-  } else if (kind == "hop") {
-    HopEvent ev;
-    ev.from = as<NodeId>(parsed, "from");
-    ev.to = as<NodeId>(parsed, "to");
-    ev.dim = as<unsigned>(parsed, "dim");
-    ev.level = as<unsigned>(parsed, "level");
-    ev.nav_before = as<std::uint32_t>(parsed, "nav_before");
-    ev.nav_after = as<std::uint32_t>(parsed, "nav_after");
-    ev.preferred = parsed.boolean("preferred");
-    ev.ties = as<unsigned>(parsed, "ties");
-    out = ev;
-  } else if (kind == "route_done") {
-    RouteDoneEvent ev;
-    ev.source = as<NodeId>(parsed, "source");
-    ev.dest = as<NodeId>(parsed, "dest");
-    ev.status = intern(parsed.str("status"));
-    ev.hops = as<unsigned>(parsed, "hops");
-    out = ev;
-  } else if (kind == "gs_round") {
-    GsRoundEvent ev;
-    ev.round = as<unsigned>(parsed, "round");
-    ev.changed = as<std::uint64_t>(parsed, "changed");
-    ev.messages = as<std::uint64_t>(parsed, "messages");
-    ev.sim_time = as<std::uint64_t>(parsed, "time");
-    ev.egs = parsed.boolean("egs");
-    ev.periodic = parsed.boolean("periodic");
-    out = ev;
-  } else if (kind == "send") {
-    MessageSendEvent ev;
-    ev.time = as<std::uint64_t>(parsed, "time");
-    ev.from = as<NodeId>(parsed, "from");
-    ev.to = as<NodeId>(parsed, "to");
-    ev.kind = parse_kind(parsed.str("kind"));
-    out = ev;
-  } else if (kind == "drop") {
-    MessageDropEvent ev;
-    ev.time = as<std::uint64_t>(parsed, "time");
-    ev.from = as<NodeId>(parsed, "from");
-    ev.to = as<NodeId>(parsed, "to");
-    ev.kind = parse_kind(parsed.str("kind"));
-    ev.reason = intern(parsed.str("reason"));
-    out = ev;
-  } else if (kind == "node_fail") {
-    NodeFailEvent ev;
-    ev.time = as<std::uint64_t>(parsed, "time");
-    ev.node = as<NodeId>(parsed, "node");
-    out = ev;
-  } else if (kind == "node_recover") {
-    NodeRecoverEvent ev;
-    ev.time = as<std::uint64_t>(parsed, "time");
-    ev.node = as<NodeId>(parsed, "node");
-    out = ev;
-  } else if (kind == "misroute") {
-    MisrouteEvent ev;
-    ev.source = as<NodeId>(parsed, "source");
-    ev.dest = as<NodeId>(parsed, "dest");
-    ev.cls = intern(parsed.str("cls"));
-    ev.drop_node = as<int>(parsed, "drop_node");
-    ev.hops_taken = as<unsigned>(parsed, "hops_taken");
-    ev.ground_feasible = parsed.boolean("ground_feasible");
-    out = ev;
-  } else if (kind == "epoch_publish") {
-    EpochPublishEvent ev;
-    ev.epoch = as<std::uint64_t>(parsed, "epoch");
-    ev.parent = as<std::uint64_t>(parsed, "parent");
-    ev.cause = intern(parsed.str("cause"));
-    ev.node = as<std::int64_t>(parsed, "node");
-    ev.dim = as<int>(parsed, "dim");
-    ev.churn = as<std::uint64_t>(parsed, "churn");
-    ev.faults = as<std::uint64_t>(parsed, "faults");
-    ev.links = as<std::uint64_t>(parsed, "links");
-    ev.ts = as<std::uint64_t>(parsed, "ts");
-    out = ev;
-  } else if (kind == "route_summary") {
-    RouteSummaryEvent ev;
-    ev.route_id = as<std::uint64_t>(parsed, "route_id");
-    ev.decision_epoch = as<std::uint64_t>(parsed, "decision_epoch");
-    ev.ground_epoch = as<std::uint64_t>(parsed, "ground_epoch");
-    ev.status = intern(parsed.str("status"));
-    ev.hops = as<unsigned>(parsed, "hops");
-    ev.latency_us = parsed.num("latency_us");
-    ev.promoted = parsed.boolean("promoted");
-    ev.reason = intern(parsed.str("reason"));
-    out = ev;
-  } else if (kind == "span") {
-    SpanEvent ev;
-    ev.name = intern(parsed.str("name"));
-    ev.micros = parsed.num("micros");
-    ev.items = as<std::uint64_t>(parsed, "items");
-    out = ev;
-  } else if (kind == "sweep_point") {
-    SweepPointEvent ev;
-    ev.sweep = intern(parsed.str("sweep"));
-    ev.fault_count = as<std::uint64_t>(parsed, "fault_count");
-    ev.wall_ms = parsed.num("wall_ms");
-    ev.utilization = parsed.num("utilization");
-    ev.threads = as<unsigned>(parsed, "threads");
-    ev.trial_p50_us = parsed.num("trial_p50_us");
-    ev.trial_p90_us = parsed.num("trial_p90_us");
-    ev.trial_p99_us = parsed.num("trial_p99_us");
-    constexpr std::string_view kPrefix = "values.";
-    for (const auto& [key, value] : parsed.fields) {
-      if (key.size() > kPrefix.size() &&
-          std::string_view(key).substr(0, kPrefix.size()) == kPrefix) {
-        const double* d = std::get_if<double>(&value);
-        ev.values.emplace_back(key.substr(kPrefix.size()),
-                               d != nullptr ? *d : 0.0);
-      }
-    }
-    out = ev;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 AuditReport audit_jsonl_file(const std::string& path,
                              const AuditConfig& config, std::size_t* malformed,
                              std::size_t* unknown) {
-  if (unknown != nullptr) *unknown = 0;
   AuditSink sink(config);
-  for (const ParsedEvent& parsed : read_jsonl_file(path, malformed)) {
-    TraceEvent ev;
-    if (to_trace_event(parsed, ev)) {
-      sink.on_event(ev);
-    } else if (unknown != nullptr) {
-      ++*unknown;
-    }
+  for (const TraceEvent& ev : read_trace_file(path, malformed, unknown)) {
+    sink.on_event(ev);
   }
   sink.finish();
   return sink.report();

@@ -47,7 +47,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/jsonl.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 
@@ -57,15 +56,6 @@ struct AuditConfig {
   /// Cube dimension n; enables the GS "<= n-1 rounds" bound and the
   /// nav-vector width check. 0 = unknown (those checks are skipped).
   unsigned dimension = 0;
-  /// Check the Theorem-2 floor level >= popcount(nav_after) on every
-  /// preferred hop of a delivered route. True for stabilized tables;
-  /// turn off when auditing deliberately stale-table robustness runs.
-  bool check_hop_levels = true;
-  /// Treat a "stuck" terminal status as a violation (it is impossible
-  /// with a consistent level table — Theorem 2). Automatically suspended
-  /// after fault churn until the stream shows a quiesced synchronous GS
-  /// wave, since churn leaves the tables stale.
-  bool stuck_is_violation = true;
   /// Detailed violation records kept (the counters in the report are
   /// always exact; this only bounds the per-violation detail strings).
   std::size_t max_violation_details = 64;
@@ -163,16 +153,10 @@ class AuditSink final : public TraceSink {
   bool finished_ = false;
 };
 
-/// Reconstruct a typed TraceEvent from one parsed JSONL line (the
-/// inverse of write_json for the dialect JsonlSink writes). Returns
-/// false when the "event" discriminator is missing or unknown. String
-/// fields are interned in a process-lifetime pool so the const char*
-/// members stay valid.
-[[nodiscard]] bool to_trace_event(const ParsedEvent& parsed, TraceEvent& out);
-
-/// Audit a whole JSONL trace file offline: parse, reconstruct, stream
-/// through an AuditSink, finish. `malformed` / `unknown` (optional)
-/// receive counts of unparseable lines / unknown event kinds.
+/// Audit a whole JSONL trace file offline: read it with read_trace_file,
+/// stream the typed events through an AuditSink, finish. `malformed` /
+/// `unknown` (optional) receive counts of unparseable lines / unknown
+/// event kinds.
 [[nodiscard]] AuditReport audit_jsonl_file(const std::string& path,
                                            const AuditConfig& config = {},
                                            std::size_t* malformed = nullptr,

@@ -18,15 +18,17 @@ constexpr const char* kSparkLevels[] = {"▁", "▂", "▃",
                                         "▇", "█"};
 constexpr const char* kHeatLevels[] = {" ", "░", "▒", "▓",
                                        "█"};
+/// Max cells in a sparkline or heatmap row.
+constexpr std::size_t kWidth = 60;
 
-/// Downsample a series to at most `width` cells (bucket means), then map
+/// Downsample a series to at most kWidth cells (bucket means), then map
 /// each cell onto the glyph ramp against the series maximum.
 template <std::size_t N>
 std::string ramp_row(const std::vector<double>& series, double max_value,
-                     std::size_t width, const char* const (&levels)[N]) {
+                     const char* const (&levels)[N]) {
   std::string out;
   if (series.empty()) return out;
-  const std::size_t cells = std::min(width, series.size());
+  const std::size_t cells = std::min(kWidth, series.size());
   for (std::size_t c = 0; c < cells; ++c) {
     const std::size_t lo = c * series.size() / cells;
     const std::size_t hi = std::max(lo + 1, (c + 1) * series.size() / cells);
@@ -43,10 +45,10 @@ std::string ramp_row(const std::vector<double>& series, double max_value,
   return out;
 }
 
-std::string sparkline(const std::vector<double>& series, std::size_t width) {
+std::string sparkline(const std::vector<double>& series) {
   const double max_value =
       series.empty() ? 0.0 : *std::max_element(series.begin(), series.end());
-  return ramp_row(series, max_value, width, kSparkLevels);
+  return ramp_row(series, max_value, kSparkLevels);
 }
 
 std::string fmt(double v) {
@@ -69,8 +71,7 @@ std::vector<double> series_of(const std::vector<const ParsedEvent*>& samples,
 }
 
 void render_stages(std::ostream& os,
-                   const std::vector<const ParsedEvent*>& stages,
-                   std::size_t width) {
+                   const std::vector<const ParsedEvent*>& stages) {
   if (stages.empty()) return;
   double total = 0.0;
   for (const ParsedEvent* s : stages) {
@@ -78,15 +79,15 @@ void render_stages(std::ostream& os,
   }
   os << "stages (total " << fmt(total / 1000.0) << " ms across "
      << stages.front()->integer("threads") << " thread arenas)\n";
-  const std::size_t bar_width = std::min<std::size_t>(width / 2, 30);
+  constexpr std::size_t kBarWidth = 30;
   for (const ParsedEvent* s : stages) {
     const auto depth = static_cast<std::size_t>(s->integer("depth"));
     const double total_us = s->num("total_us");
     const double share = total > 0.0 ? total_us / total : 0.0;
     const auto filled = static_cast<std::size_t>(
-        std::lround(share * static_cast<double>(bar_width)));
+        std::lround(share * static_cast<double>(kBarWidth)));
     std::string bar;
-    for (std::size_t i = 0; i < bar_width; ++i) {
+    for (std::size_t i = 0; i < kBarWidth; ++i) {
       bar += i < filled ? "█" : "·";
     }
     char line[256];
@@ -101,8 +102,7 @@ void render_stages(std::ostream& os,
 }
 
 void render_throughput(std::ostream& os,
-                       const std::vector<const ParsedEvent*>& samples,
-                       std::size_t width) {
+                       const std::vector<const ParsedEvent*>& samples) {
   const std::vector<double> d = series_of(samples, "d.exp.trials_run");
   const double peak =
       d.empty() ? 0.0 : *std::max_element(d.begin(), d.end());
@@ -111,12 +111,11 @@ void render_throughput(std::ostream& os,
   for (const double v : d) total += v;
   os << "throughput (trials per sample, " << samples.size() << " samples, "
      << fmt(total) << " trials total)\n";
-  os << "  " << sparkline(d, width) << "  peak " << fmt(peak) << "\n\n";
+  os << "  " << sparkline(d) << "  peak " << fmt(peak) << "\n\n";
 }
 
 void render_histograms(std::ostream& os,
-                       const std::vector<const ParsedEvent*>& samples,
-                       std::size_t width) {
+                       const std::vector<const ParsedEvent*>& samples) {
   if (samples.empty()) return;
   // Histogram base names: every "h.<name>.p50" key in the last sample.
   std::vector<std::string> names;
@@ -139,15 +138,13 @@ void render_histograms(std::ostream& os,
                   fmt(last->num(base + "p999")).c_str(),
                   fmt(last->num(base + "max")).c_str());
     os << line;
-    os << "    " << sparkline(series_of(samples, base + "p50"), width)
-       << '\n';
+    os << "    " << sparkline(series_of(samples, base + "p50")) << '\n';
   }
   os << '\n';
 }
 
 void render_heatmap(std::ostream& os,
-                    const std::vector<const ParsedEvent*>& samples,
-                    std::size_t width) {
+                    const std::vector<const ParsedEvent*>& samples) {
   if (samples.empty()) return;
   // Dimension utilization: "d.hops.dim.<k>" counter deltas per sample.
   std::set<int> dims;
@@ -168,7 +165,7 @@ void render_heatmap(std::ostream& os,
   for (const int k : dims) {
     char label[32];
     std::snprintf(label, sizeof(label), "  dim %2d ", k);
-    os << label << ramp_row(rows[k], max_value, width, kHeatLevels) << '\n';
+    os << label << ramp_row(rows[k], max_value, kHeatLevels) << '\n';
   }
   os << '\n';
 }
@@ -176,8 +173,7 @@ void render_heatmap(std::ostream& os,
 }  // namespace
 
 std::size_t render_dashboard(std::ostream& os,
-                             const std::vector<ParsedEvent>& events,
-                             const DashboardOptions& opts) {
+                             const std::vector<ParsedEvent>& events) {
   std::vector<const ParsedEvent*> samples;
   std::vector<const ParsedEvent*> stages;
   const ParsedEvent* meta = nullptr;
@@ -197,10 +193,10 @@ std::size_t render_dashboard(std::ostream& os,
        << meta->str("mode") << " ticks=" << meta->integer("ticks") << "\n";
   }
   os << '\n';
-  render_stages(os, stages, opts.width);
-  render_throughput(os, samples, opts.width);
-  render_histograms(os, samples, opts.width);
-  render_heatmap(os, samples, opts.width);
+  render_stages(os, stages);
+  render_throughput(os, samples);
+  render_histograms(os, samples);
+  render_heatmap(os, samples);
   if (samples.empty()) os << "(no ts_sample events in input)\n";
   return samples.size();
 }

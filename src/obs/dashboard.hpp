@@ -1,10 +1,12 @@
 // slcube::obs — terminal dashboard for a recorded telemetry file: takes
-// the parsed "telemetry_meta" / "ts_sample" / "stage" JSONL events (the
-// dialect written by write_timeseries_jsonl and write_stage_jsonl, see
-// EXPERIMENTS.md TELEMETRY) and renders a per-stage time breakdown,
-// throughput-over-time sparklines, interval latency percentiles, and a
-// per-dimension hop-utilization heatmap. Shared by `inspect --dash` and
-// examples/telemetry_report.
+// the parsed "telemetry_meta" / "ts_sample" / "stage" JSONL lines (the
+// records a bench writes under --telemetry, via write_timeseries_jsonl
+// and write_stage_jsonl; see EXPERIMENTS.md TELEMETRY) and renders a
+// per-stage time breakdown, throughput-over-time sparklines, interval
+// latency percentiles, and a per-dimension hop-utilization heatmap, each
+// at most 60 cells wide. These are telemetry records, not trace events,
+// so the dashboard reads their keys from ParsedEvent directly. The
+// renderer behind `inspect --dash`.
 #pragma once
 
 #include <cstddef>
@@ -15,15 +17,10 @@
 
 namespace slcube::obs {
 
-struct DashboardOptions {
-  std::size_t width = 60;  ///< max cells in sparklines / heatmap rows
-};
-
 /// Render every section the events support; sections with no matching
 /// events are skipped. Returns the number of ts_sample events seen (0
 /// means the file held no time series — the caller may want to warn).
 std::size_t render_dashboard(std::ostream& os,
-                             const std::vector<ParsedEvent>& events,
-                             const DashboardOptions& opts = {});
+                             const std::vector<ParsedEvent>& events);
 
 }  // namespace slcube::obs

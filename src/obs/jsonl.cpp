@@ -6,6 +6,34 @@
 
 namespace slcube::obs {
 
+void write_json_string(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      case '\r': os << "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr char kHex[] = "0123456789abcdef";
+          os << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
+}
+
+std::ostream& JsonWriter::key_(std::string_view key) {
+  if (!first_) os_ << ',';
+  first_ = false;
+  write_json_string(os_, key);
+  return os_ << ':';
+}
+
 bool ParsedEvent::has(std::string_view key) const {
   return fields.find(key) != fields.end();
 }
@@ -86,7 +114,17 @@ bool parse_string(Cursor& c, std::string& out) {
         case 'n': out += '\n'; break;
         case 't': out += '\t'; break;
         case 'r': out += '\r'; break;
-        default: return false;  // \uXXXX etc. — not emitted by our writer
+        case 'u': {  // the writer escapes only ASCII control bytes
+          if (c.pos + 4 > c.s.size()) return false;
+          const std::string hex(c.s.substr(c.pos, 4));
+          char* end = nullptr;
+          const long code = std::strtol(hex.c_str(), &end, 16);
+          if (end != hex.c_str() + 4 || code < 0 || code >= 0x80) return false;
+          out += static_cast<char>(code);
+          c.pos += 4;
+          break;
+        }
+        default: return false;
       }
     } else {
       out += ch;

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <ostream>
 
+#include "obs/jsonl.hpp"
+
 namespace slcube::obs {
 
 // --- HistogramData ---------------------------------------------------------
@@ -368,50 +370,21 @@ const HistogramData* MetricsSnapshot::histogram(std::string_view name) const {
   return nullptr;
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void MetricsSnapshot::write_json(std::ostream& os) const {
-  os << '{';
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ',';
-    first = false;
-  };
-  for (const auto& [name, v] : counters) {
-    sep();
-    write_json_string(os, name);
-    os << ':' << v;
-  }
-  for (const auto& [name, v] : gauges) {
-    sep();
-    write_json_string(os, name);
-    os << ':' << v;
-  }
+  JsonWriter w(os);
+  for (const auto& [name, v] : counters) w.field(name, v);
+  for (const auto& [name, v] : gauges) w.field(name, v);
   for (const auto& [name, h] : histograms) {
-    sep();
-    write_json_string(os, name);
-    os << ":{\"count\":" << h.count << ",\"mean\":" << h.mean()
-       << ",\"p50\":" << h.quantile(0.50) << ",\"p90\":" << h.quantile(0.90)
-       << ",\"p99\":" << h.quantile(0.99) << ",\"p999\":" << h.quantile(0.999)
-       << ",\"max\":" << (h.count ? h.max_seen : 0.0) << '}';
+    w.object(name, [&h](JsonWriter& o) {
+      o.field("count", h.count)
+          .field("mean", h.mean())
+          .field("p50", h.quantile(0.50))
+          .field("p90", h.quantile(0.90))
+          .field("p99", h.quantile(0.99))
+          .field("p999", h.quantile(0.999))
+          .field("max", h.count ? h.max_seen : 0.0);
+    });
   }
-  os << '}';
 }
 
 }  // namespace slcube::obs

@@ -196,19 +196,6 @@ StageScope::~StageScope() {
 
 namespace {
 
-void write_stage_lines(std::ostream& os, const StageNode& node,
-                       const std::string& prefix, unsigned depth,
-                       unsigned threads) {
-  const std::string path = prefix.empty() ? node.name : prefix + "/" + node.name;
-  os << "{\"event\":\"stage\",\"path\":\"" << path << "\",\"name\":\""
-     << node.name << "\",\"depth\":" << depth << ",\"count\":" << node.count
-     << ",\"total_us\":" << node.total_us << ",\"self_us\":" << node.self_us
-     << ",\"threads\":" << threads << "}\n";
-  for (const StageNode& c : node.children) {
-    write_stage_lines(os, c, path, depth + 1, threads);
-  }
-}
-
 void write_text_lines(std::ostream& os, const StageNode& node, double scale,
                       unsigned depth) {
   const std::string indent(static_cast<std::size_t>(depth) * 2, ' ');
@@ -227,12 +214,6 @@ void write_text_lines(std::ostream& os, const StageNode& node, double scale,
 }
 
 }  // namespace
-
-void write_stage_jsonl(std::ostream& os, const StageReport& report) {
-  for (const StageNode& r : report.roots) {
-    write_stage_lines(os, r, "", 0, report.threads);
-  }
-}
 
 void write_stage_text(std::ostream& os, const StageReport& report) {
   const double scale = report.total_us();

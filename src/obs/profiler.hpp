@@ -50,12 +50,6 @@ struct StageReport {
   [[nodiscard]] double total_us() const;
 };
 
-/// One "stage" JSONL line per node, depth-first ("path" joins names with
-/// '/'): {"event":"stage","path":"trial/route","name":"route","depth":1,
-/// "count":N,"total_us":X,"self_us":Y,"threads":T}. The telemetry dialect
-/// is documented in EXPERIMENTS.md (TELEMETRY).
-void write_stage_jsonl(std::ostream& os, const StageReport& report);
-
 /// Indented human rendering: count, total, self, share of the report.
 void write_stage_text(std::ostream& os, const StageReport& report);
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
+#include <type_traits>
 
 #include "common/contracts.hpp"
 #include "common/table.hpp"
+#include "obs/jsonl.hpp"
 
 namespace slcube::obs {
 
@@ -223,113 +226,66 @@ void AuditReport::render_text(std::ostream& os) const {
   }
 }
 
-namespace {
-
-/// Comma-managed emitter matching the trace writer's dialect (flat
-/// object, at most one level of nesting) so parse_jsonl_line reads the
-/// report back.
-class JsonObject {
- public:
-  explicit JsonObject(std::ostream& os, char open = '{') : os_(os) {
-    os_ << open;
-  }
-  void close() { os_ << '}'; }
-
-  std::ostream& key(const std::string& k) {
-    if (!first_) os_ << ',';
-    first_ = false;
-    os_ << '"';
-    for (const char c : k) {
-      if (c == '"' || c == '\\') os_ << '\\';
-      os_ << c;
-    }
-    os_ << "\":";
-    return os_;
-  }
-  void num(const std::string& k, std::uint64_t v) { key(k) << v; }
-  void num(const std::string& k, double v) { key(k) << v; }
-
- private:
-  std::ostream& os_;
-  bool first_ = true;
-};
-
-}  // namespace
-
 void AuditReport::write_json(std::ostream& os) const {
-  JsonObject top(os);
-  top.key("event") << "\"audit_report\"";
-  top.num("events", events);
-  top.num("routes", routes);
-  top.num("hops", hops);
-  top.num("spare_hops", spare_hops);
-  top.num("violations_total", violations_total);
-
-  const auto nested = [&](const std::string& name, auto&& fill) {
-    std::ostream& out = top.key(name);
-    JsonObject obj(out);
-    fill(obj);
-    obj.close();
+  JsonWriter top(os);
+  top.field("event", "audit_report")
+      .field("events", events)
+      .field("routes", routes)
+      .field("hops", hops)
+      .field("spare_hops", spare_hops)
+      .field("violations_total", violations_total);
+  const auto counts = [&top](const char* name, const auto& by_key) {
+    top.object(name, [&by_key](JsonWriter& o) {
+      for (const auto& [k, n] : by_key) {
+        if constexpr (std::is_integral_v<std::decay_t<decltype(k)>>) {
+          o.field(std::to_string(k), n);
+        } else {
+          o.field(k, n);
+        }
+      }
+    });
   };
-
-  nested("violations", [&](JsonObject& o) {
+  top.object("violations", [this](JsonWriter& o) {
     for (std::size_t i = 0; i < kNumViolationKinds; ++i) {
-      o.num(to_string(static_cast<ViolationKind>(i)), violations_by_kind[i]);
+      o.field(to_string(static_cast<ViolationKind>(i)), violations_by_kind[i]);
     }
   });
-  nested("status", [&](JsonObject& o) {
-    for (const auto& [status, n] : routes_by_status) o.num(status, n);
-  });
-  nested("preferred_by_dim", [&](JsonObject& o) {
-    for (const auto& [d, n] : preferred_by_dim) o.num(std::to_string(d), n);
-  });
-  nested("spare_by_dim", [&](JsonObject& o) {
-    for (const auto& [d, n] : spare_by_dim) o.num(std::to_string(d), n);
-  });
-  nested("spare_by_h", [&](JsonObject& o) {
-    for (const auto& [h, n] : spare_by_hamming) o.num(std::to_string(h), n);
-  });
-  top.num("gs_waves", gs_waves);
-  top.num("gs_max_round", static_cast<std::uint64_t>(gs_max_round));
-  nested("gs_changed", [&](JsonObject& o) {
+  counts("status", routes_by_status);
+  counts("preferred_by_dim", preferred_by_dim);
+  counts("spare_by_dim", spare_by_dim);
+  counts("spare_by_h", spare_by_hamming);
+  top.field("gs_waves", gs_waves).field("gs_max_round", gs_max_round);
+  top.object("gs_changed", [this](JsonWriter& o) {
     for (const auto& [round, acc] : gs_curve) {
-      o.num(std::to_string(round), acc.first);
+      o.field(std::to_string(round), acc.first);
     }
   });
-  nested("gs_waves_at", [&](JsonObject& o) {
+  top.object("gs_waves_at", [this](JsonWriter& o) {
     for (const auto& [round, acc] : gs_curve) {
-      o.num(std::to_string(round), acc.second);
+      o.field(std::to_string(round), acc.second);
     }
   });
-  top.num("misroutes", misroutes);
-  nested("misroutes_by_class", [&](JsonObject& o) {
-    for (const auto& [cls, n] : misroutes_by_class) o.num(cls, n);
-  });
-  top.num("sends", sends);
-  top.num("drops", drops);
-  nested("drops_by_reason", [&](JsonObject& o) {
-    for (const auto& [reason, n] : drops_by_reason) o.num(reason, n);
-  });
-  top.num("promoted_routes", promoted_routes);
-  top.num("breadcrumb_routes", breadcrumb_routes);
-  nested("promoted_by_reason", [&](JsonObject& o) {
-    for (const auto& [reason, n] : promoted_by_reason) o.num(reason, n);
-  });
-  top.num("epochs_published", epochs_published);
-  top.num("events_lost", events_lost);
-  const auto hist = [&](const std::string& name, const HistogramData& h) {
-    nested(name, [&](JsonObject& o) {
-      o.num("count", h.count);
-      o.num("mean", h.mean());
-      o.num("p50", h.quantile(0.5));
-      o.num("p90", h.quantile(0.9));
-      o.num("p99", h.quantile(0.99));
+  top.field("misroutes", misroutes);
+  counts("misroutes_by_class", misroutes_by_class);
+  top.field("sends", sends).field("drops", drops);
+  counts("drops_by_reason", drops_by_reason);
+  top.field("promoted_routes", promoted_routes)
+      .field("breadcrumb_routes", breadcrumb_routes);
+  counts("promoted_by_reason", promoted_by_reason);
+  top.field("epochs_published", epochs_published)
+      .field("events_lost", events_lost);
+  const auto hist = [&top](const char* name, const HistogramData& h) {
+    top.object(name, [&h](JsonWriter& o) {
+      o.field("count", h.count)
+          .field("mean", h.mean())
+          .field("p50", h.quantile(0.5))
+          .field("p90", h.quantile(0.9))
+          .field("p99", h.quantile(0.99));
     });
   };
   hist("hops_hist", hops_per_route);
-  top.num("sweep_points", sweep_points);
+  top.field("sweep_points", sweep_points);
   hist("sweep_wall_ms", sweep_wall_ms);
-  top.close();
 }
 
 }  // namespace slcube::obs

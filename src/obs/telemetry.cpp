@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
+
+#include "obs/jsonl.hpp"
+#include "obs/profiler.hpp"
 
 namespace slcube::obs {
 
@@ -87,13 +91,6 @@ void InstrumentationHooks::tick() const {
 
 namespace {
 
-void write_key(std::ostream& os, std::string_view prefix,
-               std::string_view name, std::string_view suffix = {}) {
-  os << ",\"" << prefix << name;
-  if (!suffix.empty()) os << '.' << suffix;
-  os << "\":";
-}
-
 /// The histogram of activity between two samples: bucketwise difference.
 /// The interval extremes are unknowable from cumulative buckets, so the
 /// running extremes clamp the interpolation instead (still exact bounds
@@ -118,42 +115,62 @@ void write_timeseries_jsonl(std::ostream& os,
                             bool include_wall_time) {
   const TimeSample* prev = nullptr;
   for (const TimeSample& s : samples) {
-    os << "{\"event\":\"ts_sample\",\"tick\":" << s.tick;
-    if (include_wall_time) os << ",\"t_ms\":" << s.t_ms;
-    for (const auto& [name, v] : s.snapshot.counters) {
-      write_key(os, "c.", name);
-      os << v;
-      const std::uint64_t before = prev ? prev->snapshot.counter(name) : 0;
-      write_key(os, "d.", name);
-      os << (v >= before ? v - before : 0);
+    {
+      JsonWriter w(os);
+      w.field("event", "ts_sample").field("tick", s.tick);
+      if (include_wall_time) w.field("t_ms", s.t_ms);
+      for (const auto& [name, v] : s.snapshot.counters) {
+        const std::uint64_t before = prev ? prev->snapshot.counter(name) : 0;
+        w.field("c." + name, v);
+        w.field("d." + name, v >= before ? v - before : 0);
+      }
+      for (const auto& [name, v] : s.snapshot.gauges) w.field("g." + name, v);
+      for (const auto& [name, h] : s.snapshot.histograms) {
+        const HistogramData d = interval_histogram(
+            h, prev ? prev->snapshot.histogram(name) : nullptr);
+        const std::string key = "h." + name + '.';
+        w.field(key + "count", h.count)
+            .field(key + "d_count", d.count)
+            .field(key + "mean", d.mean())
+            .field(key + "p50", d.quantile(0.50))
+            .field(key + "p90", d.quantile(0.90))
+            .field(key + "p99", d.quantile(0.99))
+            .field(key + "p999", d.quantile(0.999))
+            .field(key + "max", h.count ? h.max_seen : 0.0);
+      }
     }
-    for (const auto& [name, v] : s.snapshot.gauges) {
-      write_key(os, "g.", name);
-      os << v;
-    }
-    for (const auto& [name, h] : s.snapshot.histograms) {
-      const HistogramData* before =
-          prev ? prev->snapshot.histogram(name) : nullptr;
-      const HistogramData d = interval_histogram(h, before);
-      write_key(os, "h.", name, "count");
-      os << h.count;
-      write_key(os, "h.", name, "d_count");
-      os << d.count;
-      write_key(os, "h.", name, "mean");
-      os << d.mean();
-      write_key(os, "h.", name, "p50");
-      os << d.quantile(0.50);
-      write_key(os, "h.", name, "p90");
-      os << d.quantile(0.90);
-      write_key(os, "h.", name, "p99");
-      os << d.quantile(0.99);
-      write_key(os, "h.", name, "p999");
-      os << d.quantile(0.999);
-      write_key(os, "h.", name, "max");
-      os << (h.count ? h.max_seen : 0.0);
-    }
-    os << "}\n";
+    os << '\n';
     prev = &s;
+  }
+}
+
+namespace {
+
+void write_stage_lines(std::ostream& os, const StageNode& node,
+                       const std::string& prefix, unsigned depth,
+                       unsigned threads) {
+  const std::string path =
+      prefix.empty() ? node.name : prefix + "/" + node.name;
+  JsonWriter(os)
+      .field("event", "stage")
+      .field("path", path)
+      .field("name", node.name)
+      .field("depth", depth)
+      .field("count", node.count)
+      .field("total_us", node.total_us)
+      .field("self_us", node.self_us)
+      .field("threads", threads);
+  os << '\n';
+  for (const StageNode& c : node.children) {
+    write_stage_lines(os, c, path, depth + 1, threads);
+  }
+}
+
+}  // namespace
+
+void write_stage_jsonl(std::ostream& os, const StageReport& report) {
+  for (const StageNode& r : report.roots) {
+    write_stage_lines(os, r, "", 0, report.threads);
   }
 }
 

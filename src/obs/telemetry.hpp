@@ -12,8 +12,9 @@
 //    wall time and are inherently non-deterministic.
 //
 // Exporters: a JSONL time-series dialect ("ts_sample" lines, flat dotted
-// keys — the schema lives in EXPERIMENTS.md next to the trace-event
-// table) and Prometheus text exposition for the final snapshot.
+// keys), the profiler's stage tree ("stage" lines) — both written by
+// obs::JsonWriter and documented in EXPERIMENTS.md (TELEMETRY) — and
+// Prometheus text exposition for the final snapshot.
 #pragma once
 
 #include <chrono>
@@ -30,6 +31,7 @@
 namespace slcube::obs {
 
 class Profiler;
+struct StageReport;
 
 struct RecorderOptions {
   std::size_t capacity = 4096;       ///< ring size; oldest samples drop
@@ -118,6 +120,11 @@ struct InstrumentationHooks {
 void write_timeseries_jsonl(std::ostream& os,
                             const std::vector<TimeSample>& samples,
                             bool include_wall_time);
+
+/// One "stage" JSONL line per profiler stage, depth-first ("path" joins
+/// names with '/'): {"event":"stage","path":"trial/route","name":"route",
+/// "depth":1,"count":N,"total_us":X,"self_us":Y,"threads":T}.
+void write_stage_jsonl(std::ostream& os, const StageReport& report);
 
 /// Prometheus text exposition of one snapshot: names are sanitized
 /// ('.' -> '_') and prefixed "slcube_"; histograms emit cumulative

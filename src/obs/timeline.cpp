@@ -5,6 +5,9 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+
+#include "obs/jsonl.hpp"
 
 namespace slcube::obs {
 
@@ -14,30 +17,6 @@ constexpr int kPid = 1;
 constexpr int kTidEpochs = 1;
 constexpr int kTidRoutes = 2;
 constexpr int kTidBreadcrumbs = 3;
-
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 /// Comma-managed emitter for one trace event object inside the
 /// traceEvents array.
@@ -56,7 +35,7 @@ class Event {
 
   Event& name(std::string_view v) {
     os_ << ",\"name\":";
-    write_escaped(os_, v);
+    write_json_string(os_, v);
     return *this;
   }
   Event& ts(double v) {
@@ -71,15 +50,18 @@ class Event {
     os_ << ",\"s\":\"t\"";
     return *this;
   }
-  Event& arg(const char* key, double v) {
+  /// Numeric args are written as doubles, whatever their source type.
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  Event& arg(const char* key, T v) {
     open_args();
-    os_ << '"' << key << "\":" << v;
+    os_ << '"' << key << "\":" << static_cast<double>(v);
     return *this;
   }
   Event& arg(const char* key, std::string_view v) {
     open_args();
     os_ << '"' << key << "\":";
-    write_escaped(os_, v);
+    write_json_string(os_, v);
     return *this;
   }
 
@@ -96,17 +78,6 @@ class Event {
   bool in_args_ = false;
 };
 
-struct EpochRow {
-  double ts = 0;
-  double parent = 0;
-  std::string cause;
-  double node = -1;
-  double dim = -1;
-  double churn = 0;
-  double faults = 0;
-  double links = 0;
-};
-
 void write_thread_name(std::ostream& os, bool& first, int tid,
                        const char* label) {
   Event ev(os, first, "M", tid);
@@ -116,29 +87,21 @@ void write_thread_name(std::ostream& os, bool& first, int tid,
 }  // namespace
 
 TimelineStats write_chrome_trace(std::ostream& os,
-                                 const std::vector<ParsedEvent>& events,
+                                 const std::vector<TraceEvent>& events,
                                  const TimelineOptions& options) {
   TimelineStats stats;
 
   // Pass 1: collect the epoch lineage so slices can span to their
   // successor and routes can name the churn that produced their epoch.
-  std::map<double, EpochRow> epochs;  // epoch number -> row
+  std::map<std::uint64_t, EpochPublishEvent> epochs;
   double max_ts = 0;
-  for (const ParsedEvent& ev : events) {
-    if (ev.kind() == "epoch_publish") {
-      EpochRow row;
-      row.ts = ev.num("ts");
-      row.parent = ev.num("parent");
-      row.cause = std::string(ev.str("cause"));
-      row.node = ev.num("node", -1);
-      row.dim = ev.num("dim", -1);
-      row.churn = ev.num("churn");
-      row.faults = ev.num("faults");
-      row.links = ev.num("links");
-      epochs[ev.num("epoch")] = row;
-      max_ts = std::max(max_ts, row.ts);
-    } else if (ev.kind() == "route_summary") {
-      max_ts = std::max(max_ts, ev.num("route_id") + ev.num("hops") + 1);
+  for (const TraceEvent& ev : events) {
+    if (const auto* e = std::get_if<EpochPublishEvent>(&ev)) {
+      epochs[e->epoch] = *e;
+      max_ts = std::max(max_ts, static_cast<double>(e->ts));
+    } else if (const auto* r = std::get_if<RouteSummaryEvent>(&ev)) {
+      max_ts =
+          std::max(max_ts, static_cast<double>(r->route_id) + r->hops + 1);
     }
   }
 
@@ -158,71 +121,67 @@ TimelineStats write_chrome_trace(std::ostream& os,
   // Epoch slices: each spans to the next epoch's activation (the last
   // one extends to the end of the observed axis).
   for (auto it = epochs.begin(); it != epochs.end(); ++it) {
-    auto next = std::next(it);
-    const EpochRow& row = it->second;
-    double end = next != epochs.end() ? next->second.ts : max_ts + 1;
-    double dur = std::max(end - row.ts, 1.0);
+    const auto next = std::next(it);
+    const EpochPublishEvent& e = it->second;
+    const auto ts = static_cast<double>(e.ts);
+    const double end = next != epochs.end()
+                           ? static_cast<double>(next->second.ts)
+                           : max_ts + 1;
     {
       Event ev(os, first, "X", kTidEpochs);
-      ev.name("epoch " + std::to_string(static_cast<std::int64_t>(it->first)))
-          .ts(row.ts)
-          .dur(dur)
-          .arg("epoch", it->first)
-          .arg("parent", row.parent)
-          .arg("cause", std::string_view(row.cause))
-          .arg("churn", row.churn)
-          .arg("faults", row.faults)
-          .arg("links", row.links);
-      if (row.node >= 0) ev.arg("node", row.node);
-      if (row.dim >= 0) ev.arg("dim", row.dim);
+      ev.name("epoch " + std::to_string(e.epoch))
+          .ts(ts)
+          .dur(std::max(end - ts, 1.0))
+          .arg("epoch", e.epoch)
+          .arg("parent", e.parent)
+          .arg("cause", e.cause)
+          .arg("churn", e.churn)
+          .arg("faults", e.faults)
+          .arg("links", e.links);
+      if (e.node >= 0) ev.arg("node", e.node);
+      if (e.dim >= 0) ev.arg("dim", e.dim);
     }
     ++stats.epoch_slices;
-    if (row.churn > 0) {
+    if (e.churn > 0) {
       Event ev(os, first, "i", kTidEpochs);
-      ev.name("churn: " + row.cause).ts(row.ts).scope_thread().arg(
-          "records", row.churn);
+      ev.name(std::string("churn: ") + e.cause)
+          .ts(ts)
+          .scope_thread()
+          .arg("records", e.churn);
       ++stats.churn_instants;
     }
   }
 
   // Route slices and breadcrumb instants.
-  for (const ParsedEvent& ev : events) {
-    if (ev.kind() != "route_summary") {
-      if (ev.kind() != "epoch_publish") ++stats.events_skipped;
+  for (const TraceEvent& ev : events) {
+    const auto* r = std::get_if<RouteSummaryEvent>(&ev);
+    if (r == nullptr) {
+      if (!std::holds_alternative<EpochPublishEvent>(ev)) {
+        ++stats.events_skipped;
+      }
       continue;
     }
-    double route_id = ev.num("route_id");
-    double decision = ev.num("decision_epoch");
-    double ground = ev.num("ground_epoch");
-    std::string_view status = ev.str("status");
-    bool promoted = ev.boolean("promoted");
-    bool stale = ground > decision;
-    if (!promoted && !options.include_breadcrumbs) continue;
+    if (!r->promoted && !options.include_breadcrumbs) continue;
 
-    Event out(os, first, promoted ? "X" : "i",
-              promoted ? kTidRoutes : kTidBreadcrumbs);
-    out.name("route " + std::to_string(static_cast<std::int64_t>(route_id)) +
-             " (" + std::string(status) + ")");
-    out.ts(route_id);
-    if (promoted) {
-      out.dur(std::max(ev.num("hops"), 1.0));
+    Event out(os, first, r->promoted ? "X" : "i",
+              r->promoted ? kTidRoutes : kTidBreadcrumbs);
+    out.name("route " + std::to_string(r->route_id) + " (" + r->status + ")");
+    out.ts(static_cast<double>(r->route_id));
+    if (r->promoted) {
+      out.dur(std::max(static_cast<double>(r->hops), 1.0));
     } else {
       out.scope_thread();
     }
-    out.arg("decision_epoch", decision)
-        .arg("ground_epoch", ground)
-        .arg("status", status)
-        .arg("reason", ev.str("reason"))
-        .arg("hops", ev.num("hops"))
-        .arg("stale", stale ? 1.0 : 0.0);
-    if (ev.num("latency_us", -1.0) >= 0) {
-      out.arg("latency_us", ev.num("latency_us"));
-    }
-    auto it = epochs.find(decision);
-    if (it != epochs.end()) {
-      out.arg("decision_churn", std::string_view(it->second.cause));
-    }
-    if (promoted) {
+    out.arg("decision_epoch", r->decision_epoch)
+        .arg("ground_epoch", r->ground_epoch)
+        .arg("status", r->status)
+        .arg("reason", r->reason)
+        .arg("hops", r->hops)
+        .arg("stale", r->ground_epoch > r->decision_epoch ? 1 : 0);
+    if (r->latency_us >= 0) out.arg("latency_us", r->latency_us);
+    const auto it = epochs.find(r->decision_epoch);
+    if (it != epochs.end()) out.arg("decision_churn", it->second.cause);
+    if (r->promoted) {
       ++stats.route_slices;
     } else {
       ++stats.breadcrumb_instants;

@@ -1,8 +1,9 @@
 // slcube::obs — Chrome-trace / Perfetto timeline export for sampled
-// serving traces. Consumes the JSONL dialect the serving layer writes
-// (epoch_publish lineage, promoted route chains, route_summary records)
-// and renders one self-contained Trace Event Format object that
-// chrome://tracing and ui.perfetto.dev open directly:
+// serving traces. Consumes the typed events the serving layer traces
+// (epoch_publish lineage, promoted route chains, route_summary records),
+// live or read back from JSONL with read_trace_file, and renders one
+// self-contained Trace Event Format object that chrome://tracing and
+// ui.perfetto.dev open directly:
 //
 //   * each published epoch becomes a duration slice ("X") on the
 //     "epochs" track, spanning from its activation timestamp to its
@@ -27,7 +28,7 @@
 #include <iosfwd>
 #include <vector>
 
-#include "obs/jsonl.hpp"
+#include "obs/trace.hpp"
 
 namespace slcube::obs {
 
@@ -45,16 +46,16 @@ struct TimelineStats {
   std::uint64_t churn_instants = 0;
   std::uint64_t route_slices = 0;
   std::uint64_t breadcrumb_instants = 0;
-  std::uint64_t events_skipped = 0;  ///< parsed lines with no timeline shape
+  std::uint64_t events_skipped = 0;  ///< events with no timeline shape
 };
 
-/// Render `events` (as parsed by read_jsonl_file / parse_jsonl_line)
-/// into one Chrome Trace Event Format JSON object on `os`. Events that
-/// have no timeline shape (hops, sends, gs rounds, ...) are counted in
-/// events_skipped, not errors — the exporter is meant to run over the
-/// same JSONL file the audit reads.
+/// Render `events` (e.g. from read_trace_file) into one Chrome Trace
+/// Event Format JSON object on `os`. Events that have no timeline shape
+/// (hops, sends, gs rounds, ...) are counted in events_skipped, not
+/// errors — the exporter is meant to run over the same JSONL file the
+/// audit reads.
 TimelineStats write_chrome_trace(std::ostream& os,
-                                 const std::vector<ParsedEvent>& events,
+                                 const std::vector<TraceEvent>& events,
                                  const TimelineOptions& options = {});
 
 }  // namespace slcube::obs

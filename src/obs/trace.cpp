@@ -2,8 +2,12 @@
 
 #include <fstream>
 #include <ostream>
+#include <set>
+#include <type_traits>
+#include <utility>
 
 #include "common/contracts.hpp"
+#include "obs/jsonl.hpp"
 
 namespace slcube::obs {
 
@@ -19,210 +23,105 @@ const char* to_string(MsgKind k) {
 
 namespace {
 
-struct NameVisitor {
-  const char* operator()(const SourceDecisionEvent&) const {
-    return "source_decision";
-  }
-  const char* operator()(const HopEvent&) const { return "hop"; }
-  const char* operator()(const RouteDoneEvent&) const { return "route_done"; }
-  const char* operator()(const GsRoundEvent&) const { return "gs_round"; }
-  const char* operator()(const MessageSendEvent&) const { return "send"; }
-  const char* operator()(const MessageDropEvent&) const { return "drop"; }
-  const char* operator()(const NodeFailEvent&) const { return "node_fail"; }
-  const char* operator()(const NodeRecoverEvent&) const {
-    return "node_recover";
-  }
-  const char* operator()(const MisrouteEvent&) const { return "misroute"; }
-  const char* operator()(const EpochPublishEvent&) const {
-    return "epoch_publish";
-  }
-  const char* operator()(const RouteSummaryEvent&) const {
-    return "route_summary";
-  }
-  const char* operator()(const SpanEvent&) const { return "span"; }
-  const char* operator()(const SweepPointEvent&) const { return "sweep_point"; }
-};
+/// Process-lifetime string pool backing the const char* fields of
+/// reconstructed events (producers point them at string literals).
+const char* intern(std::string_view s) {
+  static std::mutex mutex;
+  static std::set<std::string, std::less<>> pool;
+  const std::scoped_lock lock(mutex);
+  auto it = pool.find(s);
+  if (it == pool.end()) it = pool.emplace(s).first;
+  return it->c_str();
+}
 
-/// Comma-managed field emitter for one JSON object.
-class Fields {
- public:
-  explicit Fields(std::ostream& os, const char* event) : os_(os) {
-    os_ << "{\"event\":\"" << event << '"';
-  }
-  ~Fields() { os_ << '}'; }
-  Fields(const Fields&) = delete;
-  Fields& operator=(const Fields&) = delete;
+using Values = std::vector<std::pair<std::string, double>>;
 
-  void num(const char* key, double v) { prefix(key) << v; }
-  void num(const char* key, std::uint64_t v) { prefix(key) << v; }
-  void num(const char* key, unsigned v) { prefix(key) << v; }
-  void num(const char* key, int v) { prefix(key) << v; }
-  void boolean(const char* key, bool v) {
-    prefix(key) << (v ? "true" : "false");
+void put(JsonWriter& w, const char* key, const auto& v) {
+  using T = std::decay_t<decltype(v)>;
+  if constexpr (std::is_same_v<T, MsgKind>) {
+    w.field(key, to_string(v));
+  } else if constexpr (std::is_same_v<T, Values>) {
+    w.object(key, [&v](JsonWriter& o) {
+      for (const auto& [name, value] : v) o.field(name, value);
+    });
+  } else {
+    w.field(key, v);
   }
-  void str(const char* key, std::string_view v) {
-    auto& os = prefix(key);
-    os << '"';
-    for (const char c : v) {
-      if (c == '"' || c == '\\') os << '\\';
-      os << c;
-    }
-    os << '"';
-  }
+}
 
-  std::ostream& raw(const char* key) { return prefix(key); }
-
- private:
-  std::ostream& prefix(const char* key) {
-    os_ << ",\"" << key << "\":";
-    return os_;
-  }
-  std::ostream& os_;
-};
-
-struct JsonVisitor {
-  std::ostream& os;
-
-  void operator()(const SourceDecisionEvent& e) const {
-    Fields f(os, "source_decision");
-    f.num("source", e.source);
-    f.num("dest", e.dest);
-    f.num("h", e.hamming);
-    f.boolean("c1", e.c1);
-    f.boolean("c2", e.c2);
-    f.boolean("c3", e.c3);
-    f.num("chosen_dim", e.chosen_dim);
-    f.num("ties", e.ties);
-    f.boolean("spare", e.spare);
-    f.boolean("egs", e.egs);
-    f.num("self_level", e.self_level);
-    f.boolean("dest_link_faulty", e.dest_link_faulty);
-  }
-  void operator()(const HopEvent& e) const {
-    Fields f(os, "hop");
-    f.num("from", e.from);
-    f.num("to", e.to);
-    f.num("dim", e.dim);
-    f.num("level", e.level);
-    f.num("nav_before", e.nav_before);
-    f.num("nav_after", e.nav_after);
-    f.boolean("preferred", e.preferred);
-    f.num("ties", e.ties);
-  }
-  void operator()(const RouteDoneEvent& e) const {
-    Fields f(os, "route_done");
-    f.num("source", e.source);
-    f.num("dest", e.dest);
-    f.str("status", e.status);
-    f.num("hops", e.hops);
-  }
-  void operator()(const GsRoundEvent& e) const {
-    Fields f(os, "gs_round");
-    f.num("round", e.round);
-    f.num("changed", e.changed);
-    f.num("messages", e.messages);
-    f.num("time", e.sim_time);
-    f.boolean("egs", e.egs);
-    f.boolean("periodic", e.periodic);
-  }
-  void operator()(const MessageSendEvent& e) const {
-    Fields f(os, "send");
-    f.num("time", e.time);
-    f.num("from", e.from);
-    f.num("to", e.to);
-    f.str("kind", to_string(e.kind));
-  }
-  void operator()(const MessageDropEvent& e) const {
-    Fields f(os, "drop");
-    f.num("time", e.time);
-    f.num("from", e.from);
-    f.num("to", e.to);
-    f.str("kind", to_string(e.kind));
-    f.str("reason", e.reason);
-  }
-  void operator()(const NodeFailEvent& e) const {
-    Fields f(os, "node_fail");
-    f.num("time", e.time);
-    f.num("node", e.node);
-  }
-  void operator()(const NodeRecoverEvent& e) const {
-    Fields f(os, "node_recover");
-    f.num("time", e.time);
-    f.num("node", e.node);
-  }
-  void operator()(const MisrouteEvent& e) const {
-    Fields f(os, "misroute");
-    f.num("source", e.source);
-    f.num("dest", e.dest);
-    f.str("cls", e.cls);
-    f.num("drop_node", e.drop_node);
-    f.num("hops_taken", e.hops_taken);
-    f.boolean("ground_feasible", e.ground_feasible);
-  }
-  void operator()(const EpochPublishEvent& e) const {
-    Fields f(os, "epoch_publish");
-    f.num("epoch", e.epoch);
-    f.num("parent", e.parent);
-    f.str("cause", e.cause);
-    f.num("node", static_cast<int>(e.node));
-    f.num("dim", e.dim);
-    f.num("churn", e.churn);
-    f.num("faults", e.faults);
-    f.num("links", e.links);
-    f.num("ts", e.ts);
-  }
-  void operator()(const RouteSummaryEvent& e) const {
-    Fields f(os, "route_summary");
-    f.num("route_id", e.route_id);
-    f.num("decision_epoch", e.decision_epoch);
-    f.num("ground_epoch", e.ground_epoch);
-    f.str("status", e.status);
-    f.num("hops", e.hops);
-    f.num("latency_us", e.latency_us);
-    f.boolean("promoted", e.promoted);
-    f.str("reason", e.reason);
-  }
-  void operator()(const SpanEvent& e) const {
-    Fields f(os, "span");
-    f.str("name", e.name);
-    f.num("micros", e.micros);
-    f.num("items", e.items);
-  }
-  void operator()(const SweepPointEvent& e) const {
-    Fields f(os, "sweep_point");
-    f.str("sweep", e.sweep);
-    f.num("fault_count", e.fault_count);
-    f.num("wall_ms", e.wall_ms);
-    f.num("utilization", e.utilization);
-    f.num("threads", e.threads);
-    f.num("trial_p50_us", e.trial_p50_us);
-    f.num("trial_p90_us", e.trial_p90_us);
-    f.num("trial_p99_us", e.trial_p99_us);
-    auto& raw = f.raw("values");
-    raw << '{';
-    bool first = true;
-    for (const auto& [key, value] : e.values) {
-      if (!first) raw << ',';
-      first = false;
-      raw << '"';
-      for (const char c : key) {
-        if (c == '"' || c == '\\') raw << '\\';
-        raw << c;
+/// Overwrite `v` from `p[key]` when the key is there with the right type;
+/// otherwise `v` keeps its default.
+void get(const ParsedEvent& p, const char* key, auto& v) {
+  using T = std::decay_t<decltype(v)>;
+  if constexpr (std::is_same_v<T, MsgKind>) {
+    v = p.str(key, to_string(v)) == to_string(MsgKind::kUnicast)
+            ? MsgKind::kUnicast
+            : MsgKind::kLevelUpdate;
+  } else if constexpr (std::is_same_v<T, Values>) {
+    const std::string prefix = std::string(key) + '.';
+    for (const auto& [name, value] : p.fields) {
+      const double* d = std::get_if<double>(&value);
+      if (name.size() > prefix.size() && name.starts_with(prefix)) {
+        v.emplace_back(name.substr(prefix.size()), d != nullptr ? *d : 0.0);
       }
-      raw << "\":" << value;
     }
-    raw << '}';
+  } else if constexpr (std::is_same_v<T, const char*>) {
+    v = intern(p.str(key, v));
+  } else if constexpr (std::is_same_v<T, bool>) {
+    v = p.boolean(key, v);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    v = p.num(key, v);
+  } else {
+    v = static_cast<T>(p.integer(key, static_cast<std::int64_t>(v)));
   }
-};
+}
+
+template <typename E>
+bool read_as(const ParsedEvent& p, TraceEvent& out) {
+  if (p.kind() != E::kName) return false;
+  E e;
+  E::fields(e, [&p](const char* key, auto& v) { get(p, key, v); });
+  out = std::move(e);
+  return true;
+}
 
 }  // namespace
 
 const char* event_name(const TraceEvent& ev) {
-  return std::visit(NameVisitor{}, ev);
+  return std::visit([](const auto& e) { return e.kName; }, ev);
 }
 
 void write_json(std::ostream& os, const TraceEvent& ev) {
-  std::visit(JsonVisitor{os}, ev);
+  std::visit(
+      [&os](const auto& e) {
+        JsonWriter w(os);
+        w.field("event", e.kName);
+        e.fields(e, [&w](const char* key, const auto& v) { put(w, key, v); });
+      },
+      ev);
+}
+
+bool to_trace_event(const ParsedEvent& parsed, TraceEvent& out) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return (read_as<std::variant_alternative_t<I, TraceEvent>>(parsed, out) ||
+            ...);
+  }(std::make_index_sequence<std::variant_size_v<TraceEvent>>{});
+}
+
+std::vector<TraceEvent> read_trace_file(const std::string& path,
+                                        std::size_t* malformed,
+                                        std::size_t* unknown) {
+  if (unknown != nullptr) *unknown = 0;
+  std::vector<TraceEvent> out;
+  for (const ParsedEvent& parsed : read_jsonl_file(path, malformed)) {
+    TraceEvent ev;
+    if (to_trace_event(parsed, ev)) {
+      out.push_back(std::move(ev));
+    } else if (unknown != nullptr) {
+      ++*unknown;
+    }
+  }
+  return out;
 }
 
 // --- RingBufferSink --------------------------------------------------------

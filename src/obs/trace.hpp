@@ -7,11 +7,18 @@
 // Cost model: producers hold a nullable `TraceSink*` and construct events
 // only inside an `if (sink)` guard, so the untraced hot path pays one
 // predictable branch. The routers check once per route and then run an
-// untraced walk with no trace code at all (core/walk.hpp). Three sinks ship: NullSink (explicit no-op),
-// RingBufferSink (bounded in-memory flight recorder for post-mortems),
-// and JsonlSink (one JSON object per line, stable field names — the
-// schema is documented in EXPERIMENTS.md and consumed by
-// examples/inspect --replay).
+// untraced walk with no trace code at all (core/walk.hpp). Three sinks
+// ship: NullSink (explicit no-op), RingBufferSink (bounded in-memory
+// flight recorder for post-mortems), and JsonlSink (one JSON object per
+// line).
+//
+// The JSONL schema is declared here and nowhere else: each event struct
+// names its "event" value (kName) and lists its fields once, in wire
+// order, as f("key", e.member) calls in fields(). event_name, write_json
+// and to_trace_event are generated from those declarations, so the
+// writer and every reader (audit, inspect --replay, the timeline) spell
+// each key once; EXPERIMENTS.md's schema table mirrors this file.
+// Reading a line that lacks a declared key leaves that member's default.
 //
 // Locking contract: TraceSink::on_event makes no thread-safety promise
 // by itself — each concrete sink documents its own. NullSink is
@@ -56,6 +63,22 @@ struct SourceDecisionEvent {
   bool egs = false;          ///< decided under the EGS two-view tables
   unsigned self_level = 0;   ///< source's self-view level — C1's input
   bool dest_link_faulty = false;  ///< footnote 3: dest across a dead link
+
+  static constexpr const char* kName = "source_decision";
+  static void fields(auto& e, auto&& f) {
+    f("source", e.source);
+    f("dest", e.dest);
+    f("h", e.hamming);
+    f("c1", e.c1);
+    f("c2", e.c2);
+    f("c3", e.c3);
+    f("chosen_dim", e.chosen_dim);
+    f("ties", e.ties);
+    f("spare", e.spare);
+    f("egs", e.egs);
+    f("self_level", e.self_level);
+    f("dest_link_faulty", e.dest_link_faulty);
+  }
 };
 
 /// One forwarding step (preferred hop, or the single spare detour hop).
@@ -68,6 +91,18 @@ struct HopEvent {
   std::uint32_t nav_after = 0;   ///< navigation vector carried to `to`
   bool preferred = true;         ///< false for the spare detour
   unsigned ties = 0;
+
+  static constexpr const char* kName = "hop";
+  static void fields(auto& e, auto&& f) {
+    f("from", e.from);
+    f("to", e.to);
+    f("dim", e.dim);
+    f("level", e.level);
+    f("nav_before", e.nav_before);
+    f("nav_after", e.nav_after);
+    f("preferred", e.preferred);
+    f("ties", e.ties);
+  }
 };
 
 /// Terminal outcome of one unicast.
@@ -76,6 +111,14 @@ struct RouteDoneEvent {
   NodeId dest = 0;
   const char* status = "";  ///< to_string of the route status
   unsigned hops = 0;
+
+  static constexpr const char* kName = "route_done";
+  static void fields(auto& e, auto&& f) {
+    f("source", e.source);
+    f("dest", e.dest);
+    f("status", e.status);
+    f("hops", e.hops);
+  }
 };
 
 /// One completed GS/EGS stabilization round (or periodic wave).
@@ -89,6 +132,16 @@ struct GsRoundEvent {
   /// `changed` counts useful register refreshes, so the paper's "n-1
   /// rounds to stabilize" bound does not apply.
   bool periodic = false;
+
+  static constexpr const char* kName = "gs_round";
+  static void fields(auto& e, auto&& f) {
+    f("round", e.round);
+    f("changed", e.changed);
+    f("messages", e.messages);
+    f("time", e.sim_time);
+    f("egs", e.egs);
+    f("periodic", e.periodic);
+  }
 };
 
 /// A message entered the wire.
@@ -97,6 +150,14 @@ struct MessageSendEvent {
   NodeId from = 0;
   NodeId to = 0;
   MsgKind kind = MsgKind::kLevelUpdate;
+
+  static constexpr const char* kName = "send";
+  static void fields(auto& e, auto&& f) {
+    f("time", e.time);
+    f("from", e.from);
+    f("to", e.to);
+    f("kind", e.kind);
+  }
 };
 
 /// A message died at delivery time (faulty link, or dead recipient).
@@ -106,16 +167,37 @@ struct MessageDropEvent {
   NodeId to = 0;
   MsgKind kind = MsgKind::kLevelUpdate;
   const char* reason = "";  ///< "dead-node" | "faulty-link"
+
+  static constexpr const char* kName = "drop";
+  static void fields(auto& e, auto&& f) {
+    f("time", e.time);
+    f("from", e.from);
+    f("to", e.to);
+    f("kind", e.kind);
+    f("reason", e.reason);
+  }
 };
 
 struct NodeFailEvent {
   std::uint64_t time = 0;
   NodeId node = 0;
+
+  static constexpr const char* kName = "node_fail";
+  static void fields(auto& e, auto&& f) {
+    f("time", e.time);
+    f("node", e.node);
+  }
 };
 
 struct NodeRecoverEvent {
   std::uint64_t time = 0;
   NodeId node = 0;
+
+  static constexpr const char* kName = "node_recover";
+  static void fields(auto& e, auto&& f) {
+    f("time", e.time);
+    f("node", e.node);
+  }
 };
 
 /// Diagnosed-routing postmortem: how a route planned on the *presumed*
@@ -129,6 +211,16 @@ struct MisrouteEvent {
   int drop_node = -1;    ///< ground-faulty node the route died at, or -1
   unsigned hops_taken = 0;      ///< hops actually traversed before the end
   bool ground_feasible = false; ///< ground-truth source decision was feasible
+
+  static constexpr const char* kName = "misroute";
+  static void fields(auto& e, auto&& f) {
+    f("source", e.source);
+    f("dest", e.dest);
+    f("cls", e.cls);
+    f("drop_node", e.drop_node);
+    f("hops_taken", e.hops_taken);
+    f("ground_feasible", e.ground_feasible);
+  }
 };
 
 /// A new safety-table epoch was published by svc::SnapshotOracle,
@@ -150,6 +242,19 @@ struct EpochPublishEvent {
   /// workloads re-stamp the request index at which the epoch activates,
   /// so epochs and route ids share one axis in timeline exports.
   std::uint64_t ts = 0;
+
+  static constexpr const char* kName = "epoch_publish";
+  static void fields(auto& e, auto&& f) {
+    f("epoch", e.epoch);
+    f("parent", e.parent);
+    f("cause", e.cause);
+    f("node", e.node);
+    f("dim", e.dim);
+    f("churn", e.churn);
+    f("faults", e.faults);
+    f("links", e.links);
+    f("ts", e.ts);
+  }
 };
 
 /// Per-route verdict from obs::SamplingSink: emitted after the full
@@ -166,6 +271,18 @@ struct RouteSummaryEvent {
   double latency_us = -1.0;  ///< < 0 = not measured (ticks mode)
   bool promoted = false;     ///< full chain retained (precedes this event)
   const char* reason = "";   ///< promotion reason, "none" for breadcrumbs
+
+  static constexpr const char* kName = "route_summary";
+  static void fields(auto& e, auto&& f) {
+    f("route_id", e.route_id);
+    f("decision_epoch", e.decision_epoch);
+    f("ground_epoch", e.ground_epoch);
+    f("status", e.status);
+    f("hops", e.hops);
+    f("latency_us", e.latency_us);
+    f("promoted", e.promoted);
+    f("reason", e.reason);
+  }
 };
 
 /// A timed region finished (sweep point, bench phase, ...).
@@ -173,6 +290,13 @@ struct SpanEvent {
   const char* name = "";
   double micros = 0.0;
   std::uint64_t items = 0;  ///< work units inside the span (0 = unset)
+
+  static constexpr const char* kName = "span";
+  static void fields(auto& e, auto&& f) {
+    f("name", e.name);
+    f("micros", e.micros);
+    f("items", e.items);
+  }
 };
 
 /// Per-point summary of an experiment sweep: timing, worker utilization,
@@ -186,7 +310,21 @@ struct SweepPointEvent {
   double trial_p50_us = 0.0;
   double trial_p90_us = 0.0;
   double trial_p99_us = 0.0;
+  /// Flattened result metrics, written as one nested object.
   std::vector<std::pair<std::string, double>> values;
+
+  static constexpr const char* kName = "sweep_point";
+  static void fields(auto& e, auto&& f) {
+    f("sweep", e.sweep);
+    f("fault_count", e.fault_count);
+    f("wall_ms", e.wall_ms);
+    f("utilization", e.utilization);
+    f("threads", e.threads);
+    f("trial_p50_us", e.trial_p50_us);
+    f("trial_p90_us", e.trial_p90_us);
+    f("trial_p99_us", e.trial_p99_us);
+    f("values", e.values);
+  }
 };
 
 using TraceEvent =
@@ -195,11 +333,29 @@ using TraceEvent =
                  NodeRecoverEvent, MisrouteEvent, EpochPublishEvent,
                  RouteSummaryEvent, SpanEvent, SweepPointEvent>;
 
+struct ParsedEvent;  // obs/jsonl.hpp
+
 /// The stable "event" field value each alternative serializes under.
 [[nodiscard]] const char* event_name(const TraceEvent& ev);
 
-/// Serialize one event as a single-line JSON object (no trailing newline).
+/// Serialize one event as a single-line JSON object (no trailing newline):
+/// "event" first, then every declared field in declaration order.
 void write_json(std::ostream& os, const TraceEvent& ev);
+
+/// The inverse of write_json: rebuild the typed event a parsed line
+/// names. Returns false when the "event" discriminator is missing or
+/// unknown. A declared key absent from the line (or holding a value of
+/// the wrong type) leaves the member's default. String fields are
+/// interned in a process-lifetime pool so the const char* members stay
+/// valid.
+[[nodiscard]] bool to_trace_event(const ParsedEvent& parsed, TraceEvent& out);
+
+/// Read a JSONL trace file into typed events, in file order. `malformed`
+/// / `unknown` (optional) receive the counts of unparseable lines and of
+/// lines that are not trace events.
+[[nodiscard]] std::vector<TraceEvent> read_trace_file(
+    const std::string& path, std::size_t* malformed = nullptr,
+    std::size_t* unknown = nullptr);
 
 class TraceSink {
  public:

@@ -16,6 +16,7 @@
 #include "core/unicast.hpp"
 #include "fault/injection.hpp"
 #include "obs/audit.hpp"
+#include "obs/jsonl.hpp"
 #include "sim/protocol_gs.hpp"
 #include "sim/protocol_unicast.hpp"
 #include "workload/pair_sampler.hpp"
@@ -612,6 +613,35 @@ TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
   sp.trial_p99_us = 3;
   sp.values = {{"delivered_pct", 99.5}, {"optimal_pct", 90.25}};
   originals.emplace_back(sp);
+  EpochPublishEvent epoch;
+  epoch.epoch = 12;
+  epoch.parent = 11;
+  epoch.cause = "link-fail";
+  epoch.node = 37;
+  epoch.dim = 3;
+  epoch.churn = 2;
+  epoch.faults = 5;
+  epoch.links = 4;
+  epoch.ts = 901;
+  originals.emplace_back(epoch);
+  RouteSummaryEvent summary;
+  summary.route_id = 77;
+  summary.decision_epoch = 11;
+  summary.ground_epoch = 12;
+  summary.status = "dropped-link";
+  summary.hops = 2;
+  summary.latency_us = 3.5;
+  summary.promoted = true;
+  summary.reason = "stale";
+  originals.emplace_back(summary);
+
+  // A 14th event kind added without a sample here fails this check.
+  std::vector<bool> covered(std::variant_size_v<TraceEvent>, false);
+  for (const TraceEvent& ev : originals) covered[ev.index()] = true;
+  for (std::size_t i = 0; i < covered.size(); ++i) {
+    EXPECT_TRUE(covered[i]) << "no round-trip sample for TraceEvent index "
+                            << i;
+  }
 
   for (const TraceEvent& ev : originals) {
     std::ostringstream first;
@@ -630,6 +660,38 @@ TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
   unknown.fields.emplace("event", std::string("martian"));
   TraceEvent out;
   EXPECT_FALSE(to_trace_event(unknown, out));
+}
+
+TEST(Audit, ToTraceEventLeavesDefaultsForAbsentKeys) {
+  // The writer never omits a key; a hand-written line that does reads
+  // back the member's declared default, not zero.
+  TraceEvent out;
+  const auto hop =
+      parse_jsonl_line(R"({"event":"hop","from":1,"to":3,"dim":1})");
+  ASSERT_TRUE(hop.has_value());
+  ASSERT_TRUE(to_trace_event(*hop, out));
+  EXPECT_TRUE(std::get<HopEvent>(out).preferred);
+  EXPECT_EQ(std::get<HopEvent>(out).to, 3u);
+
+  const auto src = parse_jsonl_line(
+      R"({"event":"source_decision","source":1,"dest":6,"h":3,"c1":true})");
+  ASSERT_TRUE(src.has_value());
+  ASSERT_TRUE(to_trace_event(*src, out));
+  EXPECT_EQ(std::get<SourceDecisionEvent>(out).chosen_dim, -1);
+  EXPECT_TRUE(std::get<SourceDecisionEvent>(out).c1);
+
+  const auto epoch =
+      parse_jsonl_line(R"({"event":"epoch_publish","epoch":4})");
+  ASSERT_TRUE(epoch.has_value());
+  ASSERT_TRUE(to_trace_event(*epoch, out));
+  EXPECT_EQ(std::get<EpochPublishEvent>(out).node, -1);
+  EXPECT_EQ(std::get<EpochPublishEvent>(out).dim, -1);
+
+  const auto summary =
+      parse_jsonl_line(R"({"event":"route_summary","route_id":9})");
+  ASSERT_TRUE(summary.has_value());
+  ASSERT_TRUE(to_trace_event(*summary, out));
+  EXPECT_DOUBLE_EQ(std::get<RouteSummaryEvent>(out).latency_us, -1.0);
 }
 
 // --- report plumbing -----------------------------------------------------

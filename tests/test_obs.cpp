@@ -387,17 +387,23 @@ TEST(Trace, ParserSurvivesTruncationFuzz) {
 }
 
 TEST(Trace, EscapedStringsRoundTrip) {
+  // The one escaping rule: quotes and backslashes escaped, control bytes
+  // as \n \t \r or \u00XX, so a line never carries a raw control byte.
+  const char* const name = "quote \" backslash \\ nl \n tab \t cr \r bell \a";
   std::ostringstream os;
   {
     JsonlSink sink(os);
-    sink.on_event(SpanEvent{"quote \" backslash \\ done", 1.0, 0});
+    sink.on_event(SpanEvent{name, 1.0, 0});
   }
   std::string line = os.str();
   ASSERT_FALSE(line.empty());
   line.pop_back();  // the sink terminates the line; the parser is line-scoped
+  for (const char c : line) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << line;
+  }
   const auto parsed = parse_jsonl_line(line);
   ASSERT_TRUE(parsed.has_value()) << line;
-  EXPECT_EQ(parsed->str("name"), "quote \" backslash \\ done");
+  EXPECT_EQ(parsed->str("name"), name);
 }
 
 TEST(Trace, RingBufferSurvivesConcurrentWriters) {

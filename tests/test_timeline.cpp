@@ -1,10 +1,10 @@
 // obs::write_chrome_trace — the Chrome-trace / Perfetto exporter. The
 // tests run the real pipeline end to end: TraceEvents are serialized by
 // write_json (the JSONL dialect bench_service --jsonl writes), parsed
-// back with parse_jsonl_line, and rendered; assertions then check both
-// the TimelineStats accounting and the Trace Event Format shape that
-// chrome://tracing actually requires (ph/pid/tid/ts/dur, "s":"t"
-// instants, metadata rows).
+// back with parse_jsonl_line and to_trace_event, and rendered;
+// assertions then check both the TimelineStats accounting and the Trace
+// Event Format shape that chrome://tracing actually requires
+// (ph/pid/tid/ts/dur, "s":"t" instants, metadata rows).
 #include "obs/timeline.hpp"
 
 #include <gtest/gtest.h>
@@ -19,14 +19,16 @@
 namespace slcube::obs {
 namespace {
 
-std::vector<ParsedEvent> parse_events(const std::vector<TraceEvent>& events) {
-  std::vector<ParsedEvent> out;
+std::vector<TraceEvent> parse_events(const std::vector<TraceEvent>& events) {
+  std::vector<TraceEvent> out;
   for (const TraceEvent& ev : events) {
     std::ostringstream line;
     write_json(line, ev);
     const auto parsed = parse_jsonl_line(line.str());
-    EXPECT_TRUE(parsed.has_value()) << line.str();
-    if (parsed.has_value()) out.push_back(*parsed);
+    TraceEvent typed;
+    const bool ok = parsed.has_value() && to_trace_event(*parsed, typed);
+    EXPECT_TRUE(ok) << line.str();
+    if (ok) out.push_back(typed);
   }
   return out;
 }
