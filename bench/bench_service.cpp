@@ -157,13 +157,6 @@ bool snapshot_matches_scratch(const topo::Hypercube& cube,
          scratch.self_view == snap.self_view;
 }
 
-/// Swallows everything: the downstream for sampler passes that measure
-/// promotion cost without paying for a consumer.
-class NullSink final : public obs::TraceSink {
- public:
-  void on_event(const obs::TraceEvent&) override {}
-};
-
 // ---------------------------------------------------------------------------
 // --sample: the tail-sampled tracing benchmark. Replaces the racing
 // churn writer with a workload::ServiceScript (every request a pure
@@ -236,9 +229,9 @@ void fold(const obs::RouteSummary& summary, SampleTally& tally) {
   if (summary.dropped || summary.detour || summary.stale()) ++tally.anomalies;
 }
 
-/// Replay mode (the measured configuration): serve untraced, offer the
-/// summary; only a promoted route is re-served traced to regenerate its
-/// chain — unpromoted routes never pay event construction.
+/// Serve untraced and offer the summary; only a promoted route is
+/// re-served traced to regenerate its chain — unpromoted routes never pay
+/// event construction.
 void serve_replay(const workload::ServiceScript& script, std::uint64_t i,
                   std::uint64_t requests, obs::SamplingSink& sampler,
                   ChainCollector& collector, SampleTally& tally) {
@@ -257,25 +250,6 @@ void serve_replay(const workload::ServiceScript& script, std::uint64_t i,
     (void)script.serve(req, serve_opt);  // deterministic: same chain
     sampler.replay_chain(summary, offer.reason, collector.events);
   }
-  fold(summary, tally);
-}
-
-/// Buffered mode (the audited pass): every event buffers through the
-/// sampler, promoted chains forward at end_route.
-void serve_buffered(const workload::ServiceScript& script, std::uint64_t i,
-                    std::uint64_t requests, obs::SamplingSink& sampler,
-                    SampleTally& tally) {
-  const auto req = script.request(i, requests);
-  if (!req.has_pair) {
-    ++tally.no_pair;
-    return;
-  }
-  sampler.begin_route(req.route_id);
-  svc::ServeOptions serve_opt;
-  serve_opt.trace = &sampler;
-  const svc::ServeResult res = script.serve(req, serve_opt);
-  const obs::RouteSummary summary = workload::ServiceScript::summarize(req, res);
-  sampler.end_route(summary);
   fold(summary, tally);
 }
 
@@ -313,7 +287,7 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
   constexpr int kTimingReps = 4;
   std::vector<SampleTally> untraced_tallies(readers);
   std::vector<SampleTally> sampled_tallies(readers);
-  NullSink null_b;
+  obs::NullSink null_b;
   std::unique_ptr<obs::SamplingSink> sampler_b;
   double untraced_ms = std::numeric_limits<double>::infinity();
   double sampled_ms = std::numeric_limits<double>::infinity();
@@ -388,7 +362,7 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
 
   // --- pass C: same workload, different thread count -> same digest ----
   const unsigned alt_readers = readers == 1 ? 4 : 1;
-  NullSink null_c;
+  obs::NullSink null_c;
   obs::SamplingSink sampler_c(&null_c, make_sampling_config(svc_opt, false));
   std::vector<SampleTally> alt_tallies(alt_readers);
   std::vector<ChainCollector> collectors_c(alt_readers);
@@ -411,14 +385,14 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
   obs::TeeSink tee(fanout);
   // Breadcrumb summaries on when a JSONL artifact is requested, so the
   // exported timeline shows the unpromoted remainder too.
-  // Buffered mode here: the audited pass exercises the second
-  // integration path, and its digest must match the replay passes'.
   obs::SamplingSink sampler_d(
       &tee, make_sampling_config(svc_opt, jsonl != nullptr));
   script.emit_epoch_events(sampler_d, requests);
   std::vector<SampleTally> audited_tallies(readers);
+  std::vector<ChainCollector> collectors_d(readers);
   run_scripted_pass(requests, readers, [&](unsigned r, std::uint64_t i) {
-    serve_buffered(script, i, requests, sampler_d, audited_tallies[r]);
+    serve_replay(script, i, requests, sampler_d, collectors_d[r],
+                 audited_tallies[r]);
   });
   const obs::SamplingSink::Stats audited = sampler_d.stats();
   audit.reconcile_sampling(audited.promoted, audited.breadcrumb_only,
@@ -442,10 +416,9 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
       reason_count(obs::PromoteReason::kStale) +
       reason_count(obs::PromoteReason::kMisroute);
   // 100% tail retention: every anomalous route kept its full chain (no
-  // budget sheds, no chain overflows, counts agree with ground truth).
+  // budget sheds, counts agree with ground truth).
   const bool retention_full = promoted_anomalies == sampled_total.anomalies &&
-                              stats.shed_routes == 0 &&
-                              stats.overflow_routes == 0;
+                              stats.shed_routes == 0;
   // Pass A and pass B saw the same workload (the script is a pure
   // function of the request index).
   const bool passes_identical =

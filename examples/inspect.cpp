@@ -110,10 +110,6 @@ struct Narrator {
                 static_cast<unsigned long long>(e.time),
                 label(e.node).c_str());
   }
-  void operator()(const obs::SpanEvent& e) const {
-    std::printf("span %s: %.0f us (%llu item(s))\n", e.name, e.micros,
-                static_cast<unsigned long long>(e.items));
-  }
   void operator()(const obs::SweepPointEvent& e) const {
     std::printf("sweep %s: faults=%llu wall=%.1f ms util=%.2f "
                 "trial p50/p90/p99=%.0f/%.0f/%.0f us\n",

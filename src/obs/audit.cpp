@@ -123,7 +123,6 @@ void AuditSink::on_event(const TraceEvent& ev) {
     ++report_.sweep_points;
     report_.sweep_wall_ms.observe(point->wall_ms);
   }
-  // SpanEvent: counted in `events`, nothing to check.
 }
 
 void AuditSink::handle(Lane& lane, const SourceDecisionEvent& ev) {

@@ -117,7 +117,8 @@ void render_throughput(std::ostream& os,
 void render_histograms(std::ostream& os,
                        const std::vector<const ParsedEvent*>& samples) {
   if (samples.empty()) return;
-  // Histogram base names: every "h.<name>.p50" key in the last sample.
+  // Histogram base names: every "h.<name>.p50" key in the last sample,
+  // listed by name whatever order the recorder wrote them in.
   std::vector<std::string> names;
   const ParsedEvent* last = samples.back();
   for (const auto& [key, value] : last->fields) {
@@ -127,6 +128,7 @@ void render_histograms(std::ostream& os,
     }
   }
   if (names.empty()) return;
+  std::sort(names.begin(), names.end());
   os << "interval latency percentiles (last sample | p50 over time)\n";
   for (const std::string& name : names) {
     const std::string base = "h." + name + ".";

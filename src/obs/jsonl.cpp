@@ -1,5 +1,6 @@
 #include "obs/jsonl.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
@@ -34,40 +35,36 @@ std::ostream& JsonWriter::key_(std::string_view key) {
   return os_ << ':';
 }
 
+const JsonValue* ParsedEvent::find(std::string_view key) const {
+  const auto it = std::find_if(fields.begin(), fields.end(),
+                               [key](const auto& f) { return f.first == key; });
+  return it == fields.end() ? nullptr : &it->second;
+}
+
 bool ParsedEvent::has(std::string_view key) const {
-  return fields.find(key) != fields.end();
+  return find(key) != nullptr;
 }
 
 double ParsedEvent::num(std::string_view key, double fallback) const {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return fallback;
-  if (const double* d = std::get_if<double>(&it->second)) return *d;
-  return fallback;
+  const double* d = std::get_if<double>(find(key));
+  return d != nullptr ? *d : fallback;
 }
 
 std::int64_t ParsedEvent::integer(std::string_view key,
                                   std::int64_t fallback) const {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return fallback;
-  if (const double* d = std::get_if<double>(&it->second)) {
-    return static_cast<std::int64_t>(*d);
-  }
-  return fallback;
+  const double* d = std::get_if<double>(find(key));
+  return d != nullptr ? static_cast<std::int64_t>(*d) : fallback;
 }
 
 bool ParsedEvent::boolean(std::string_view key, bool fallback) const {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return fallback;
-  if (const bool* b = std::get_if<bool>(&it->second)) return *b;
-  return fallback;
+  const bool* b = std::get_if<bool>(find(key));
+  return b != nullptr ? *b : fallback;
 }
 
 std::string_view ParsedEvent::str(std::string_view key,
                                   std::string_view fallback) const {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return fallback;
-  if (const std::string* s = std::get_if<std::string>(&it->second)) return *s;
-  return fallback;
+  const std::string* s = std::get_if<std::string>(find(key));
+  return s != nullptr ? std::string_view(*s) : fallback;
 }
 
 namespace {
@@ -191,7 +188,7 @@ bool parse_object(Cursor& c, const std::string& prefix, int depth,
     } else {
       JsonValue v;
       if (!parse_scalar(c, v)) return false;
-      out.fields.emplace(full, std::move(v));
+      out.fields.emplace_back(full, std::move(v));
     }
     if (c.eat('}')) return true;
     if (!c.eat(',')) return false;

@@ -9,12 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -71,9 +71,10 @@ class JsonWriter {
 
 using JsonValue = std::variant<std::nullptr_t, bool, double, std::string>;
 
-/// One parsed line: flattened key -> value.
+/// One parsed line: flattened key -> value, in written order (a repeated
+/// key reads as its first occurrence).
 struct ParsedEvent {
-  std::map<std::string, JsonValue, std::less<>> fields;
+  std::vector<std::pair<std::string, JsonValue>> fields;
 
   [[nodiscard]] bool has(std::string_view key) const;
   /// The "event" discriminator ("" when absent).
@@ -85,6 +86,9 @@ struct ParsedEvent {
                              bool fallback = false) const;
   [[nodiscard]] std::string_view str(std::string_view key,
                                      std::string_view fallback = "") const;
+
+ private:
+  [[nodiscard]] const JsonValue* find(std::string_view key) const;
 };
 
 /// Parse one line; nullopt on malformed input.

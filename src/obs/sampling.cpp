@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 
 #include "common/contracts.hpp"
@@ -24,8 +23,6 @@ const char* to_string(PromoteReason r) {
       return "stale";
     case PromoteReason::kMisroute:
       return "misroute";
-    case PromoteReason::kLatency:
-      return "latency";
   }
   SLC_UNREACHABLE("bad PromoteReason");
 }
@@ -126,14 +123,6 @@ struct SamplerCache {
 };
 thread_local SamplerCache tl_sampler_cache;
 
-std::uint8_t latency_bucket_of(double latency_us) {
-  if (latency_us < 0) return 0xFF;
-  const double ns = latency_us * 1000.0;
-  if (ns < 1.0) return 0;
-  const int b = std::min(63, static_cast<int>(std::log2(ns)));
-  return static_cast<std::uint8_t>(b);
-}
-
 std::uint64_t digest_mix(std::uint64_t route_id, std::uint8_t status_code,
                          unsigned hops, PromoteReason reason) {
   const std::uint64_t key =
@@ -144,10 +133,56 @@ std::uint64_t digest_mix(std::uint64_t route_id, std::uint8_t status_code,
   return SplitMix64(key).next();
 }
 
+/// Build the 16-byte per-route record.
+Breadcrumb make_breadcrumb(const RouteSummary& summary, PromoteReason reason,
+                           bool promoted, bool shed) {
+  Breadcrumb crumb = Breadcrumb();  // value-initialized: padding zeroed too
+  crumb.route_id_lo = static_cast<std::uint32_t>(summary.route_id);
+  crumb.decision_epoch_lo = static_cast<std::uint32_t>(summary.decision_epoch);
+  crumb.hops = static_cast<std::uint16_t>(std::min(summary.hops, 0xFFFFu));
+  crumb.status = summary.status_code;
+  crumb.reason = static_cast<std::uint8_t>(reason);
+  crumb.flags = static_cast<std::uint8_t>(
+      (summary.stale() ? Breadcrumb::kFlagStale : 0) |
+      (promoted ? Breadcrumb::kFlagPromoted : 0) |
+      (shed ? Breadcrumb::kFlagShed : 0));
+  return crumb;
+}
+
+RouteSummaryEvent summary_event(const RouteSummary& summary,
+                                PromoteReason reason, bool promoted) {
+  return RouteSummaryEvent{summary.route_id,     summary.decision_epoch,
+                           summary.ground_epoch, summary.status,
+                           summary.hops,         summary.latency_us,
+                           promoted,             to_string(reason)};
+}
+
+/// Owner-only increment of a single-writer relaxed counter: a plain
+/// load+store pair, not a fetch_add — there is nothing to contend with.
+inline void bump(std::atomic<std::uint64_t>& counter) {
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+}
+
 }  // namespace
 
 struct SamplingSink::Shard {
-  explicit Shard(std::size_t crumb_capacity) : ring(2 * crumb_capacity) {}
+  Shard() : ring(2 * kBreadcrumbCapacity) {}
+
+  /// Ring write; owner thread only, no lock — the slot's two words are
+  /// relaxed atomic stores and ring_seen's release publish lets readers
+  /// see a complete prefix. The wrap cursor is maintained incrementally;
+  /// a 64-bit modulo per route is measurable against the overhead budget.
+  void push(const Breadcrumb& crumb) {
+    std::uint64_t words[2];
+    static_assert(sizeof(words) == sizeof(Breadcrumb));
+    std::memcpy(words, &crumb, sizeof(words));
+    ring[2 * ring_pos].store(words[0], std::memory_order_relaxed);
+    ring[2 * ring_pos + 1].store(words[1], std::memory_order_relaxed);
+    if (++ring_pos == kBreadcrumbCapacity) ring_pos = 0;
+    ring_seen.store(ring_seen.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_release);
+  }
 
   // Single-writer hot state: the owner thread updates these with relaxed
   // atomic stores on every route (no RMW — the owner is the only
@@ -162,36 +197,15 @@ struct SamplingSink::Shard {
   std::atomic<std::uint64_t> ring_seen{0};
   std::uint64_t ring_pos = 0;  ///< owner-only wrap cursor (== ring_seen % cap)
   std::vector<std::atomic<std::uint64_t>> ring;  ///< two words per crumb
-  // Guarded by `lock`: promotion-path and latency state (owner writes on
-  // the rare promoted/latency-tracked routes; collectors read). The
-  // routes / breadcrumb_only / breadcrumbs_dropped fields of `stats` are
-  // unused here — they live in the atomics above and are derived at
+  // Guarded by `lock`: promotion-path state (owner writes on the rare
+  // promoted or shed routes and on passthrough events; collectors read).
+  // The routes / breadcrumb_only / breadcrumbs_dropped fields of `stats`
+  // are unused here — they live in the atomics above and are derived at
   // collection time.
   mutable ShardLock lock;
   std::uint64_t digest = 0;
   Stats stats;
-  std::uint64_t latency_counts[64] = {};
-  std::uint64_t latency_total = 0;
-  // Owner-thread-only route state: touched without locking on the
-  // buffering hot path, never read by other threads (cold in replay
-  // mode, where routes are offered rather than buffered).
-  bool route_open = false;
-  bool route_overflow = false;
-  std::uint64_t route_id = 0;
-  std::uint64_t route_events = 0;
-  std::vector<TraceEvent> chain;
 };
-
-namespace {
-
-/// Owner-only increment of a single-writer relaxed counter: a plain
-/// load+store pair, not a fetch_add — there is nothing to contend with.
-inline void bump(std::atomic<std::uint64_t>& counter) {
-  counter.store(counter.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-}
-
-}  // namespace
 
 SamplingSink::SamplingSink(TraceSink* downstream, SamplingConfig config)
     : config_(config),
@@ -199,8 +213,6 @@ SamplingSink::SamplingSink(TraceSink* downstream, SamplingConfig config)
       budget_(config.budget),
       id_(next_sampler_id.fetch_add(1)) {
   SLC_EXPECT(downstream_ != nullptr);
-  SLC_EXPECT(config_.breadcrumb_capacity > 0);
-  SLC_EXPECT(config_.max_chain_events > 0);
 }
 
 SamplingSink::~SamplingSink() {
@@ -213,25 +225,21 @@ SamplingSink::Shard& SamplingSink::local_shard() {
   }
   const std::scoped_lock lock(mutex_);
   auto& slot = shards_[std::this_thread::get_id()];
-  if (!slot) {
-    slot = std::make_unique<Shard>(config_.breadcrumb_capacity);
-    slot->chain.reserve(config_.max_chain_events);
-  }
+  if (!slot) slot = std::make_unique<Shard>();
   tl_sampler_cache = {id_, slot.get()};
   return *slot;
 }
 
+std::vector<const SamplingSink::Shard*> SamplingSink::all_shards() const {
+  const std::scoped_lock lock(mutex_);
+  std::vector<const Shard*> shards;
+  shards.reserve(shards_.size());
+  for (const auto& [tid, shard] : shards_) shards.push_back(shard.get());
+  return shards;
+}
+
 void SamplingSink::on_event(const TraceEvent& ev) {
   Shard& shard = local_shard();
-  if (shard.route_open) {
-    ++shard.route_events;
-    if (shard.chain.size() < config_.max_chain_events) {
-      shard.chain.push_back(ev);
-    } else {
-      shard.route_overflow = true;
-    }
-    return;
-  }
   {
     const std::scoped_lock lock(shard.lock);
     ++shard.stats.passthrough_events;
@@ -239,227 +247,53 @@ void SamplingSink::on_event(const TraceEvent& ev) {
   downstream_->on_event(ev);
 }
 
-void SamplingSink::begin_route(std::uint64_t route_id) {
-  Shard& shard = local_shard();
-  SLC_EXPECT_MSG(!shard.route_open, "sampled routes must not nest");
-  shard.route_open = true;
-  shard.route_overflow = false;
-  shard.route_id = route_id;
-  shard.route_events = 0;
-  shard.chain.clear();
-}
-
-namespace {
-
-/// Build the 16-byte per-route record (shared by both modes).
-Breadcrumb make_breadcrumb(const RouteSummary& summary, std::uint8_t bucket,
-                           PromoteReason reason, bool promoted, bool shed,
-                           std::uint64_t chain_events) {
-  Breadcrumb crumb;
-  crumb.route_id_lo = static_cast<std::uint32_t>(summary.route_id);
-  crumb.decision_epoch_lo = static_cast<std::uint32_t>(summary.decision_epoch);
-  crumb.hops = static_cast<std::uint16_t>(std::min(summary.hops, 0xFFFFu));
-  crumb.status = summary.status_code;
-  crumb.latency_bucket = bucket;
-  crumb.reason = static_cast<std::uint8_t>(reason);
-  crumb.flags = static_cast<std::uint8_t>(
-      (summary.stale() ? Breadcrumb::kFlagStale : 0) |
-      (promoted ? Breadcrumb::kFlagPromoted : 0) |
-      (shed ? Breadcrumb::kFlagShed : 0));
-  crumb.chain_events =
-      static_cast<std::uint16_t>(std::min<std::uint64_t>(chain_events, 0xFFFF));
-  return crumb;
-}
-
-}  // namespace
-
-/// Latency-outlier escalation + histogram update; call under shard.lock.
-/// Only reachable in live mode (bucket != 0xFF); ticks mode passes
-/// latency_us < 0 so the promotion set stays interleaving-free.
-PromoteReason SamplingSink::apply_latency(Shard& shard, PromoteReason reason,
-                                          std::uint8_t bucket) const {
-  if (bucket == 0xFF) return reason;
-  if (reason == PromoteReason::kNone && config_.latency_quantile > 0.0 &&
-      shard.latency_total >= config_.latency_warmup) {
-    const auto want = static_cast<std::uint64_t>(
-        config_.latency_quantile * static_cast<double>(shard.latency_total));
-    std::uint64_t seen = 0;
-    int threshold = 63;
-    for (int b = 0; b < 64; ++b) {
-      seen += shard.latency_counts[b];
-      if (seen >= want) {
-        threshold = b;
-        break;
-      }
-    }
-    if (bucket > threshold) reason = PromoteReason::kLatency;
-  }
-  ++shard.latency_counts[bucket];
-  ++shard.latency_total;
-  return reason;
-}
-
-/// Ring write; owner thread only, no lock — the slot's two words are
-/// relaxed atomic stores and ring_seen's release publish lets readers
-/// see a complete prefix. The wrap cursor is maintained incrementally;
-/// a 64-bit modulo per route is measurable against the overhead budget.
-void SamplingSink::push_breadcrumb(Shard& shard, const Breadcrumb& crumb) {
-  std::uint64_t words[2];
-  static_assert(sizeof(words) == sizeof(Breadcrumb));
-  std::memcpy(words, &crumb, sizeof(words));
-  shard.ring[2 * shard.ring_pos].store(words[0], std::memory_order_relaxed);
-  shard.ring[2 * shard.ring_pos + 1].store(words[1],
-                                           std::memory_order_relaxed);
-  if (++shard.ring_pos == config_.breadcrumb_capacity) shard.ring_pos = 0;
-  shard.ring_seen.store(shard.ring_seen.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_release);
-}
-
-PromoteReason SamplingSink::end_route(const RouteSummary& summary) {
-  Shard& shard = local_shard();
-  SLC_EXPECT_MSG(shard.route_open, "end_route without begin_route");
-  SLC_EXPECT(shard.route_id == summary.route_id);
-  shard.route_open = false;
-
-  const std::uint8_t bucket = latency_bucket_of(summary.latency_us);
-  PromoteReason reason = classify(summary, config_);
-
-  bump(shard.routes);
-  const std::scoped_lock lock(shard.lock);
-  Stats& st = shard.stats;
-  st.buffered_events += shard.route_events;
-
-  // Latency outlier: past the configured quantile of this shard's own
-  // history (approximate by design — each shard judges against the
-  // traffic it served).
-  reason = apply_latency(shard, reason, bucket);
-
-  bool promoted = false;
-  bool shed = false;
-  if (reason != PromoteReason::kNone) {
-    if (shard.route_overflow) {
-      // A truncated chain downstream would read as a producer bug; keep
-      // the breadcrumb, count the demotion.
-      ++st.overflow_routes;
-      ++st.shed_by_reason[static_cast<std::size_t>(reason)];
-      st.shed_events += shard.chain.size();
-      shed = true;
-    } else if (budget_.try_admit()) {
-      promoted = true;
-      const std::uint64_t t0 = budget_.unlimited() ? 0 : steady_ns();
-      {
-        // One burst per promotion: downstream sees whole chains even
-        // when several threads promote at once.
-        const std::scoped_lock burst(mutex_);
-        for (const TraceEvent& ev : shard.chain) downstream_->on_event(ev);
-        downstream_->on_event(RouteSummaryEvent{
-            summary.route_id, summary.decision_epoch, summary.ground_epoch,
-            summary.status, summary.hops, summary.latency_us, true,
-            to_string(reason)});
-      }
-      if (!budget_.unlimited()) budget_.settle(steady_ns() - t0);
-      ++st.promoted;
-      ++st.promoted_by_reason[static_cast<std::size_t>(reason)];
-      shard.digest ^= digest_mix(summary.route_id, summary.status_code,
-                                 summary.hops, reason);
-    } else {
-      ++st.shed_routes;
-      ++st.shed_by_reason[static_cast<std::size_t>(reason)];
-      st.shed_events += shard.chain.size();
-      shed = true;
-    }
-  }
-  if (!promoted) {
-    bump(shard.breadcrumb_only);
-    if (config_.emit_breadcrumb_summaries) {
-      downstream_->on_event(RouteSummaryEvent{
-          summary.route_id, summary.decision_epoch, summary.ground_epoch,
-          summary.status, summary.hops, summary.latency_us, false,
-          to_string(reason)});
-    }
-  }
-
-  push_breadcrumb(shard, make_breadcrumb(summary, bucket, reason, promoted,
-                                         shed, shard.route_events));
-  shard.chain.clear();
-  return reason;
-}
-
 SamplingSink::Offer SamplingSink::offer(const RouteSummary& summary) {
   Shard& shard = local_shard();
-  SLC_EXPECT_MSG(!shard.route_open, "offer() inside a buffered route");
-  const std::uint8_t bucket = latency_bucket_of(summary.latency_us);
-  PromoteReason reason = classify(summary, config_);
-
-  // Fast path — nothing anomalous, no latency history to maintain, no
-  // summary to forward. This is what ~99% of routes pay in replay mode:
-  // two single-writer counter bumps and an atomic ring write, no lock.
-  if (reason == PromoteReason::kNone && bucket == 0xFF &&
-      !config_.emit_breadcrumb_summaries) {
-    bump(shard.routes);
-    bump(shard.breadcrumb_only);
-    push_breadcrumb(shard, make_breadcrumb(summary, bucket, reason,
-                                           /*promoted=*/false,
-                                           /*shed=*/false,
-                                           /*chain_events=*/0));
-    return Offer{reason, false};
-  }
-
-  bump(shard.routes);
-  const std::scoped_lock lock(shard.lock);
-  Stats& st = shard.stats;
-  reason = apply_latency(shard, reason, bucket);
-
+  const PromoteReason reason = classify(summary, config_);
   bool promoted = false;
   bool shed = false;
   if (reason != PromoteReason::kNone) {
-    if (budget_.try_admit()) {
-      promoted = true;
+    promoted = budget_.try_admit();
+    shed = !promoted;
+    const auto r = static_cast<std::size_t>(reason);
+    const std::scoped_lock lock(shard.lock);
+    Stats& st = shard.stats;
+    if (promoted) {
       ++st.promoted;
-      ++st.promoted_by_reason[static_cast<std::size_t>(reason)];
+      ++st.promoted_by_reason[r];
       shard.digest ^= digest_mix(summary.route_id, summary.status_code,
                                  summary.hops, reason);
     } else {
-      // Nothing was buffered, so a replay-mode shed loses the chain it
-      // never generated — approximate the loss as the hop chain's size
-      // (source decision + hops + terminal) for events_lost accounting.
       ++st.shed_routes;
-      ++st.shed_by_reason[static_cast<std::size_t>(reason)];
+      ++st.shed_by_reason[r];
       st.shed_events += summary.hops + 2;
-      shed = true;
     }
   }
+  // What ~99% of routes pay: two single-writer counter bumps and an
+  // atomic ring write, no lock.
+  bump(shard.routes);
   if (!promoted) {
     bump(shard.breadcrumb_only);
     if (config_.emit_breadcrumb_summaries) {
-      downstream_->on_event(RouteSummaryEvent{
-          summary.route_id, summary.decision_epoch, summary.ground_epoch,
-          summary.status, summary.hops, summary.latency_us, false,
-          to_string(reason)});
+      downstream_->on_event(summary_event(summary, reason, false));
     }
   }
-  push_breadcrumb(shard,
-                  make_breadcrumb(summary, bucket, reason, promoted, shed,
-                                  /*chain_events=*/0));
+  shard.push(make_breadcrumb(summary, reason, promoted, shed));
   return Offer{reason, promoted};
 }
 
 void SamplingSink::replay_chain(const RouteSummary& summary,
                                 PromoteReason reason,
                                 std::span<const TraceEvent> chain) {
-  Shard& shard = local_shard();
   const std::uint64_t t0 = budget_.unlimited() ? 0 : steady_ns();
   {
+    // One burst per promotion: downstream sees whole chains even when
+    // several threads promote at once.
     const std::scoped_lock burst(mutex_);
     for (const TraceEvent& ev : chain) downstream_->on_event(ev);
-    downstream_->on_event(RouteSummaryEvent{
-        summary.route_id, summary.decision_epoch, summary.ground_epoch,
-        summary.status, summary.hops, summary.latency_us, true,
-        to_string(reason)});
+    downstream_->on_event(summary_event(summary, reason, true));
   }
   if (!budget_.unlimited()) budget_.settle(steady_ns() - t0);
-  const std::scoped_lock lock(shard.lock);
-  shard.stats.buffered_events += chain.size();
 }
 
 PromoteReason SamplingSink::classify(const RouteSummary& s,
@@ -467,10 +301,10 @@ PromoteReason SamplingSink::classify(const RouteSummary& s,
   // Most-specific anomaly wins: a misroute is usually also a drop, and a
   // drop under churn is usually also stale — the reason names the
   // sharpest cause so per-reason tallies stay interpretable.
-  if (s.misroute && config.promote_misroutes) return PromoteReason::kMisroute;
-  if (s.dropped && config.promote_drops) return PromoteReason::kDrop;
-  if (s.detour && config.promote_detours) return PromoteReason::kDetour;
-  if (s.stale() && config.promote_stale) return PromoteReason::kStale;
+  if (s.misroute) return PromoteReason::kMisroute;
+  if (s.dropped) return PromoteReason::kDrop;
+  if (s.detour) return PromoteReason::kDetour;
+  if (s.stale()) return PromoteReason::kStale;
   if (config.head_every != 0 && s.route_id % config.head_every == 0) {
     return PromoteReason::kHead;
   }
@@ -478,27 +312,19 @@ PromoteReason SamplingSink::classify(const RouteSummary& s,
 }
 
 SamplingSink::Stats SamplingSink::stats() const {
-  std::vector<const Shard*> shards;
-  {
-    const std::scoped_lock lock(mutex_);
-    shards.reserve(shards_.size());
-    for (const auto& [tid, shard] : shards_) shards.push_back(shard.get());
-  }
   Stats out;
-  const std::uint64_t cap = config_.breadcrumb_capacity;
-  for (const Shard* shard : shards) {
+  for (const Shard* shard : all_shards()) {
     out.routes += shard->routes.load(std::memory_order_relaxed);
     out.breadcrumb_only +=
         shard->breadcrumb_only.load(std::memory_order_relaxed);
     const std::uint64_t seen = shard->ring_seen.load(std::memory_order_acquire);
-    out.breadcrumbs_dropped += seen > cap ? seen - cap : 0;
+    out.breadcrumbs_dropped +=
+        seen > kBreadcrumbCapacity ? seen - kBreadcrumbCapacity : 0;
     const std::scoped_lock lock(shard->lock);
     const Stats& st = shard->stats;
     out.promoted += st.promoted;
     out.shed_routes += st.shed_routes;
     out.shed_events += st.shed_events;
-    out.overflow_routes += st.overflow_routes;
-    out.buffered_events += st.buffered_events;
     out.passthrough_events += st.passthrough_events;
     for (std::size_t r = 0; r < kNumPromoteReasons; ++r) {
       out.promoted_by_reason[r] += st.promoted_by_reason[r];
@@ -509,14 +335,8 @@ SamplingSink::Stats SamplingSink::stats() const {
 }
 
 std::uint64_t SamplingSink::promoted_digest() const {
-  std::vector<const Shard*> shards;
-  {
-    const std::scoped_lock lock(mutex_);
-    shards.reserve(shards_.size());
-    for (const auto& [tid, shard] : shards_) shards.push_back(shard.get());
-  }
   std::uint64_t digest = 0;
-  for (const Shard* shard : shards) {
+  for (const Shard* shard : all_shards()) {
     const std::scoped_lock lock(shard->lock);
     digest ^= shard->digest;
   }
@@ -524,15 +344,9 @@ std::uint64_t SamplingSink::promoted_digest() const {
 }
 
 std::vector<Breadcrumb> SamplingSink::breadcrumbs() const {
-  std::vector<const Shard*> shards;
-  {
-    const std::scoped_lock lock(mutex_);
-    shards.reserve(shards_.size());
-    for (const auto& [tid, shard] : shards_) shards.push_back(shard.get());
-  }
   std::vector<Breadcrumb> out;
-  const std::uint64_t cap = config_.breadcrumb_capacity;
-  for (const Shard* shard : shards) {
+  constexpr std::uint64_t cap = kBreadcrumbCapacity;
+  for (const Shard* shard : all_shards()) {
     // Lock-free snapshot: acquire on ring_seen pairs with the owner's
     // release publish, so the first min(seen, cap) slots are complete.
     // Reading concurrently with an owner that is still writing yields a

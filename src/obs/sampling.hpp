@@ -4,11 +4,17 @@
 // ring; the full causal event chain is retained (forwarded downstream)
 // only when the route turns out to be interesting:
 //
-//   * anomalies — drops, H+2 detours, misroutes, stale-epoch decisions,
-//     latency outliers past a configurable quantile (tail-based: the
-//     decision is made at end_route, when the outcome is known);
+//   * anomalies — drops, H+2 detours, misroutes, stale-epoch decisions
+//     (tail-based: the decision is made once the outcome is known);
 //   * a deterministic 1-in-N head sample (route_id % head_every == 0) as
 //     the unbiased control against which the anomalous tail is read.
+//
+// One integration path, for producers whose routes re-run bit-for-bit
+// (workload::ServiceScript, or any serve against immutable snapshots):
+// serve untraced and offer() the summary; only when the route promotes,
+// re-serve it traced and hand the regenerated chain to replay_chain().
+// Unpromoted routes — the overwhelming majority — never construct an
+// event, and a forwarded chain is whole by construction.
 //
 // Promotion is bounded by TraceBudget, a self-measuring token bucket:
 // the sink times its own downstream forwarding and spends those measured
@@ -18,22 +24,19 @@
 // reconciliation can state exactly what the trace does not contain.
 //
 // Determinism contract (mirrors the telemetry/sweep-engine contract):
-// with an unlimited budget and latency promotion off — the ticks-mode
-// configuration — the promotion decision is a pure function of the
-// route summary, so the promoted route *set* (promoted_digest(), an
+// with an unlimited budget the promotion decision is a pure function of
+// the route summary, so the promoted route *set* (promoted_digest(), an
 // order-independent fold) is bit-identical at any thread count. The
-// wall-clock budget and the latency quantile trade that invariance for
-// live-overhead control; benches gate the deterministic configuration.
+// wall-clock budget trades that invariance for live-overhead control;
+// benches gate the deterministic configuration.
 //
-// Concurrency contract: begin_route / end_route / on_event may be called
-// from any number of threads; routes are per-thread (begin and end on
-// the same thread, chains never interleave on one thread — the same
-// producer contract AuditSink relies on). Route events buffer in a
-// thread-owned shard without locking; non-route events (epoch_publish,
-// churn, gs rounds) pass straight through. Promoted chains are forwarded
-// under one internal mutex as an atomic burst, so the downstream sink
-// sees whole chains even when it is a shared LockedJsonlSink; the
-// downstream sink must itself be thread-safe.
+// Concurrency contract: offer / replay_chain / on_event may be called
+// from any number of threads. Breadcrumbs and counters live in a
+// thread-owned shard written without locking; on_event forwards
+// non-route events (epoch_publish, churn) straight downstream. Promoted
+// chains are forwarded under one internal mutex as an atomic burst, so
+// the downstream sink sees whole chains even when it is a shared
+// LockedJsonlSink; the downstream sink must itself be thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +59,8 @@ enum class PromoteReason : std::uint8_t {
   kDetour,    ///< delivered on the H+2 spare path
   kStale,     ///< decision epoch older than ground epoch
   kMisroute,  ///< diagnosis-attributed misroute
-  kLatency,   ///< past the configured latency quantile
 };
-inline constexpr std::size_t kNumPromoteReasons = 7;
+inline constexpr std::size_t kNumPromoteReasons = 6;
 [[nodiscard]] const char* to_string(PromoteReason r);
 
 /// Self-measuring token bucket bounding promotion overhead. Tokens are
@@ -115,20 +117,24 @@ struct Breadcrumb {
   std::uint32_t decision_epoch_lo = 0;
   std::uint16_t hops = 0;
   std::uint8_t status = 0;  ///< caller's status code (core::RouteStatus)
-  /// log2 bucket of latency in nanoseconds; 0xFF = not measured.
-  std::uint8_t latency_bucket = 0xFF;
   std::uint8_t reason = 0;  ///< PromoteReason decided for this route
   std::uint8_t flags = 0;   ///< kFlagStale | kFlagPromoted | kFlagShed
-  std::uint16_t chain_events = 0;  ///< events buffered while open
   static constexpr std::uint8_t kFlagStale = 1;
   static constexpr std::uint8_t kFlagPromoted = 2;
   static constexpr std::uint8_t kFlagShed = 4;  ///< wanted promotion, no budget
 };
 static_assert(sizeof(Breadcrumb) == 16);
 
+/// Breadcrumbs each thread's ring keeps (oldest evicted, counted): 128 KiB
+/// per shard, so steady-state crumb writes stay cache-resident instead of
+/// streaming through LLC and evicting the serving layer's routing tables
+/// — measurably cheaper per route than a larger ring despite wrapping
+/// sooner.
+inline constexpr std::size_t kBreadcrumbCapacity = 8192;
+
 /// What the caller knows about a finished route; the sampler's entire
 /// promotion decision is a pure function of this struct (plus the head
-/// modulus and, in live mode, the latency history).
+/// modulus).
 struct RouteSummary {
   std::uint64_t route_id = 0;
   std::uint64_t decision_epoch = 0;
@@ -139,7 +145,7 @@ struct RouteSummary {
   bool dropped = false;
   bool detour = false;
   bool misroute = false;
-  double latency_us = -1.0;  ///< < 0 = not measured (ticks mode)
+  double latency_us = -1.0;  ///< < 0 = not measured; goes to RouteSummaryEvent
   [[nodiscard]] bool stale() const { return ground_epoch > decision_epoch; }
 };
 
@@ -147,25 +153,6 @@ struct SamplingConfig {
   /// Promote route ids divisible by this as the unbiased control;
   /// 0 disables head sampling.
   std::uint32_t head_every = 1024;
-  bool promote_drops = true;
-  bool promote_detours = true;
-  bool promote_misroutes = true;
-  bool promote_stale = true;
-  /// Promote latencies past this quantile of the shard-local history
-  /// (0 disables; only meaningful in live mode where latency_us >= 0).
-  double latency_quantile = 0.0;
-  /// Latency samples a shard must see before the quantile applies.
-  std::uint64_t latency_warmup = 512;
-  /// Per-thread breadcrumb ring capacity (oldest evicted, counted). The
-  /// default keeps each shard's ring at 128 KiB so steady-state crumb
-  /// writes stay cache-resident instead of streaming through LLC and
-  /// evicting the serving layer's routing tables — measurably cheaper
-  /// per route than a larger ring despite wrapping sooner.
-  std::size_t breadcrumb_capacity = 8192;
-  /// Per-route chain buffer bound; a route that exceeds it is demoted to
-  /// breadcrumb-only (counted as overflow) rather than forwarded
-  /// truncated, which would read as a producer bug downstream.
-  std::size_t max_chain_events = 512;
   /// Also forward a RouteSummaryEvent (promoted=false) for routes that
   /// stay breadcrumb-only, making the downstream stream self-describing
   /// at one event per route. Off for the <5%-overhead configuration.
@@ -181,36 +168,9 @@ class SamplingSink final : public TraceSink {
   explicit SamplingSink(TraceSink* downstream, SamplingConfig config = {});
   ~SamplingSink() override;
 
-  /// Route events between begin_route and end_route (on the calling
-  /// thread) buffer into the route's chain; everything else forwards
-  /// straight downstream.
+  /// Forwards a non-route event (epoch_publish, churn) straight
+  /// downstream, counted as passthrough.
   void on_event(const TraceEvent& ev) override;
-
-  // --- buffered mode (live producers) --------------------------------
-  // The route's events are buffered as they happen and forwarded at
-  // end_route if the route promotes. Works for any producer; every
-  // route pays event construction + one copy per event.
-
-  /// Open a route on the calling thread. Routes must not nest.
-  void begin_route(std::uint64_t route_id);
-  /// Close the route: decide promotion, write the breadcrumb, forward
-  /// the chain + summary if promoted and the budget admits. Returns the
-  /// decided reason (kNone = breadcrumb only) — callers use it to tally
-  /// retention without re-deriving the classification.
-  PromoteReason end_route(const RouteSummary& summary);
-
-  // --- replay mode (deterministic producers) --------------------------
-  // When re-running a route reproduces its event chain bit-for-bit
-  // (e.g. workload::ServiceScript, or any serve against two immutable
-  // snapshots), the chain need not be buffered at all: serve untraced,
-  // offer() the summary, and only when it promotes re-serve traced and
-  // hand the regenerated chain to replay_chain(). Unpromoted routes —
-  // the overwhelming majority — then pay only the breadcrumb
-  // accounting, which is how the sampled path stays within a few
-  // percent of untraced throughput. Promotion decisions, counters,
-  // digest, and breadcrumbs are identical to buffered mode (the
-  // breadcrumb's chain_events is 0: nothing was buffered). Do not mix
-  // the modes mid-route on one thread.
 
   struct Offer {
     PromoteReason reason = PromoteReason::kNone;
@@ -218,6 +178,8 @@ class SamplingSink final : public TraceSink {
     /// regenerate the chain and call replay_chain().
     bool promoted = false;
   };
+  /// Decide the route's promotion, write its breadcrumb and count it.
+  /// Unpromoted routes cost no lock and no event.
   [[nodiscard]] Offer offer(const RouteSummary& summary);
 
   /// Forward a regenerated chain + its summary downstream as one atomic
@@ -231,16 +193,19 @@ class SamplingSink final : public TraceSink {
     std::uint64_t promoted = 0;         ///< full chains forwarded
     std::uint64_t breadcrumb_only = 0;  ///< routes with no chain forwarded
     std::uint64_t shed_routes = 0;      ///< wanted promotion, budget refused
-    std::uint64_t shed_events = 0;      ///< chain events those sheds dropped
-    std::uint64_t overflow_routes = 0;  ///< demoted by max_chain_events
-    std::uint64_t buffered_events = 0;  ///< route events seen
+    /// Chain events those sheds dropped, counted as hops + 2 per route
+    /// (source decision + hops + terminal): a shed chain is never built.
+    std::uint64_t shed_events = 0;
+    /// Always 0: a replayed chain is never truncated. Kept while
+    /// perfbench/sampled_q14.cpp reads it.
+    std::uint64_t overflow_routes = 0;
     std::uint64_t passthrough_events = 0;
     std::uint64_t breadcrumbs_dropped = 0;  ///< ring evictions
     std::uint64_t promoted_by_reason[kNumPromoteReasons] = {};
     std::uint64_t shed_by_reason[kNumPromoteReasons] = {};
   };
   /// Merged over all thread shards. Safe to call concurrently with
-  /// serving; counters for a route become visible at its end_route.
+  /// serving; counters for a route become visible at its offer().
   [[nodiscard]] Stats stats() const;
 
   /// Order-independent fold (xor of a mix of id/status/hops/reason) over
@@ -253,19 +218,16 @@ class SamplingSink final : public TraceSink {
   [[nodiscard]] std::vector<Breadcrumb> breadcrumbs() const;
 
   [[nodiscard]] TraceBudget& budget() { return budget_; }
-  [[nodiscard]] const SamplingConfig& config() const { return config_; }
 
   /// The promotion rule as a pure function (exposed for tests): why
-  /// would `s` promote, ignoring budget and latency history?
+  /// would `s` promote, ignoring the budget?
   [[nodiscard]] static PromoteReason classify(const RouteSummary& s,
                                               const SamplingConfig& config);
 
  private:
   struct Shard;
   Shard& local_shard();
-  PromoteReason apply_latency(Shard& shard, PromoteReason reason,
-                              std::uint8_t bucket) const;
-  void push_breadcrumb(Shard& shard, const Breadcrumb& crumb);
+  [[nodiscard]] std::vector<const Shard*> all_shards() const;
 
   SamplingConfig config_;
   TraceSink* downstream_;

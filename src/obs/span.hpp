@@ -1,14 +1,8 @@
-// slcube::obs — span timers: a monotonic stopwatch plus an RAII span that
-// reports its duration to a TraceSink (as a SpanEvent) and/or a
-// HistogramData accumulator on scope exit. Used by the sweep drivers to
+// slcube::obs — a monotonic stopwatch. Used by the sweep drivers to
 // report per-point wall time and per-trial latency percentiles.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace slcube::obs {
 
@@ -28,37 +22,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// RAII span: on destruction, emits SpanEvent{name, µs, items} to `sink`
-/// (when non-null) and observes the µs duration into `hist` (when
-/// non-null). Both targets must outlive the span.
-class SpanTimer {
- public:
-  explicit SpanTimer(const char* name, TraceSink* sink = nullptr,
-                     HistogramData* hist = nullptr)
-      : name_(name), sink_(sink), hist_(hist) {}
-
-  SpanTimer(const SpanTimer&) = delete;
-  SpanTimer& operator=(const SpanTimer&) = delete;
-
-  ~SpanTimer() {
-    const double us = watch_.micros();
-    if (hist_ != nullptr) hist_->observe(us);
-    if (sink_ != nullptr) sink_->on_event(SpanEvent{name_, us, items_});
-  }
-
-  /// Record how many work units the span covered (shows up in the event).
-  void set_items(std::uint64_t items) noexcept { items_ = items; }
-
-  [[nodiscard]] double elapsed_micros() const { return watch_.micros(); }
-
- private:
-  const char* name_;
-  TraceSink* sink_;
-  HistogramData* hist_;
-  Stopwatch watch_;
-  std::uint64_t items_ = 0;
 };
 
 }  // namespace slcube::obs

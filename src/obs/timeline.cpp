@@ -38,11 +38,13 @@ class Event {
     write_json_string(os_, v);
     return *this;
   }
-  Event& ts(double v) {
+  // The time axis is route ids and request indices: integers, written
+  // exactly (a six-digit float format merges ticks from 10^6 up).
+  Event& ts(std::uint64_t v) {
     os_ << ",\"ts\":" << v;
     return *this;
   }
-  Event& dur(double v) {
+  Event& dur(std::uint64_t v) {
     os_ << ",\"dur\":" << v;
     return *this;
   }
@@ -50,12 +52,13 @@ class Event {
     os_ << ",\"s\":\"t\"";
     return *this;
   }
-  /// Numeric args are written as doubles, whatever their source type.
+  /// Integral args are written exactly, floating ones at the stream's
+  /// default precision.
   template <typename T>
     requires std::is_arithmetic_v<T>
   Event& arg(const char* key, T v) {
     open_args();
-    os_ << '"' << key << "\":" << static_cast<double>(v);
+    os_ << '"' << key << "\":" << v;
     return *this;
   }
   Event& arg(const char* key, std::string_view v) {
@@ -94,14 +97,13 @@ TimelineStats write_chrome_trace(std::ostream& os,
   // Pass 1: collect the epoch lineage so slices can span to their
   // successor and routes can name the churn that produced their epoch.
   std::map<std::uint64_t, EpochPublishEvent> epochs;
-  double max_ts = 0;
+  std::uint64_t max_ts = 0;
   for (const TraceEvent& ev : events) {
     if (const auto* e = std::get_if<EpochPublishEvent>(&ev)) {
       epochs[e->epoch] = *e;
-      max_ts = std::max(max_ts, static_cast<double>(e->ts));
+      max_ts = std::max(max_ts, e->ts);
     } else if (const auto* r = std::get_if<RouteSummaryEvent>(&ev)) {
-      max_ts =
-          std::max(max_ts, static_cast<double>(r->route_id) + r->hops + 1);
+      max_ts = std::max(max_ts, r->route_id + r->hops + 1);
     }
   }
 
@@ -123,15 +125,13 @@ TimelineStats write_chrome_trace(std::ostream& os,
   for (auto it = epochs.begin(); it != epochs.end(); ++it) {
     const auto next = std::next(it);
     const EpochPublishEvent& e = it->second;
-    const auto ts = static_cast<double>(e.ts);
-    const double end = next != epochs.end()
-                           ? static_cast<double>(next->second.ts)
-                           : max_ts + 1;
+    const std::uint64_t end =
+        next != epochs.end() ? next->second.ts : max_ts + 1;
     {
       Event ev(os, first, "X", kTidEpochs);
       ev.name("epoch " + std::to_string(e.epoch))
-          .ts(ts)
-          .dur(std::max(end - ts, 1.0))
+          .ts(e.ts)
+          .dur(end > e.ts ? end - e.ts : 1)
           .arg("epoch", e.epoch)
           .arg("parent", e.parent)
           .arg("cause", e.cause)
@@ -145,7 +145,7 @@ TimelineStats write_chrome_trace(std::ostream& os,
     if (e.churn > 0) {
       Event ev(os, first, "i", kTidEpochs);
       ev.name(std::string("churn: ") + e.cause)
-          .ts(ts)
+          .ts(e.ts)
           .scope_thread()
           .arg("records", e.churn);
       ++stats.churn_instants;
@@ -166,9 +166,9 @@ TimelineStats write_chrome_trace(std::ostream& os,
     Event out(os, first, r->promoted ? "X" : "i",
               r->promoted ? kTidRoutes : kTidBreadcrumbs);
     out.name("route " + std::to_string(r->route_id) + " (" + r->status + ")");
-    out.ts(static_cast<double>(r->route_id));
+    out.ts(r->route_id);
     if (r->promoted) {
-      out.dur(std::max(static_cast<double>(r->hops), 1.0));
+      out.dur(std::max(r->hops, 1u));
     } else {
       out.scope_thread();
     }

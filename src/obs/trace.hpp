@@ -2,7 +2,7 @@
 // paper's argument turns on (which of C1/C2/C3 fired at the source, which
 // preferred/spare neighbor was chosen per hop, how many GS rounds
 // stabilization took, message sends/drops, node failures/recoveries) plus
-// sweep-level span and per-point summary events.
+// per-point sweep summaries.
 //
 // Cost model: producers hold a nullable `TraceSink*` and construct events
 // only inside an `if (sink)` guard, so the untraced hot path pays one
@@ -285,20 +285,6 @@ struct RouteSummaryEvent {
   }
 };
 
-/// A timed region finished (sweep point, bench phase, ...).
-struct SpanEvent {
-  const char* name = "";
-  double micros = 0.0;
-  std::uint64_t items = 0;  ///< work units inside the span (0 = unset)
-
-  static constexpr const char* kName = "span";
-  static void fields(auto& e, auto&& f) {
-    f("name", e.name);
-    f("micros", e.micros);
-    f("items", e.items);
-  }
-};
-
 /// Per-point summary of an experiment sweep: timing, worker utilization,
 /// per-trial latency percentiles, and flattened result metrics.
 struct SweepPointEvent {
@@ -331,7 +317,7 @@ using TraceEvent =
     std::variant<SourceDecisionEvent, HopEvent, RouteDoneEvent, GsRoundEvent,
                  MessageSendEvent, MessageDropEvent, NodeFailEvent,
                  NodeRecoverEvent, MisrouteEvent, EpochPublishEvent,
-                 RouteSummaryEvent, SpanEvent, SweepPointEvent>;
+                 RouteSummaryEvent, SweepPointEvent>;
 
 struct ParsedEvent;  // obs/jsonl.hpp
 
@@ -417,7 +403,7 @@ class JsonlSink final : public TraceSink {
 /// JsonlSink behind a mutex: whole lines are written atomically, so any
 /// number of worker threads may share one JSONL file. Lines from
 /// different threads interleave at event granularity — fine for
-/// independent events (churn, spans, promoted summaries) and for
+/// independent events (churn, sweep points, promoted summaries) and for
 /// SamplingSink output (which forwards each promoted chain as one
 /// locked burst), but a multi-threaded producer emitting raw route
 /// chains will still interleave *chains*; keep those per-thread or

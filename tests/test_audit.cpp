@@ -590,10 +590,9 @@ TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
   originals.emplace_back(round);
   originals.emplace_back(MessageSendEvent{5, 1, 2, MsgKind::kUnicast});
   originals.emplace_back(
-      MessageDropEvent{6, 1, 2, MsgKind::kLevelUpdate, "faulty-link"});
+      MessageDropEvent{6, 1, 2, MsgKind::kLevelUpdate, "faulty \"link\""});
   originals.emplace_back(NodeFailEvent{7, 4});
   originals.emplace_back(NodeRecoverEvent{8, 4});
-  originals.emplace_back(SpanEvent{"phase \"x\"", 12.5, 3});
   MisrouteEvent mis;
   mis.source = 3;
   mis.dest = 9;
@@ -612,6 +611,9 @@ TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
   sp.trial_p90_us = 2;
   sp.trial_p99_us = 3;
   sp.values = {{"delivered_pct", 99.5}, {"optimal_pct", 90.25}};
+  originals.emplace_back(sp);
+  // Nested keys read back in written order, not sorted.
+  sp.values = {{"zeta", 12.5}, {"alpha", 1}, {"mid", 0.125}};
   originals.emplace_back(sp);
   EpochPublishEvent epoch;
   epoch.epoch = 12;
@@ -635,7 +637,7 @@ TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
   summary.reason = "stale";
   originals.emplace_back(summary);
 
-  // A 14th event kind added without a sample here fails this check.
+  // A 13th event kind added without a sample here fails this check.
   std::vector<bool> covered(std::variant_size_v<TraceEvent>, false);
   for (const TraceEvent& ev : originals) covered[ev.index()] = true;
   for (std::size_t i = 0; i < covered.size(); ++i) {
@@ -657,7 +659,7 @@ TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
   }
 
   ParsedEvent unknown;
-  unknown.fields.emplace("event", std::string("martian"));
+  unknown.fields.emplace_back("event", std::string("martian"));
   TraceEvent out;
   EXPECT_FALSE(to_trace_event(unknown, out));
 }

@@ -14,7 +14,6 @@
 #include "core/unicast.hpp"
 #include "obs/jsonl.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
@@ -314,7 +313,10 @@ TEST(Trace, JsonlRoundTripPreservesEveryEventKind) {
                                    "faulty-link"});
     sink.on_event(NodeFailEvent{2, 9});
     sink.on_event(NodeRecoverEvent{3, 9});
-    sink.on_event(SpanEvent{"point", 123.5, 7});
+    RouteSummaryEvent summary;
+    summary.route_id = 7;
+    summary.latency_us = 123.5;
+    sink.on_event(summary);
     SweepPointEvent sp;
     sp.sweep = "routing";
     sp.fault_count = 12;
@@ -345,7 +347,8 @@ TEST(Trace, JsonlRoundTripPreservesEveryEventKind) {
   EXPECT_EQ(events[5].str("reason"), "faulty-link");
   EXPECT_EQ(events[6].kind(), "node_fail");
   EXPECT_EQ(events[7].kind(), "node_recover");
-  EXPECT_DOUBLE_EQ(events[8].num("micros"), 123.5);
+  EXPECT_EQ(events[8].kind(), "route_summary");
+  EXPECT_DOUBLE_EQ(events[8].num("latency_us"), 123.5);
   EXPECT_EQ(events[9].str("sweep"), "routing");
   EXPECT_DOUBLE_EQ(events[9].num("values.delivered_pct"), 99.5);
 }
@@ -393,7 +396,7 @@ TEST(Trace, EscapedStringsRoundTrip) {
   std::ostringstream os;
   {
     JsonlSink sink(os);
-    sink.on_event(SpanEvent{name, 1.0, 0});
+    sink.on_event(RouteDoneEvent{0, 1, name, 1});
   }
   std::string line = os.str();
   ASSERT_FALSE(line.empty());
@@ -403,7 +406,7 @@ TEST(Trace, EscapedStringsRoundTrip) {
   }
   const auto parsed = parse_jsonl_line(line);
   ASSERT_TRUE(parsed.has_value()) << line;
-  EXPECT_EQ(parsed->str("name"), name);
+  EXPECT_EQ(parsed->str("status"), name);
 }
 
 TEST(Trace, RingBufferSurvivesConcurrentWriters) {
@@ -485,7 +488,7 @@ TEST(Trace, LockedJsonlSinkKeepsLinesWholeUnderContention) {
     for (unsigned t = 0; t < kThreads; ++t) {
       writers.emplace_back([&sink, t] {
         for (unsigned i = 0; i < kPerThread; ++i) {
-          sink.on_event(SpanEvent{"locked-writer", double(t) + i, i});
+          sink.on_event(RouteDoneEvent{t, i, "locked-writer", i});
         }
       });
     }
@@ -496,7 +499,7 @@ TEST(Trace, LockedJsonlSinkKeepsLinesWholeUnderContention) {
   for (std::string line; std::getline(is, line); ++lines) {
     const auto parsed = parse_jsonl_line(line);
     ASSERT_TRUE(parsed.has_value()) << "interleaved line: " << line;
-    EXPECT_EQ(parsed->str("name"), "locked-writer");
+    EXPECT_EQ(parsed->str("status"), "locked-writer");
   }
   EXPECT_EQ(lines, kThreads * kPerThread);
 }
@@ -528,24 +531,6 @@ TEST(Trace, TeeSinkFansOutConcurrently) {
     ASSERT_TRUE(parse_jsonl_line(line).has_value()) << line;
   }
   EXPECT_EQ(lines, kThreads * kPerThread);
-}
-
-// --- span timers -----------------------------------------------------------
-
-TEST(Span, EmitsEventAndObservesHistogram) {
-  RingBufferSink ring;
-  HistogramData hist(exponential_bounds(1, 10, 10));
-  {
-    SpanTimer span("unit-test", &ring, &hist);
-    span.set_items(42);
-  }
-  ASSERT_EQ(ring.size(), 1u);
-  const auto events = ring.snapshot();
-  const auto& ev = std::get<SpanEvent>(events[0]);
-  EXPECT_STREQ(ev.name, "unit-test");
-  EXPECT_EQ(ev.items, 42u);
-  EXPECT_GE(ev.micros, 0.0);
-  EXPECT_EQ(hist.count, 1u);
 }
 
 // --- traced unicast --------------------------------------------------------

@@ -1,10 +1,10 @@
 // obs::SamplingSink + obs::TraceBudget — the tail-sampling layer's
 // load-bearing guarantees:
 //
-//  1. Promotion is a pure function of the route summary (ticks mode):
-//     the promoted set — and therefore the order-independent digest —
-//     is bit-identical across thread counts and across the two
-//     integration modes (buffered begin/end vs offer/replay).
+//  1. Promotion is a pure function of the route summary (unlimited
+//     budget): the promoted set — and therefore the order-independent
+//     digest — is bit-identical across thread counts, and the sampled
+//     stream audits clean against the sampler's own counters.
 //  2. Anomalous routes (drop / detour / stale / misroute) are always
 //     retained as full chains while the budget admits; an exhausted
 //     budget sheds to breadcrumbs-only and counts exactly what it shed.
@@ -20,6 +20,7 @@
 #include <variant>
 #include <vector>
 
+#include "obs/audit.hpp"
 #include "obs/trace.hpp"
 #include "workload/service_script.hpp"
 
@@ -80,20 +81,11 @@ TEST(Sampling, ClassifyHeadSampleIsDeterministicModulo) {
         id % 4 == 0 ? PromoteReason::kHead : PromoteReason::kNone;
     EXPECT_EQ(SamplingSink::classify(make_summary(id), cfg), want) << id;
   }
+  cfg.head_every = 0;  // disables the head sample
+  EXPECT_EQ(SamplingSink::classify(make_summary(0), cfg), PromoteReason::kNone);
 }
 
-TEST(Sampling, ClassifyRespectsDisabledReasons) {
-  SamplingConfig cfg;
-  cfg.promote_drops = false;
-  cfg.promote_detours = false;
-  cfg.promote_stale = false;
-  cfg.promote_misroutes = false;
-  cfg.head_every = 0;
-  EXPECT_EQ(SamplingSink::classify(make_summary(0, true, true, 3, true), cfg),
-            PromoteReason::kNone);
-}
-
-// --- buffered mode ---------------------------------------------------------
+// --- offer / replay_chain --------------------------------------------------
 
 TEST(Sampling, PromotedRouteForwardsChainThenSummary) {
   CollectSink sink;
@@ -101,11 +93,13 @@ TEST(Sampling, PromotedRouteForwardsChainThenSummary) {
   cfg.head_every = 0;
   SamplingSink sampler(&sink, cfg);
 
-  sampler.begin_route(7);
-  sampler.on_event(filler_hop(0));
-  sampler.on_event(filler_hop(1));
-  const PromoteReason reason = sampler.end_route(make_summary(7, true));
-  EXPECT_EQ(reason, PromoteReason::kDrop);
+  const RouteSummary route = make_summary(7, true);
+  const SamplingSink::Offer offer = sampler.offer(route);
+  EXPECT_EQ(offer.reason, PromoteReason::kDrop);
+  ASSERT_TRUE(offer.promoted);
+  EXPECT_TRUE(sink.events.empty()) << "offer() forwards no chain by itself";
+  const std::vector<TraceEvent> chain{filler_hop(0), filler_hop(1)};
+  sampler.replay_chain(route, offer.reason, chain);
 
   ASSERT_EQ(sink.events.size(), 3u);
   EXPECT_TRUE(std::holds_alternative<HopEvent>(sink.events[0]));
@@ -120,7 +114,6 @@ TEST(Sampling, PromotedRouteForwardsChainThenSummary) {
   EXPECT_EQ(stats.routes, 1u);
   EXPECT_EQ(stats.promoted, 1u);
   EXPECT_EQ(stats.breadcrumb_only, 0u);
-  EXPECT_EQ(stats.buffered_events, 2u);
   EXPECT_EQ(
       stats.promoted_by_reason[static_cast<std::size_t>(PromoteReason::kDrop)],
       1u);
@@ -129,7 +122,6 @@ TEST(Sampling, PromotedRouteForwardsChainThenSummary) {
   ASSERT_EQ(crumbs.size(), 1u);
   EXPECT_EQ(crumbs[0].route_id_lo, 7u);
   EXPECT_NE(crumbs[0].flags & Breadcrumb::kFlagPromoted, 0);
-  EXPECT_EQ(crumbs[0].chain_events, 2u);
 }
 
 TEST(Sampling, UnpromotedRouteLeavesOnlyABreadcrumb) {
@@ -138,9 +130,9 @@ TEST(Sampling, UnpromotedRouteLeavesOnlyABreadcrumb) {
   cfg.head_every = 0;
   SamplingSink sampler(&sink, cfg);
 
-  sampler.begin_route(3);
-  sampler.on_event(filler_hop(0));
-  EXPECT_EQ(sampler.end_route(make_summary(3)), PromoteReason::kNone);
+  const SamplingSink::Offer offer = sampler.offer(make_summary(3));
+  EXPECT_EQ(offer.reason, PromoteReason::kNone);
+  EXPECT_FALSE(offer.promoted);
 
   EXPECT_TRUE(sink.events.empty());
   const SamplingSink::Stats stats = sampler.stats();
@@ -153,29 +145,6 @@ TEST(Sampling, UnpromotedRouteLeavesOnlyABreadcrumb) {
   EXPECT_EQ(sampler.promoted_digest(), 0u);
 }
 
-TEST(Sampling, ChainOverflowDemotesToBreadcrumbAndCounts) {
-  CollectSink sink;
-  SamplingConfig cfg;
-  cfg.head_every = 0;
-  cfg.max_chain_events = 2;
-  SamplingSink sampler(&sink, cfg);
-
-  sampler.begin_route(1);
-  for (std::uint64_t i = 0; i < 5; ++i) sampler.on_event(filler_hop(i));
-  EXPECT_EQ(sampler.end_route(make_summary(1, true)), PromoteReason::kDrop);
-
-  // A truncated chain must not be forwarded (it would audit as broken).
-  EXPECT_TRUE(sink.events.empty());
-  const SamplingSink::Stats stats = sampler.stats();
-  EXPECT_EQ(stats.overflow_routes, 1u);
-  EXPECT_EQ(stats.promoted, 0u);
-  EXPECT_EQ(stats.breadcrumb_only, 1u);
-  const std::vector<Breadcrumb> crumbs = sampler.breadcrumbs();
-  ASSERT_EQ(crumbs.size(), 1u);
-  EXPECT_NE(crumbs[0].flags & Breadcrumb::kFlagShed, 0);
-  EXPECT_EQ(crumbs[0].chain_events, 5u);
-}
-
 TEST(Sampling, PassthroughOutsideRoutesForwardsDirectly) {
   CollectSink sink;
   SamplingSink sampler(&sink, SamplingConfig{});
@@ -186,80 +155,27 @@ TEST(Sampling, PassthroughOutsideRoutesForwardsDirectly) {
   EXPECT_EQ(sampler.stats().passthrough_events, 1u);
 }
 
-// --- replay mode -----------------------------------------------------------
-
-TEST(Sampling, ReplayModeMatchesBufferedModeExactly) {
-  // The same 64-route synthetic workload through both integration
-  // modes: digest, promoted set, and counters must agree; replay-mode
-  // crumbs record chain_events = 0 (nothing was buffered).
-  const auto route = [](std::uint64_t id) {
-    const bool dropped = id % 16 == 5;
-    const bool detour = id % 16 == 9;
-    const std::uint64_t lag = id % 16 == 13 ? 2 : 0;
-    return make_summary(id, dropped, detour, lag);
-  };
-  SamplingConfig cfg;
-  cfg.head_every = 32;
-
-  CollectSink buffered_sink;
-  SamplingSink buffered(&buffered_sink, cfg);
-  for (std::uint64_t id = 0; id < 64; ++id) {
-    buffered.begin_route(id);
-    buffered.on_event(filler_hop(id));
-    buffered.end_route(route(id));
-  }
-
-  CollectSink replay_sink;
-  SamplingSink replayed(&replay_sink, cfg);
-  for (std::uint64_t id = 0; id < 64; ++id) {
-    const RouteSummary summary = route(id);
-    const SamplingSink::Offer offer = replayed.offer(summary);
-    EXPECT_EQ(offer.reason, SamplingSink::classify(summary, cfg));
-    if (offer.promoted) {
-      const std::vector<TraceEvent> chain{filler_hop(id)};
-      replayed.replay_chain(summary, offer.reason, chain);
-    }
-  }
-
-  EXPECT_EQ(buffered.promoted_digest(), replayed.promoted_digest());
-  EXPECT_NE(buffered.promoted_digest(), 0u);
-  const SamplingSink::Stats b = buffered.stats();
-  const SamplingSink::Stats r = replayed.stats();
-  EXPECT_EQ(b.routes, r.routes);
-  EXPECT_EQ(b.promoted, r.promoted);
-  EXPECT_EQ(b.breadcrumb_only, r.breadcrumb_only);
-  // Buffered mode pays event buffering for every route; replay mode only
-  // for the chains it actually regenerated — the point of the mode.
-  EXPECT_EQ(b.buffered_events, 64u);
-  EXPECT_EQ(r.buffered_events, r.promoted);
-  for (std::size_t i = 0; i < kNumPromoteReasons; ++i) {
-    EXPECT_EQ(b.promoted_by_reason[i], r.promoted_by_reason[i]) << i;
-  }
-  EXPECT_EQ(buffered_sink.events.size(), replay_sink.events.size());
-
-  const std::vector<Breadcrumb> crumbs = replayed.breadcrumbs();
-  ASSERT_EQ(crumbs.size(), 64u);
-  for (const Breadcrumb& crumb : crumbs) {
-    EXPECT_EQ(crumb.chain_events, 0u);
-  }
-}
-
 // --- thread-count invariance (the gated digest property) -------------------
 
+/// Serve the scripted workload on `nthreads` threads through one sampler
+/// into `downstream`: offer every route, replay each promoted chain.
 std::uint64_t scripted_digest(const workload::ServiceScript& script,
                               std::uint64_t requests, unsigned nthreads,
-                              SamplingSink::Stats* stats_out = nullptr) {
-  NullSink null;
+                              TraceSink& downstream,
+                              SamplingSink::Stats* stats_out = nullptr,
+                              bool breadcrumb_summaries = false) {
   SamplingConfig cfg;
   cfg.head_every = 64;
-  SamplingSink sampler(&null, cfg);
+  cfg.emit_breadcrumb_summaries = breadcrumb_summaries;
+  SamplingSink sampler(&downstream, cfg);
+  script.emit_epoch_events(sampler, requests);
   std::vector<std::thread> pool;
   std::uint64_t start = 0;
   for (unsigned t = 0; t < nthreads; ++t) {
     const std::uint64_t share =
         requests / nthreads + (t < requests % nthreads ? 1 : 0);
     pool.emplace_back([&, start, share] {
-      std::vector<TraceEvent> chain;
+      CollectSink chain;
       for (std::uint64_t i = start; i < start + share; ++i) {
         const auto req = script.request(i, requests);
         if (!req.has_pair) continue;
@@ -268,21 +184,11 @@ std::uint64_t scripted_digest(const workload::ServiceScript& script,
             workload::ServiceScript::summarize(req, res);
         const SamplingSink::Offer offer = sampler.offer(summary);
         if (offer.promoted) {
-          chain.clear();
-          class ChainSink final : public TraceSink {
-           public:
-            explicit ChainSink(std::vector<TraceEvent>& out) : out_(out) {}
-            void on_event(const TraceEvent& ev) override {
-              out_.push_back(ev);
-            }
-
-           private:
-            std::vector<TraceEvent>& out_;
-          } collector(chain);
+          chain.events.clear();
           svc::ServeOptions opts;
-          opts.trace = &collector;
+          opts.trace = &chain;
           (void)script.serve(req, opts);
-          sampler.replay_chain(summary, offer.reason, chain);
+          sampler.replay_chain(summary, offer.reason, chain.events);
         }
       }
     });
@@ -293,28 +199,67 @@ std::uint64_t scripted_digest(const workload::ServiceScript& script,
   return sampler.promoted_digest();
 }
 
-TEST(Sampling, PromotedDigestIsThreadCountInvariant) {
+workload::ServiceScriptConfig small_script() {
   workload::ServiceScriptConfig cfg;
   cfg.dim = 7;
   cfg.epochs = 16;
   cfg.stale_chance = 0.05;
-  const workload::ServiceScript script(cfg);
+  return cfg;
+}
+
+TEST(Sampling, PromotedDigestIsThreadCountInvariant) {
+  const workload::ServiceScript script(small_script());
   const std::uint64_t requests = 4000;
 
+  NullSink null;
   SamplingSink::Stats stats1;
-  const std::uint64_t digest1 = scripted_digest(script, requests, 1, &stats1);
+  const std::uint64_t digest1 =
+      scripted_digest(script, requests, 1, null, &stats1);
   ASSERT_NE(digest1, 0u);
   ASSERT_GT(stats1.promoted, 0u);
 
   for (const unsigned nthreads : {4u, 8u}) {
     SamplingSink::Stats stats;
     const std::uint64_t digest =
-        scripted_digest(script, requests, nthreads, &stats);
+        scripted_digest(script, requests, nthreads, null, &stats);
     EXPECT_EQ(digest, digest1) << nthreads << " threads";
     EXPECT_EQ(stats.promoted, stats1.promoted) << nthreads << " threads";
     EXPECT_EQ(stats.routes, stats1.routes) << nthreads << " threads";
     EXPECT_EQ(stats.breadcrumb_only, stats1.breadcrumb_only)
         << nthreads << " threads";
+  }
+}
+
+TEST(Sampling, SampledStreamAuditsCleanAndReconciles) {
+  // bench_service --sample's audited pass in miniature: every promoted
+  // chain reaches the auditor whole, with breadcrumb summaries for the
+  // rest, and the sampler's counters reconcile against the stream.
+  const workload::ServiceScriptConfig script_cfg = small_script();
+  const workload::ServiceScript script(script_cfg);
+  const std::uint64_t requests = 4000;
+  NullSink null;
+  const std::uint64_t null_digest = scripted_digest(script, requests, 1, null);
+  ASSERT_NE(null_digest, 0u);
+
+  for (const unsigned nthreads : {1u, 4u}) {
+    AuditConfig audit_cfg;
+    audit_cfg.dimension = script_cfg.dim;
+    AuditSink audit(audit_cfg);
+    SamplingSink::Stats stats;
+    const std::uint64_t digest =
+        scripted_digest(script, requests, nthreads, audit, &stats,
+                        /*breadcrumb_summaries=*/true);
+    audit.reconcile_sampling(stats.promoted, stats.breadcrumb_only,
+                             stats.shed_events);
+    audit.finish();
+    const AuditReport report = audit.report();
+    EXPECT_TRUE(report.clean()) << nthreads << " threads: "
+                                << report.violations_total << " violation(s)";
+    ASSERT_GT(stats.promoted, 0u);
+    EXPECT_EQ(report.routes, stats.promoted) << nthreads << " threads";
+    EXPECT_EQ(report.breadcrumb_routes, stats.breadcrumb_only)
+        << nthreads << " threads";
+    EXPECT_EQ(digest, null_digest) << nthreads << " threads";
   }
 }
 
@@ -355,25 +300,27 @@ TEST(Sampling, BudgetShedsToBreadcrumbsAndCountsTheLoss) {
   cfg.budget.burst_ns = 1;  // one admission, then dry
   SamplingSink sampler(&sink, cfg);
 
-  sampler.begin_route(0);
-  sampler.on_event(filler_hop(0));
-  EXPECT_EQ(sampler.end_route(make_summary(0, true)), PromoteReason::kDrop);
+  const RouteSummary first = make_summary(0, true);
+  const SamplingSink::Offer admitted = sampler.offer(first);
+  EXPECT_EQ(admitted.reason, PromoteReason::kDrop);
+  ASSERT_TRUE(admitted.promoted);
+  const std::vector<TraceEvent> chain{filler_hop(0)};
+  sampler.replay_chain(first, admitted.reason, chain);
   ASSERT_EQ(sink.events.size(), 2u);  // chain + summary
 
   // Overdrawn now (settle charged the forward wall time plus our help).
   sampler.budget().settle(1'000'000);
   for (std::uint64_t id = 1; id <= 3; ++id) {
-    sampler.begin_route(id);
-    sampler.on_event(filler_hop(id));
-    sampler.on_event(filler_hop(id + 1));
-    EXPECT_EQ(sampler.end_route(make_summary(id, true)), PromoteReason::kDrop);
+    const SamplingSink::Offer offer = sampler.offer(make_summary(id, true));
+    EXPECT_EQ(offer.reason, PromoteReason::kDrop);
+    EXPECT_FALSE(offer.promoted);
   }
   EXPECT_EQ(sink.events.size(), 2u) << "shed routes must forward nothing";
 
   const SamplingSink::Stats stats = sampler.stats();
   EXPECT_EQ(stats.promoted, 1u);
   EXPECT_EQ(stats.shed_routes, 3u);
-  EXPECT_EQ(stats.shed_events, 6u);  // 3 shed chains x 2 buffered events
+  EXPECT_EQ(stats.shed_events, 18u);  // 3 shed chains x (4 hops + 2)
   EXPECT_EQ(
       stats.shed_by_reason[static_cast<std::size_t>(PromoteReason::kDrop)],
       3u);
@@ -392,17 +339,16 @@ TEST(Sampling, BreadcrumbRingEvictsOldestAndCountsDrops) {
   CollectSink sink;
   SamplingConfig cfg;
   cfg.head_every = 0;
-  cfg.breadcrumb_capacity = 4;
   SamplingSink sampler(&sink, cfg);
-  for (std::uint64_t id = 0; id < 10; ++id) {
+  for (std::uint64_t id = 0; id < kBreadcrumbCapacity + 6; ++id) {
     (void)sampler.offer(make_summary(id));
   }
   EXPECT_EQ(sampler.stats().breadcrumbs_dropped, 6u);
   const std::vector<Breadcrumb> crumbs = sampler.breadcrumbs();
-  ASSERT_EQ(crumbs.size(), 4u);
-  // Oldest-first snapshot of the newest four.
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(crumbs[i].route_id_lo, 6u + i);
+  ASSERT_EQ(crumbs.size(), kBreadcrumbCapacity);
+  // Oldest-first snapshot of the newest kBreadcrumbCapacity.
+  for (std::uint64_t i = 0; i < kBreadcrumbCapacity; ++i) {
+    ASSERT_EQ(crumbs[i].route_id_lo, 6u + i) << i;
   }
 }
 
@@ -410,39 +356,14 @@ TEST(Sampling, BreadcrumbRecordsStaleFlagAndEpoch) {
   CollectSink sink;
   SamplingConfig cfg;
   cfg.head_every = 0;
-  cfg.promote_stale = false;  // keep it breadcrumb-only
   SamplingSink sampler(&sink, cfg);
-  (void)sampler.offer(make_summary(9, false, false, 3));
+  EXPECT_EQ(sampler.offer(make_summary(9, false, false, 3)).reason,
+            PromoteReason::kStale);
   const std::vector<Breadcrumb> crumbs = sampler.breadcrumbs();
   ASSERT_EQ(crumbs.size(), 1u);
   EXPECT_NE(crumbs[0].flags & Breadcrumb::kFlagStale, 0);
   EXPECT_EQ(crumbs[0].decision_epoch_lo, 10u);
   EXPECT_EQ(crumbs[0].route_id_lo, 9u);
-}
-
-// --- latency outliers (live mode) ------------------------------------------
-
-TEST(Sampling, LatencyOutlierPastQuantilePromotes) {
-  CollectSink sink;
-  SamplingConfig cfg;
-  cfg.head_every = 0;
-  cfg.latency_quantile = 0.9;
-  cfg.latency_warmup = 16;
-  SamplingSink sampler(&sink, cfg);
-
-  const auto timed = [](std::uint64_t id, double latency_us) {
-    RouteSummary s = make_summary(id);
-    s.latency_us = latency_us;
-    return s;
-  };
-  // Warm the histogram with uniform ~1us routes.
-  for (std::uint64_t id = 0; id < 32; ++id) {
-    EXPECT_EQ(sampler.offer(timed(id, 1.0)).reason, PromoteReason::kNone);
-  }
-  // A 4ms route is far past the p90 of that history.
-  const SamplingSink::Offer offer = sampler.offer(timed(99, 4000.0));
-  EXPECT_EQ(offer.reason, PromoteReason::kLatency);
-  EXPECT_TRUE(offer.promoted);
 }
 
 }  // namespace

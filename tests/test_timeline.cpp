@@ -115,6 +115,23 @@ TEST(Timeline, EpochSliceSpansToItsSuccessor) {
             std::string::npos);
 }
 
+TEST(Timeline, IntegralValuesPastAMillionStayExact) {
+  // Route ids and epochs share the integer time axis; at six significant
+  // digits routes 1234567 and 1234568 would land on one tick.
+  std::vector<TraceEvent> events;
+  events.push_back(epoch(1234567, 1234566, "node-fail", 1, 1234560));
+  events.push_back(route(1234567, 1234567, 1234567, true, "head"));
+  events.push_back(route(1234568, 1234567, 1234567, true, "head"));
+  std::ostringstream os;
+  (void)write_chrome_trace(os, parse_events(events));
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"ts\":1234567,"), std::string::npos);
+  EXPECT_NE(json.find("\"ts\":1234568,"), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"epoch\":1234567,\"parent\":1234566,"),
+            std::string::npos);
+  EXPECT_EQ(json.find("e+06"), std::string::npos) << json;
+}
+
 TEST(Timeline, BreadcrumbTrackCanBeDisabled) {
   std::ostringstream os;
   TimelineOptions options;
