@@ -39,7 +39,7 @@ struct Options {
   std::string jsonl_file;  ///< empty = no JSONL trace artifact
   std::string bench_json;  ///< empty = no summary JSON artifact
   /// Telemetry recording (empty = off): the time-series + stage JSONL
-  /// lands here, the final Prometheus scrape in "<file>.prom".
+  /// lands here.
   std::string telemetry_file;
   /// Cadence of the telemetry sampler thread; 0 = explicit ticks only
   /// (deterministic output, the default). Ignored without --telemetry.
@@ -162,8 +162,7 @@ inline int finish_audit(obs::AuditSink* audit) {
 /// instrumented call site stays on its untelemetered path. finish()
 /// writes the flight record: one "telemetry_meta" line, the ts_sample
 /// time series (wall times omitted in explicit-tick mode so the file is
-/// byte-identical across --threads), the merged stage tree, and a final
-/// Prometheus scrape next to it in "<file>.prom".
+/// byte-identical across --threads), and the merged stage tree.
 class TelemetrySession {
  public:
   explicit TelemetrySession(const Options& options)
@@ -215,8 +214,6 @@ class TelemetrySession {
     obs::write_timeseries_jsonl(out, recorder_->samples(),
                                 /*include_wall_time=*/recorder_->timed());
     obs::write_stage_jsonl(out, profiler_->report());
-    std::ofstream prom(file_ + ".prom", std::ios::trunc);
-    if (prom) obs::write_prometheus(prom, registry_->scrape());
     return true;
   }
 

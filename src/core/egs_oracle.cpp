@@ -9,13 +9,15 @@ namespace slcube::core {
 namespace {
 
 /// The pseudo-fault set the public view is the fixed point of: real
-/// faults plus every healthy node with an adjacent faulty link (N2).
+/// faults plus every healthy node with an adjacent faulty link (N2),
+/// which is the real faults plus both ends of every faulty link.
 fault::FaultSet make_pseudo(const topo::Hypercube& cube,
                             const fault::FaultSet& faults,
                             const fault::LinkFaultSet& links) {
   fault::FaultSet pseudo = faults;
-  for (NodeId a = 0; a < cube.num_nodes(); ++a) {
-    if (faults.is_healthy(a) && links.touches(a)) pseudo.mark_faulty(a);
+  for (const auto& [a, d] : links.faulty_links()) {
+    pseudo.mark_faulty(a);
+    pseudo.mark_faulty(cube.neighbor(a, d));
   }
   return pseudo;
 }
@@ -47,10 +49,13 @@ EgsOracle::EgsOracle(const topo::Hypercube& cube,
   SLC_EXPECT(faults.num_nodes() == cube.num_nodes());
   SLC_EXPECT(link_faults.cube().num_nodes() == cube.num_nodes());
   pseudo_.set_change_log(&changed_);
-  for (NodeId a = 0; a < cube_.num_nodes(); ++a) {
-    if (faults_.is_healthy(a) && links_.touches(a)) {
-      in_n2_[a] = 1;
-      self_view_[a] = self_level_of(a);
+  // N2 from the faulty links' endpoints: a healthy endpoint is in N2, and
+  // one with several faulty links is met once per link.
+  for (const auto& [a, d] : links_.faulty_links()) {
+    for (const NodeId x : {a, cube_.neighbor(a, d)}) {
+      if (faults_.is_faulty(x) || in_n2_[x] != 0) continue;
+      in_n2_[x] = 1;
+      self_view_[x] = self_level_of(x);
     }
   }
   stats_ = {};  // counters report post-construction events only

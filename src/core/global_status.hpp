@@ -62,8 +62,10 @@ struct GsOptions {
 /// at least k+1 neighbors at level <= k-1, and only neighbors of stage
 /// k-1's nodes can qualify, so the stages cost O((faults + non-safe
 /// nodes) * n) after an O(N) initialisation. It ends with run_gs's
-/// O(N * n) Definition-1 postcondition. By uniqueness the result is
-/// bit-identical to run_gs's levels from either start.
+/// Definition-1 postcondition, is_consistent: one blocked pass that
+/// clears most safe nodes from three neighbor counts and gives every
+/// other node the full test. By uniqueness the result is bit-identical
+/// to run_gs's levels from either start.
 [[nodiscard]] SafetyLevels compute_safety_levels(
     const topo::Hypercube& cube, const fault::FaultSet& faults);
 

@@ -105,8 +105,8 @@ class SafetyLevels {
   [[nodiscard]] const PackedLevels& packed() const noexcept { return packed_; }
   [[nodiscard]] PackedLevels& packed() noexcept { return packed_; }
 
-  /// Byte-per-level copy, for call sites that want a flat array (tests,
-  /// reporting) — O(N), not for hot paths.
+  /// Byte-per-level copy, decoded a packed word at a time: is_consistent
+  /// reads it, and so do tests and reporting. O(N) bytes.
   [[nodiscard]] std::vector<Level> unpack() const;
 
   friend bool operator==(const SafetyLevels&, const SafetyLevels&) = default;
@@ -122,14 +122,20 @@ class SafetyLevels {
 
 /// Level Definition 1 implies for node `a` given its neighbors' current
 /// levels (counts level occurrences — equivalent to gather + sort +
-/// node_status, without the sort). `a` must be healthy.
+/// node_status, without the sort). `a` must be healthy. A neighbor may
+/// hold any value a packed slot can (0..31); one above n counts as n.
 [[nodiscard]] Level implied_level(const topo::Hypercube& cube,
                                   const fault::FaultSet& faults,
                                   const SafetyLevels& levels, NodeId a);
 
 /// Definition-1 predicate: does `levels` satisfy the safety-level
 /// condition at every node (faulty nodes 0, healthy nodes equal to their
-/// implied level)?
+/// implied level)? Exact at every node, in one pass over an unpack()ed
+/// byte copy (N bytes, freed on return): faulty nodes are checked for 0,
+/// then blocks of 64 consecutive ids count, per node, the neighbors below
+/// n, those at 0, and the least nonzero level below n. A quick rule on
+/// those three counts clears most safe nodes; every other node gets the
+/// full counting test of implied_level (DESIGN.md, "Peeling build").
 [[nodiscard]] bool is_consistent(const topo::Hypercube& cube,
                                  const fault::FaultSet& faults,
                                  const SafetyLevels& levels);

@@ -153,8 +153,8 @@ RouteSummaryEvent summary_event(const RouteSummary& summary,
                                 PromoteReason reason, bool promoted) {
   return RouteSummaryEvent{summary.route_id,     summary.decision_epoch,
                            summary.ground_epoch, summary.status,
-                           summary.hops,         summary.latency_us,
-                           promoted,             to_string(reason)};
+                           summary.hops,         promoted,
+                           to_string(reason)};
 }
 
 /// Owner-only increment of a single-writer relaxed counter: a plain

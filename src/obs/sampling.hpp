@@ -145,7 +145,6 @@ struct RouteSummary {
   bool dropped = false;
   bool detour = false;
   bool misroute = false;
-  double latency_us = -1.0;  ///< < 0 = not measured; goes to RouteSummaryEvent
   [[nodiscard]] bool stale() const { return ground_epoch > decision_epoch; }
 };
 

@@ -174,43 +174,4 @@ void write_stage_jsonl(std::ostream& os, const StageReport& report) {
   }
 }
 
-// --- Prometheus text exposition --------------------------------------------
-
-namespace {
-
-std::string prometheus_name(std::string_view name) {
-  std::string out = "slcube_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-}  // namespace
-
-void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
-  for (const auto& [name, v] : snapshot.counters) {
-    const std::string n = prometheus_name(name);
-    os << "# TYPE " << n << " counter\n" << n << ' ' << v << '\n';
-  }
-  for (const auto& [name, v] : snapshot.gauges) {
-    const std::string n = prometheus_name(name);
-    os << "# TYPE " << n << " gauge\n" << n << ' ' << v << '\n';
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    const std::string n = prometheus_name(name);
-    os << "# TYPE " << n << " histogram\n";
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      cum += i < h.buckets.size() ? h.buckets[i] : 0;
-      os << n << "_bucket{le=\"" << h.bounds[i] << "\"} " << cum << '\n';
-    }
-    os << n << "_bucket{le=\"+Inf\"} " << h.count << '\n';
-    os << n << "_sum " << h.sum << '\n';
-    os << n << "_count " << h.count << '\n';
-  }
-}
-
 }  // namespace slcube::obs

@@ -12,9 +12,8 @@
 //    wall time and are inherently non-deterministic.
 //
 // Exporters: a JSONL time-series dialect ("ts_sample" lines, flat dotted
-// keys), the profiler's stage tree ("stage" lines) — both written by
-// obs::JsonWriter and documented in EXPERIMENTS.md (TELEMETRY) — and
-// Prometheus text exposition for the final snapshot.
+// keys) and the profiler's stage tree ("stage" lines), both written by
+// obs::JsonWriter and documented in EXPERIMENTS.md (TELEMETRY).
 #pragma once
 
 #include <chrono>
@@ -125,10 +124,5 @@ void write_timeseries_jsonl(std::ostream& os,
 /// names with '/'): {"event":"stage","path":"trial/route","name":"route",
 /// "depth":1,"count":N,"total_us":X,"self_us":Y,"threads":T}.
 void write_stage_jsonl(std::ostream& os, const StageReport& report);
-
-/// Prometheus text exposition of one snapshot: names are sanitized
-/// ('.' -> '_') and prefixed "slcube_"; histograms emit cumulative
-/// _bucket{le="..."} series plus +Inf, _sum, and _count.
-void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot);
 
 }  // namespace slcube::obs

@@ -178,7 +178,6 @@ TimelineStats write_chrome_trace(std::ostream& os,
         .arg("reason", r->reason)
         .arg("hops", r->hops)
         .arg("stale", r->ground_epoch > r->decision_epoch ? 1 : 0);
-    if (r->latency_us >= 0) out.arg("latency_us", r->latency_us);
     const auto it = epochs.find(r->decision_epoch);
     if (it != epochs.end()) out.arg("decision_churn", it->second.cause);
     if (r->promoted) {

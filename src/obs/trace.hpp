@@ -268,9 +268,8 @@ struct RouteSummaryEvent {
   std::uint64_t ground_epoch = 0;  ///< >= decision_epoch; > means stale
   const char* status = "";
   unsigned hops = 0;
-  double latency_us = -1.0;  ///< < 0 = not measured (ticks mode)
-  bool promoted = false;     ///< full chain retained (precedes this event)
-  const char* reason = "";   ///< promotion reason, "none" for breadcrumbs
+  bool promoted = false;    ///< full chain retained (precedes this event)
+  const char* reason = "";  ///< promotion reason, "none" for breadcrumbs
 
   static constexpr const char* kName = "route_summary";
   static void fields(auto& e, auto&& f) {
@@ -279,7 +278,6 @@ struct RouteSummaryEvent {
     f("ground_epoch", e.ground_epoch);
     f("status", e.status);
     f("hops", e.hops);
-    f("latency_us", e.latency_us);
     f("promoted", e.promoted);
     f("reason", e.reason);
   }

@@ -632,7 +632,6 @@ TEST(Audit, ToTraceEventReconstructsEveryKindAndRejectsUnknown) {
   summary.ground_epoch = 12;
   summary.status = "dropped-link";
   summary.hops = 2;
-  summary.latency_us = 3.5;
   summary.promoted = true;
   summary.reason = "stale";
   originals.emplace_back(summary);
@@ -693,7 +692,8 @@ TEST(Audit, ToTraceEventLeavesDefaultsForAbsentKeys) {
       parse_jsonl_line(R"({"event":"route_summary","route_id":9})");
   ASSERT_TRUE(summary.has_value());
   ASSERT_TRUE(to_trace_event(*summary, out));
-  EXPECT_DOUBLE_EQ(std::get<RouteSummaryEvent>(out).latency_us, -1.0);
+  EXPECT_EQ(std::get<RouteSummaryEvent>(out).route_id, 9u);
+  EXPECT_STREQ(std::get<RouteSummaryEvent>(out).status, "");
 }
 
 // --- report plumbing -----------------------------------------------------
@@ -817,8 +817,7 @@ void emit_promoted_route(AuditSink& audit, std::uint64_t route_id,
   audit.on_event(RouteDoneEvent{0, 1, "delivered-optimal", 1});
   audit.on_event(RouteSummaryEvent{route_id, /*decision_epoch=*/4,
                                    /*ground_epoch=*/4, "delivered-optimal",
-                                   /*hops=*/1, /*latency_us=*/-1.0,
-                                   /*promoted=*/true, reason});
+                                   /*hops=*/1, /*promoted=*/true, reason});
 }
 
 }  // namespace
@@ -829,7 +828,7 @@ TEST(Audit, ReconcileSamplingAcceptsAConsistentSampledStream) {
   emit_promoted_route(audit, 40, "drop");
   // One breadcrumb-only summary (emit_breadcrumb_summaries mode): no
   // chain precedes it, and that must NOT read as a truncated route.
-  audit.on_event(RouteSummaryEvent{13, 4, 4, "delivered-optimal", 1, -1.0,
+  audit.on_event(RouteSummaryEvent{13, 4, 4, "delivered-optimal", 1,
                                    /*promoted=*/false, "none"});
   audit.finish();
   audit.reconcile_sampling(/*promoted=*/2, /*breadcrumb_only=*/1,
@@ -875,7 +874,7 @@ TEST(Audit, ReconcileSamplingFlagsCounterDrift) {
 
 TEST(Audit, PromotedSummaryWithoutChainIsAMismatch) {
   AuditSink audit(dim3_config());
-  audit.on_event(RouteSummaryEvent{99, 4, 4, "delivered-optimal", 1, -1.0,
+  audit.on_event(RouteSummaryEvent{99, 4, 4, "delivered-optimal", 1,
                                    /*promoted=*/true, "head"});
   audit.finish();
   const AuditReport report = audit.report();
@@ -904,7 +903,7 @@ TEST(Audit, SummaryContradictingItsChainIsAMismatch) {
   audit.on_event(RouteDoneEvent{0, 1, "delivered-optimal", 1});
   // Summary lies about the hop count.
   audit.on_event(RouteSummaryEvent{5, 4, 4, "delivered-optimal", /*hops=*/3,
-                                   -1.0, /*promoted=*/true, "head"});
+                                   /*promoted=*/true, "head"});
   audit.finish();
   const AuditReport report = audit.report();
   EXPECT_GE(report.violations_by_kind[static_cast<std::size_t>(

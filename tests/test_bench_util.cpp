@@ -118,7 +118,6 @@ TEST(BenchUtil, TelemetrySessionIsGatedOnTheFlag) {
   EXPECT_EQ(events[1].kind(), "ts_sample");
   EXPECT_EQ(events[1].integer("c.gate.count"), 3);
   std::remove(on.telemetry_file.c_str());
-  std::remove((on.telemetry_file + ".prom").c_str());
 }
 
 TEST(BenchUtil, AuditSinkIsGatedOnTheFlag) {

@@ -60,6 +60,29 @@ TEST(EgsOracle, ConstructionAtArbitraryConfigurationMatchesScratch) {
   }
 }
 
+TEST(EgsOracle, ConstructionFindsN2FromTheFaultyLinks) {
+  // Q4 with faulty nodes 0011, 1000 and 1001. Node 0101 has two faulty
+  // links, to 0100 and 0111; 0011-1011 ends at a faulty node, so only
+  // 1011 joins N2; and 1000-1001 joins two faulty nodes, so neither end
+  // does.
+  const topo::Hypercube q(4);
+  const fault::FaultSet faults(q.num_nodes(), {0b0011, 0b1000, 0b1001});
+  fault::LinkFaultSet links(q);
+  links.mark_faulty(0b0101, 0);
+  links.mark_faulty(0b0101, 1);
+  links.mark_faulty(0b0011, 3);
+  links.mark_faulty(0b1000, 0);
+  const EgsOracle oracle(q, faults, links);
+  expect_matches_scratch(oracle, "constructor");
+  std::vector<NodeId> n2;
+  for (NodeId a = 0; a < q.num_nodes(); ++a) {
+    if (oracle.in_n2(a)) n2.push_back(a);
+  }
+  EXPECT_EQ(n2, (std::vector<NodeId>{0b0100, 0b0101, 0b0111, 0b1011}));
+  EXPECT_EQ(oracle.public_view()[0b0101], 0);
+  EXPECT_EQ(oracle.public_view()[0b1011], 0);
+}
+
 TEST(EgsOracle, SingleLinkFailThenRecoverRoundTrips) {
   const topo::Hypercube q(4);
   EgsOracle oracle(q);

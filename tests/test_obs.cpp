@@ -315,7 +315,7 @@ TEST(Trace, JsonlRoundTripPreservesEveryEventKind) {
     sink.on_event(NodeRecoverEvent{3, 9});
     RouteSummaryEvent summary;
     summary.route_id = 7;
-    summary.latency_us = 123.5;
+    summary.hops = 4;
     sink.on_event(summary);
     SweepPointEvent sp;
     sp.sweep = "routing";
@@ -348,7 +348,8 @@ TEST(Trace, JsonlRoundTripPreservesEveryEventKind) {
   EXPECT_EQ(events[6].kind(), "node_fail");
   EXPECT_EQ(events[7].kind(), "node_recover");
   EXPECT_EQ(events[8].kind(), "route_summary");
-  EXPECT_DOUBLE_EQ(events[8].num("latency_us"), 123.5);
+  EXPECT_EQ(events[8].integer("hops"), 4);
+  EXPECT_FALSE(events[8].has("latency_us"));
   EXPECT_EQ(events[9].str("sweep"), "routing");
   EXPECT_DOUBLE_EQ(events[9].num("values.delivered_pct"), 99.5);
 }

@@ -1,6 +1,6 @@
 // slcube::obs telemetry — the time-series recorder (explicit ticks and
-// cadence mode, ring bound, concurrent writers), the JSONL / Prometheus
-// exporters, the stage profiler (tree shape, self/total attribution,
+// cadence mode, ring bound, concurrent writers), the JSONL exporters,
+// the stage profiler (tree shape, self/total attribution,
 // cross-thread merge, guard nesting), and the dashboard renderer.
 #include <gtest/gtest.h>
 
@@ -198,29 +198,6 @@ TEST(Telemetry, ByteIdenticalAcrossEngineThreadCounts) {
   const std::string serial = record(1);
   EXPECT_EQ(serial, record(4));
   EXPECT_NE(serial.find("\"d.work.done\":32"), std::string::npos);
-}
-
-TEST(Telemetry, PrometheusExposition) {
-  Registry reg;
-  reg.counter("route.requests").inc(7);
-  reg.gauge("pool.size").set(4);
-  const Histogram h = reg.histogram("lat.us", exponential_bounds(1, 2, 3));
-  h.observe(1.5);
-  h.observe(100.0);  // overflow bucket
-  std::ostringstream os;
-  write_prometheus(os, reg.scrape());
-  const std::string text = os.str();
-  EXPECT_NE(text.find("# TYPE slcube_route_requests counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("slcube_route_requests 7"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE slcube_pool_size gauge"), std::string::npos);
-  EXPECT_NE(text.find("slcube_pool_size 4"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE slcube_lat_us histogram"), std::string::npos);
-  // Buckets are cumulative and end at +Inf == _count.
-  EXPECT_NE(text.find("slcube_lat_us_bucket{le=\"2\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("slcube_lat_us_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("slcube_lat_us_count 2"), std::string::npos);
 }
 
 // --- stage profiler --------------------------------------------------------
