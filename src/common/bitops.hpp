@@ -27,13 +27,6 @@ namespace bits {
   return static_cast<unsigned>(std::popcount(v));
 }
 
-/// 64-bit Hamming weight, for word-at-a-time scans over node bitsets
-/// (a Q20 cube has 2^20 nodes = 2^14 words; per-node popcounts on a
-/// 32-bit view would silently truncate past dimension 31).
-[[nodiscard]] constexpr unsigned popcount64(std::uint64_t v) noexcept {
-  return static_cast<unsigned>(std::popcount(v));
-}
-
 /// Iterate the set bits of a 64-bit word low-to-high, calling f(index).
 /// The word-scan workhorse for FaultSet-sized bitsets; the 32-bit
 /// for_each_set below stays the navigation-vector entry point.
@@ -97,6 +90,16 @@ constexpr void for_each_set(std::uint32_t mask, F&& f) {
 template <typename F>
 constexpr void for_each_clear(std::uint32_t mask, unsigned n, F&& f) {
   for_each_set(~mask & low_mask(n), static_cast<F&&>(f));
+}
+
+/// Whether pred(dim) holds for some set bit of `mask`: the bits are tried
+/// low-to-high and the scan stops at the first that satisfies it.
+template <typename P>
+constexpr bool any_set(std::uint32_t mask, P&& pred) {
+  for (; mask != 0; mask &= mask - 1) {
+    if (pred(lowest_set(mask))) return true;
+  }
+  return false;
 }
 
 }  // namespace bits

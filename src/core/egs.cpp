@@ -61,13 +61,15 @@ SourceDecision decide_at_source_egs(const topo::Hypercube& cube,
   dec.dest_link_faulty =
       dec.hamming == 1 && link_faults.is_faulty(s, bits::lowest_set(nav));
   dec.c1 = !dec.dest_link_faulty && views.self_view[s] >= dec.hamming;
-  cube.for_each_preferred(s, nav, [&](Dim dim, NodeId b) {
-    if (link_faults.is_faulty(s, dim)) return;
-    dec.c2 |= views.public_view[b] + 1u >= dec.hamming;
+  // C2 and C3 are ORs over the neighbors behind healthy links; each scan
+  // stops at its first witness.
+  dec.c2 = cube.any_preferred(s, nav, [&](Dim dim, NodeId b) {
+    return !link_faults.is_faulty(s, dim) &&
+           views.public_view[b] + 1u >= dec.hamming;
   });
-  cube.for_each_spare(s, nav, [&](Dim dim, NodeId b) {
-    if (link_faults.is_faulty(s, dim)) return;
-    dec.c3 |= views.public_view[b] >= dec.hamming + 1u;
+  dec.c3 = cube.any_spare(s, nav, [&](Dim dim, NodeId b) {
+    return !link_faults.is_faulty(s, dim) &&
+           views.public_view[b] >= dec.hamming + 1u;
   });
   return dec;
 }

@@ -31,8 +31,8 @@ EgsOracle::EgsOracle(const topo::Hypercube& cube)
       pseudo_(cube),
       self_view_(cube.dimension(), cube.num_nodes(),
                  static_cast<Level>(cube.dimension())),
-      in_n2_(static_cast<std::size_t>(cube.num_nodes()), 0),
-      dirty_mark_(static_cast<std::size_t>(cube.num_nodes()), 0) {
+      in_n2_(static_cast<std::size_t>(cube.num_nodes())),
+      dirty_mark_(static_cast<std::size_t>(cube.num_nodes())) {
   pseudo_.set_change_log(&changed_);
 }
 
@@ -44,8 +44,8 @@ EgsOracle::EgsOracle(const topo::Hypercube& cube,
       links_(link_faults),
       pseudo_(cube, make_pseudo(cube, faults, link_faults)),
       self_view_(pseudo_.levels()),
-      in_n2_(static_cast<std::size_t>(cube.num_nodes()), 0),
-      dirty_mark_(static_cast<std::size_t>(cube.num_nodes()), 0) {
+      in_n2_(static_cast<std::size_t>(cube.num_nodes())),
+      dirty_mark_(static_cast<std::size_t>(cube.num_nodes())) {
   SLC_EXPECT(faults.num_nodes() == cube.num_nodes());
   SLC_EXPECT(link_faults.cube().num_nodes() == cube.num_nodes());
   pseudo_.set_change_log(&changed_);
@@ -53,8 +53,8 @@ EgsOracle::EgsOracle(const topo::Hypercube& cube,
   // one with several faulty links is met once per link.
   for (const auto& [a, d] : links_.faulty_links()) {
     for (const NodeId x : {a, cube_.neighbor(a, d)}) {
-      if (faults_.is_faulty(x) || in_n2_[x] != 0) continue;
-      in_n2_[x] = 1;
+      if (faults_.is_faulty(x) || in_n2_[x]) continue;
+      in_n2_[x] = true;
       self_view_[x] = self_level_of(x);
     }
   }
@@ -62,8 +62,8 @@ EgsOracle::EgsOracle(const topo::Hypercube& cube,
 }
 
 void EgsOracle::mark_dirty(NodeId a) {
-  if (dirty_mark_[a] == 0) {
-    dirty_mark_[a] = 1;
+  if (!dirty_mark_[a]) {
+    dirty_mark_[a] = true;
     dirty_.push_back(a);
   }
 }
@@ -71,7 +71,7 @@ void EgsOracle::mark_dirty(NodeId a) {
 Level EgsOracle::self_level_of(NodeId a) {
   // Faulty and healthy-non-N2 nodes carry their public level (0 for the
   // former); only N2 nodes run their own NODE_STATUS round.
-  if (in_n2_[a] == 0) return pseudo_.levels()[a];
+  if (!in_n2_[a]) return pseudo_.levels()[a];
   ++stats_.self_recomputes;
   const unsigned n = cube_.dimension();
   std::array<Level, topo::Hypercube::kMaxDimension> seq{};
@@ -92,8 +92,8 @@ void EgsOracle::apply_toggles(std::span<const NodeId> node_toggles,
   // the pseudo delta below must list each node at most once.
   std::vector<NodeId> touched;
   const auto touch = [&](NodeId x) {
-    if (dirty_mark_[x] == 0) {
-      dirty_mark_[x] = 1;
+    if (!dirty_mark_[x]) {
+      dirty_mark_[x] = true;
       dirty_.push_back(x);
       touched.push_back(x);
     }
@@ -150,11 +150,10 @@ void EgsOracle::apply_toggles(std::span<const NodeId> node_toggles,
 
   // Phase 3 — N2 membership bookkeeping for the touched nodes.
   for (const NodeId x : touched) {
-    const std::uint8_t now =
-        (faults_.is_healthy(x) && links_.touches(x)) ? 1 : 0;
+    const bool now = faults_.is_healthy(x) && links_.touches(x);
     if (now != in_n2_[x]) {
       in_n2_[x] = now;
-      if (now != 0) {
+      if (now) {
         ++stats_.n2_enters;
       } else {
         ++stats_.n2_exits;
@@ -168,11 +167,11 @@ void EgsOracle::apply_toggles(std::span<const NodeId> node_toggles,
   for (const NodeId c : changed_) {
     mark_dirty(c);
     cube_.for_each_neighbor(c, [&](Dim, NodeId b) {
-      if (in_n2_[b] != 0) mark_dirty(b);
+      if (in_n2_[b]) mark_dirty(b);
     });
   }
   for (const NodeId x : dirty_) {
-    dirty_mark_[x] = 0;
+    dirty_mark_[x] = false;
     self_view_[x] = self_level_of(x);
     ++stats_.self_refreshes;
   }
@@ -215,11 +214,8 @@ void EgsOracle::retarget(const fault::FaultSet& target_faults,
   SLC_EXPECT(target_faults.num_nodes() == cube_.num_nodes());
   SLC_EXPECT(target_links.cube().num_nodes() == cube_.num_nodes());
   std::vector<NodeId> node_toggles;
-  for (NodeId a = 0; a < cube_.num_nodes(); ++a) {
-    if (faults_.is_faulty(a) != target_faults.is_faulty(a)) {
-      node_toggles.push_back(a);
-    }
-  }
+  faults_.for_each_difference(
+      target_faults, [&](NodeId a) { node_toggles.push_back(a); });
   std::vector<LinkToggle> link_toggles;
   for (const auto& [a, d] : links_.faulty_links()) {
     if (!target_links.is_faulty(a, d)) link_toggles.push_back({a, d});

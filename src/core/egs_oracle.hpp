@@ -80,7 +80,7 @@ class EgsOracle {
     return self_view_;
   }
   /// Healthy node `a` has at least one adjacent faulty link.
-  [[nodiscard]] bool in_n2(NodeId a) const { return in_n2_[a] != 0; }
+  [[nodiscard]] bool in_n2(NodeId a) const { return in_n2_[a]; }
   /// Borrowed view pair for decide_at_source_egs / route_unicast_egs.
   [[nodiscard]] EgsViews views() const noexcept {
     return EgsViews{pseudo_.levels(), self_view_};
@@ -144,12 +144,12 @@ class EgsOracle {
   /// Public view: Theorem-1 oracle over the pseudo set faults_ ∪ N2.
   SafetyOracle pseudo_;
   SafetyLevels self_view_;
-  std::vector<std::uint8_t> in_n2_;
+  std::vector<bool> in_n2_;  ///< one bit per node
   /// Pseudo-oracle change log (registered once, cleared per batch).
   std::vector<NodeId> changed_;
-  /// Scratch for apply_toggles: dirty list + membership stamps.
+  /// Scratch for apply_toggles: dirty list + one membership bit per node.
   std::vector<NodeId> dirty_;
-  std::vector<std::uint8_t> dirty_mark_;
+  std::vector<bool> dirty_mark_;
   Stats stats_;
 };
 

@@ -80,18 +80,20 @@ SourceDecision decide_at_source_gh(const topo::GeneralizedHypercube& gh,
     return dec;
   }
   dec.c1 = levels[s] >= dec.hamming;
-  for (Dim i = 0; i < gh.dimension(); ++i) {
+  // C2 and C3 are ORs: once one holds, its neighbors are not read again.
+  for (Dim i = 0; i < gh.dimension() && !(dec.c2 && dec.c3); ++i) {
     const std::uint32_t sc = gh.coordinate(s, i);
     const std::uint32_t dc = gh.coordinate(d, i);
     if (sc != dc) {
       // Preferred neighbor along a differing dimension: the node carrying
       // the destination's coordinate.
-      dec.c2 |= levels[gh.with_coordinate(s, i, dc)] + 1u >= dec.hamming;
+      dec.c2 = dec.c2 ||
+               levels[gh.with_coordinate(s, i, dc)] + 1u >= dec.hamming;
     } else {
       // Every other node along a matching dimension is a spare neighbor.
-      for (std::uint32_t c = 0; c < gh.radix(i); ++c) {
+      for (std::uint32_t c = 0; c < gh.radix(i) && !dec.c3; ++c) {
         if (c == sc) continue;
-        dec.c3 |= levels[gh.with_coordinate(s, i, c)] >= dec.hamming + 1u;
+        dec.c3 = levels[gh.with_coordinate(s, i, c)] >= dec.hamming + 1u;
       }
     }
   }
@@ -115,7 +117,9 @@ RouteResult route_unicast_gh(const topo::GeneralizedHypercube& gh,
 
   NodeId cur = s;
   bool suboptimal = false;
-  unsigned ties = 0;  // GH routes are not traced
+  // GH routes are never traced, so no scan counts its ties: under
+  // kLowestDim each stops at the first neighbor at level n.
+  const unsigned n = gh.dimension();
 
   if (!result.decision.optimal_feasible()) {
     if (!result.decision.c3) {
@@ -123,17 +127,21 @@ RouteResult route_unicast_gh(const topo::GeneralizedHypercube& gh,
       return result;
     }
     // Suboptimal detour: best spare neighbor with level >= H + 1.
-    const auto spare = argmax_level<NodeId>(options, ties, [&](auto&& visit) {
-      for (Dim i = 0; i < gh.dimension(); ++i) {
-        const std::uint32_t sc = gh.coordinate(cur, i);
-        if (sc != gh.coordinate(d, i)) continue;
-        for (std::uint32_t c = 0; c < gh.radix(i); ++c) {
-          if (c == sc) continue;
-          const NodeId b = gh.with_coordinate(cur, i, c);
-          if (levels[b] >= result.decision.hamming + 1u) visit(b, levels[b]);
-        }
-      }
-    });
+    const auto spare =
+        argmax_level<NodeId>(options, n, nullptr, [&](auto&& visit) {
+          for (Dim i = 0; i < n; ++i) {
+            const std::uint32_t sc = gh.coordinate(cur, i);
+            if (sc != gh.coordinate(d, i)) continue;
+            for (std::uint32_t c = 0; c < gh.radix(i); ++c) {
+              if (c == sc) continue;
+              const NodeId b = gh.with_coordinate(cur, i, c);
+              if (levels[b] >= result.decision.hamming + 1u &&
+                  visit(b, levels[b])) {
+                return;
+              }
+            }
+          }
+        });
     SLC_ASSERT_MSG(spare.has_value(), "C3 held but no spare qualified");
     cur = *spare;
     result.path.push_back(cur);
@@ -143,14 +151,15 @@ RouteResult route_unicast_gh(const topo::GeneralizedHypercube& gh,
   // Max-level preferred neighbor: along each differing dimension, the
   // node carrying the destination's coordinate.
   while (cur != d) {
-    const auto next = argmax_level<NodeId>(options, ties, [&](auto&& visit) {
-      for (Dim i = 0; i < gh.dimension(); ++i) {
-        const std::uint32_t dc = gh.coordinate(d, i);
-        if (gh.coordinate(cur, i) == dc) continue;
-        const NodeId b = gh.with_coordinate(cur, i, dc);
-        visit(b, levels[b]);
-      }
-    });
+    const auto next =
+        argmax_level<NodeId>(options, n, nullptr, [&](auto&& visit) {
+          for (Dim i = 0; i < n; ++i) {
+            const std::uint32_t dc = gh.coordinate(d, i);
+            if (gh.coordinate(cur, i) == dc) continue;
+            const NodeId b = gh.with_coordinate(cur, i, dc);
+            if (visit(b, levels[b])) return;
+          }
+        });
     if (!next) {
       result.status = RouteStatus::kStuck;
       return result;

@@ -8,20 +8,20 @@ SafetyOracle::SafetyOracle(const topo::Hypercube& cube)
       faults_(cube.num_nodes()),
       levels_(cube.dimension(), cube.num_nodes(),
               static_cast<Level>(cube.dimension())),
-      queued_(static_cast<std::size_t>(cube.num_nodes()), 0) {}
+      queued_(static_cast<std::size_t>(cube.num_nodes())) {}
 
 SafetyOracle::SafetyOracle(const topo::Hypercube& cube,
                            const fault::FaultSet& faults)
     : cube_(cube),
       faults_(faults),
       levels_(compute_safety_levels(cube, faults)),
-      queued_(static_cast<std::size_t>(cube.num_nodes()), 0) {
+      queued_(static_cast<std::size_t>(cube.num_nodes())) {
   SLC_EXPECT(faults.num_nodes() == cube.num_nodes());
 }
 
 void SafetyOracle::push(NodeId a) {
-  if (queued_[a] == 0 && faults_.is_healthy(a)) {
-    queued_[a] = 1;
+  if (!queued_[a] && faults_.is_healthy(a)) {
+    queued_[a] = true;
     worklist_.push_back(a);
   }
 }
@@ -38,7 +38,7 @@ void SafetyOracle::cascade() {
     SLC_ASSERT_MSG(++steps <= hard_cap, "oracle cascade failed to converge");
     const NodeId a = worklist_.back();
     worklist_.pop_back();
-    queued_[a] = 0;
+    queued_[a] = false;
     if (faults_.is_faulty(a)) continue;  // died while queued (batch adds)
     const Level updated = implied_level(cube_, faults_, levels_, a);
     ++stats_.recomputes;
@@ -113,7 +113,7 @@ void SafetyOracle::retarget(const fault::FaultSet& target) {
   SLC_EXPECT(target.num_nodes() == faults_.num_nodes());
   if (target == faults_) return;
   // Word-at-a-time symmetric difference into the reusable scratch set:
-  // O(N/64) xor+popcount instead of N is_faulty probes and a fresh
+  // O(N/64) xor words instead of N is_faulty probes and a fresh
   // allocation per retarget — the sweep-engine entry point runs this
   // once per trial.
   if (delta_scratch_.num_nodes() != faults_.num_nodes()) {
@@ -122,22 +122,13 @@ void SafetyOracle::retarget(const fault::FaultSet& target) {
     delta_scratch_.clear();
   }
   fault::FaultSet& delta = delta_scratch_;
-  std::uint64_t delta_count = 0;
-  const auto& have = faults_.words();
-  const auto& want = target.words();
-  for (std::size_t w = 0; w < have.size(); ++w) {
-    std::uint64_t x = have[w] ^ want[w];
-    delta_count += bits::popcount64(x);
-    bits::for_each_set64(x, [&](unsigned b) {
-      delta.mark_faulty(static_cast<NodeId>(w * 64 + b));
-    });
-  }
+  faults_.for_each_difference(target, [&](NodeId a) { delta.mark_faulty(a); });
   // Past the cost-model crossover, rebuild — same fixed point either
   // way. Accounting contract: the fallback bumps `rebuilds` only; the
   // cascade counters (recomputes/level_changes/cascades) keep counting
   // incremental work exclusively, so cost-model consumers can compare
   // the two strategies without the rebuild polluting the cascade side.
-  if (retarget_prefers_rebuild(delta_count, cube_.num_nodes())) {
+  if (retarget_prefers_rebuild(delta.count(), cube_.num_nodes())) {
     faults_ = target;
     levels_ = compute_safety_levels(cube_, faults_);
     ++stats_.rebuilds;

@@ -127,7 +127,7 @@ class SafetyOracle {
   fault::FaultSet faults_;
   SafetyLevels levels_;
   std::vector<NodeId> worklist_;
-  std::vector<std::uint8_t> queued_;  ///< worklist membership, by node
+  std::vector<bool> queued_;  ///< worklist membership, one bit per node
   std::vector<NodeId>* change_log_ = nullptr;
   Stats stats_;
   // Reusable scratch for apply()/retarget(): per-call O(N)-ish temporaries

@@ -39,15 +39,15 @@ SourceDecision decide_at_source_sv(const topo::Hypercube& cube,
   }
   const unsigned n = cube.dimension();
   dec.c1 = vectors.bit(s, dec.hamming);
-  cube.for_each_preferred(s, nav, [&](Dim, NodeId b) {
-    // V(H-1) with H = 1 degenerates to "b == d is one hop away": true.
-    dec.c2 |= dec.hamming == 1 || vectors.bit(b, dec.hamming - 1);
-  });
-  if (dec.hamming < n) {
-    cube.for_each_spare(s, nav, [&](Dim, NodeId b) {
-      dec.c3 |= vectors.bit(b, dec.hamming + 1);
-    });
-  }
+  // C2 and C3 are ORs: each scan stops at its first witness. V(H-1) with
+  // H = 1 degenerates to "the one preferred neighbor is d": true.
+  dec.c2 = dec.hamming == 1 ||
+           cube.any_preferred(s, nav, [&](Dim, NodeId b) {
+             return vectors.bit(b, dec.hamming - 1);
+           });
+  dec.c3 = dec.hamming < n && cube.any_spare(s, nav, [&](Dim, NodeId b) {
+             return vectors.bit(b, dec.hamming + 1);
+           });
   return dec;
 }
 

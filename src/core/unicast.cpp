@@ -35,11 +35,12 @@ SourceDecision decide_at_source(const topo::Hypercube& cube,
     return dec;
   }
   dec.c1 = levels[s] >= dec.hamming;
-  cube.for_each_preferred(s, nav, [&](Dim, NodeId b) {
-    dec.c2 |= levels[b] + 1u >= dec.hamming;  // level >= H - 1, unsigned-safe
+  // C2 and C3 are ORs: each scan stops at its first witness.
+  dec.c2 = cube.any_preferred(s, nav, [&](Dim, NodeId b) {
+    return levels[b] + 1u >= dec.hamming;  // level >= H - 1, unsigned-safe
   });
-  cube.for_each_spare(s, nav, [&](Dim, NodeId b) {
-    dec.c3 |= levels[b] >= dec.hamming + 1u;
+  dec.c3 = cube.any_spare(s, nav, [&](Dim, NodeId b) {
+    return levels[b] >= dec.hamming + 1u;
   });
   return dec;
 }

@@ -20,13 +20,16 @@
 //            message-level simulator in src/sim).
 //
 // walk_route() branches on UnicastOptions::trace once, before the walk,
-// so the untraced instantiation carries no trace code at all. The
-// max-level tie-break kernel argmax_level() is shared with the GH router
-// (keyed by node) and the simulator (keyed by dimension).
+// so the untraced instantiation carries no trace code at all; since it
+// asks for no tie counts, its scans also stop at the first neighbor that
+// settles the answer. The max-level tie-break kernel argmax_level() is
+// shared with the GH router (keyed by node) and the simulator (keyed by
+// dimension).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 
 #include "core/egs.hpp"
 #include "core/safety_vector.hpp"
@@ -36,36 +39,53 @@
 namespace slcube::core {
 
 /// Among the candidates `for_each` visits — as visit(key, level), in
-/// enumeration order — the key of maximal nonzero level, or nullopt when
-/// every candidate has level 0 (faulty) or there is none. `ties`
-/// receives the number of equally-maximal candidates. kLowestDim takes
-/// the first; kRandom draws one index from options.rng and finds that
-/// tie on a second pass, so any number of candidates fits without a
-/// buffer. Declared `inline` as an inlining hint: kept out of line, the
-/// closure and the result round-trip through memory on every hop.
+/// enumeration order, until visit returns true — the key of maximal
+/// nonzero level, or nullopt when every candidate has level 0 (faulty)
+/// or there is none. kLowestDim takes the first; kRandom draws one index
+/// from options.rng and finds that tie on a second pass, so any number
+/// of candidates fits without a buffer.
+///
+/// When `ties` is non-null it receives the number of equally-maximal
+/// candidates (the trace's `ties` field), so every candidate is read.
+/// When it is null and the tie-break is kLowestDim, the scan stops at the
+/// first candidate at `cap`: a later one can tie it but never beat it, so
+/// the answer is the full scan's. Precondition: no candidate's level
+/// exceeds `cap` — n for a level table (Definition 1), 1 for a 0/1 view.
+/// Declared `inline` as an inlining hint: kept out of line, the closure
+/// and the result round-trip through memory on every hop.
 template <typename Key, typename ForEach>
 [[nodiscard]] inline std::optional<Key> argmax_level(
-    const UnicastOptions& options, unsigned& ties, ForEach&& for_each) {
+    const UnicastOptions& options, unsigned cap, unsigned* ties,
+    ForEach&& for_each) {
+  const bool stop_at_cap =
+      ties == nullptr && options.tie_break == TieBreak::kLowestDim;
   Key best{};
   unsigned best_level = 0;  // level 0 == faulty is never a valid choice
-  ties = 0;
+  unsigned count = 0;
   for_each([&](Key key, unsigned level) {
     if (level > best_level) {
       best_level = level;
       best = key;
-      ties = 1;
+      count = 1;
+      if (stop_at_cap && level >= cap) {
+        SLC_ASSERT_MSG(level == cap, "argmax_level: level above its cap");
+        return true;
+      }
     } else if (level == best_level && best_level > 0) {
-      ++ties;
+      ++count;
     }
+    return false;
   });
-  if (ties == 0) return std::nullopt;
-  if (options.tie_break == TieBreak::kLowestDim || ties == 1) return best;
+  if (ties != nullptr) *ties = count;
+  if (count == 0) return std::nullopt;
+  if (options.tie_break == TieBreak::kLowestDim || count == 1) return best;
   SLC_EXPECT_MSG(options.rng != nullptr,
                  "TieBreak::kRandom requires UnicastOptions::rng");
-  // Count down to the drawn tie; past it `skip` wraps and never hits 0.
-  std::uint64_t skip = options.rng->below(ties);
+  std::uint64_t skip = options.rng->below(count);
   for_each([&](Key key, unsigned level) {
-    if (level == best_level && skip-- == 0) best = key;
+    if (level != best_level || skip-- != 0) return false;
+    best = key;
+    return true;
   });
   return best;
 }
@@ -85,23 +105,28 @@ struct LevelView {
   [[nodiscard]] SourceDecision decide(NodeId s, NodeId d) const {
     return decide_at_source(cube, levels, s, d);
   }
-  /// The preferred neighbor of maximal level.
+  /// The preferred neighbor of maximal level. `ties` as in argmax_level:
+  /// null lets the scan stop at the first neighbor at level n.
   [[nodiscard]] std::optional<Dim> next(NodeId a, std::uint32_t nav,
                                         const UnicastOptions& options,
-                                        unsigned& ties) const {
-    return argmax_level<Dim>(options, ties, [&](auto&& visit) {
-      cube.for_each_preferred(
-          a, nav, [&](Dim dim, NodeId b) { visit(dim, levels[b]); });
-    });
+                                        unsigned* ties) const {
+    return argmax_level<Dim>(
+        options, cube.dimension(), ties, [&](auto&& visit) {
+          cube.any_preferred(a, nav, [&](Dim dim, NodeId b) {
+            return visit(dim, levels[b]);
+          });
+        });
   }
   /// The spare neighbor of maximal level, provided it is >= H + 1.
   [[nodiscard]] std::optional<Dim> spare(NodeId a, std::uint32_t nav,
                                          const UnicastOptions& options,
-                                         unsigned& ties) const {
-    const auto pick = argmax_level<Dim>(options, ties, [&](auto&& visit) {
-      cube.for_each_spare(
-          a, nav, [&](Dim dim, NodeId b) { visit(dim, levels[b]); });
-    });
+                                         unsigned* ties) const {
+    const auto pick = argmax_level<Dim>(
+        options, cube.dimension(), ties, [&](auto&& visit) {
+          cube.any_spare(a, nav, [&](Dim dim, NodeId b) {
+            return visit(dim, levels[b]);
+          });
+        });
     if (!pick || levels[cube.neighbor(a, *pick)] < bits::popcount(nav) + 1u) {
       return std::nullopt;
     }
@@ -134,10 +159,10 @@ struct EgsView : LevelView {
   }
   [[nodiscard]] std::optional<Dim> next(NodeId a, std::uint32_t nav,
                                         const UnicastOptions& options,
-                                        unsigned& ties) const {
+                                        unsigned* ties) const {
     if (bits::popcount(nav) == 1) {
       const Dim dim = bits::lowest_set(nav);
-      ties = 1;
+      if (ties != nullptr) *ties = 1;
       if (links.is_faulty(a, dim)) return std::nullopt;
       return dim;
     }
@@ -150,7 +175,7 @@ struct EgsView : LevelView {
   /// out a dead detour link.
   [[nodiscard]] std::optional<Dim> spare(NodeId a, std::uint32_t nav,
                                          const UnicastOptions& options,
-                                         unsigned& ties) const {
+                                         unsigned* ties) const {
     const auto pick = LevelView::spare(a, nav, options, ties);
     SLC_ASSERT(!pick || !links.is_faulty(a, *pick));
     return pick;
@@ -159,7 +184,8 @@ struct EgsView : LevelView {
 
 /// Safety vectors: a preferred neighbor qualifies at remaining distance
 /// j when its V(j-1) bit is set, and the last hop is always safe (the
-/// destination is healthy and one hop away). Never traced.
+/// destination is healthy and one hop away). Never traced. The levels
+/// are the bits, 0 or 1, so an untraced scan stops at the first set bit.
 struct VectorView {
   const topo::Hypercube& cube;
   const SafetyVectors& vectors;
@@ -169,12 +195,12 @@ struct VectorView {
   }
   [[nodiscard]] std::optional<Dim> next(NodeId a, std::uint32_t nav,
                                         const UnicastOptions& options,
-                                        unsigned& ties) const {
+                                        unsigned* ties) const {
     const unsigned j = bits::popcount(nav);
     if (j == 1) return bits::lowest_set(nav);
-    return argmax_level<Dim>(options, ties, [&](auto&& visit) {
-      cube.for_each_preferred(a, nav, [&](Dim dim, NodeId b) {
-        visit(dim, vectors.bit(b, j - 1) ? 1u : 0u);
+    return argmax_level<Dim>(options, 1, ties, [&](auto&& visit) {
+      cube.any_preferred(a, nav, [&](Dim dim, NodeId b) {
+        return visit(dim, vectors.bit(b, j - 1) ? 1u : 0u);
       });
     });
   }
@@ -182,11 +208,11 @@ struct VectorView {
   /// tie-break option does not apply to the detour.
   [[nodiscard]] std::optional<Dim> spare(NodeId a, std::uint32_t nav,
                                          const UnicastOptions&,
-                                         unsigned& ties) const {
+                                         unsigned* ties) const {
     const unsigned k = bits::popcount(nav) + 1;
-    return argmax_level<Dim>(UnicastOptions{}, ties, [&](auto&& visit) {
-      cube.for_each_spare(a, nav, [&](Dim dim, NodeId b) {
-        visit(dim, vectors.bit(b, k) ? 1u : 0u);
+    return argmax_level<Dim>(UnicastOptions{}, 1, ties, [&](auto&& visit) {
+      cube.any_spare(a, nav, [&](Dim dim, NodeId b) {
+        return visit(dim, vectors.bit(b, k) ? 1u : 0u);
       });
     });
   }
@@ -354,11 +380,16 @@ void walk(const View& view, Judge& judge, Events& events, NodeId s, NodeId d,
     return true;
   };
 
+  // A trace records how many neighbors tied at every choice, so a traced
+  // walk counts them all; the untraced one asks for no count, which lets
+  // the view stop at the first neighbor nothing can beat (argmax_level).
+  unsigned ties = 1;
+  unsigned* const count_ties =
+      std::is_same_v<Events, NullEvents> ? nullptr : &ties;
   bool detoured = false;
   if (dispatch && !r.decision.optimal_feasible()) {
     if (!r.decision.c3) return end(RouteStatus::kSourceRefused);
-    unsigned ties = 0;
-    const auto spare = view.spare(cur, nav, options, ties);
+    const auto spare = view.spare(cur, nav, options, count_ties);
     SLC_ASSERT_MSG(spare.has_value(), "C3 held but no spare qualified");
     if (!traverse(*spare, ties, false)) return;
     detoured = true;
@@ -366,8 +397,7 @@ void walk(const View& view, Judge& judge, Events& events, NodeId s, NodeId d,
   // Each hop clears one bit, so the loop runs popcount(nav) times unless
   // an inconsistent or stale table leaves no qualifying neighbor.
   while (nav != 0) {
-    unsigned ties = 1;
-    const auto next = view.next(cur, nav, options, ties);
+    const auto next = view.next(cur, nav, options, count_ties);
     if (!next) return end(RouteStatus::kStuck);
     if (!traverse(*next, ties, true)) return;
   }

@@ -58,13 +58,15 @@ core::SourceDecision local_decide(const Network& net, NodeId s, NodeId d) {
 }
 
 /// Max-register preferred (bit of `mask` set) or spare (bit clear)
-/// dimension, through the core walker's max-level kernel.
+/// dimension, through the core walker's max-level kernel. Asking for
+/// `ties` keeps its full scan: the hop events record the count.
 std::optional<Dim> local_choose(const Network& net, NodeId a,
                                 std::uint32_t mask, bool preferred,
                                 const core::UnicastOptions& options,
                                 unsigned& ties) {
-  return core::argmax_level<Dim>(options, ties, [&](auto&& visit) {
-    for (Dim dim = 0; dim < net.cube().dimension(); ++dim) {
+  const unsigned n = net.cube().dimension();
+  return core::argmax_level<Dim>(options, n, &ties, [&](auto&& visit) {
+    for (Dim dim = 0; dim < n; ++dim) {
       if (bits::test(mask, dim) == preferred) {
         visit(dim, net.neighbor_register(a, dim));
       }

@@ -97,6 +97,21 @@ class Hypercube {
     bits::for_each_clear(nav, n_, [&](Dim d) { f(d, neighbor(a, d)); });
   }
 
+  /// Whether pred(dim, neighbor) holds for some preferred neighbor of `a`:
+  /// low dimension first, stopping at the first neighbor that satisfies
+  /// it. An OR over the preferred neighbors reads only up to its witness.
+  template <typename P>
+  constexpr bool any_preferred(NodeId a, std::uint32_t nav, P&& pred) const {
+    return bits::any_set(nav, [&](Dim d) { return pred(d, neighbor(a, d)); });
+  }
+
+  /// any_preferred over the spare neighbors.
+  template <typename P>
+  constexpr bool any_spare(NodeId a, std::uint32_t nav, P&& pred) const {
+    return bits::any_set(~nav & bits::low_mask(n_),
+                         [&](Dim d) { return pred(d, neighbor(a, d)); });
+  }
+
   /// All node labels, 0..2^n-1 (for exhaustive sweeps in tests).
   [[nodiscard]] std::vector<NodeId> all_nodes() const;
 

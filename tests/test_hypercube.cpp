@@ -98,6 +98,43 @@ TEST(Hypercube, PreferredPlusSpareIsAllNeighbors) {
   }
 }
 
+// any_preferred / any_spare visit the same neighbors in the same order
+// as the for_each forms and stop at the first that satisfies them.
+TEST(Hypercube, AnyNeighborStopsAtItsFirstWitness) {
+  const Hypercube q(6);
+  const NodeId s = 0b101010, d = 0b010110;
+  const auto nav = q.navigation_vector(s, d);
+  for (const bool preferred : {true, false}) {
+    std::vector<Dim> all;
+    const auto collect = [&](Dim dim, NodeId b) {
+      EXPECT_EQ(b, q.neighbor(s, dim));
+      all.push_back(dim);
+    };
+    if (preferred) {
+      q.for_each_preferred(s, nav, collect);
+    } else {
+      q.for_each_spare(s, nav, collect);
+    }
+    ASSERT_GE(all.size(), 2u);
+    const auto any = [&](auto&& pred) {
+      return preferred ? q.any_preferred(s, nav, pred)
+                       : q.any_spare(s, nav, pred);
+    };
+    std::vector<Dim> seen;
+    EXPECT_FALSE(any([&](Dim dim, NodeId) {
+      seen.push_back(dim);
+      return false;
+    }));
+    EXPECT_EQ(seen, all);  // no witness: every neighbor, in order
+    seen.clear();
+    EXPECT_TRUE(any([&](Dim dim, NodeId) {
+      seen.push_back(dim);
+      return dim == all[1];
+    }));
+    EXPECT_EQ(seen, (std::vector<Dim>{all[0], all[1]}));
+  }
+}
+
 TEST(Hypercube, AllNodesEnumeratesEverything) {
   const Hypercube q(4);
   const auto all = q.all_nodes();

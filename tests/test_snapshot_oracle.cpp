@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -175,10 +176,19 @@ std::vector<std::string> jsonl_lines(const obs::RingBufferSink& ring) {
   return lines;
 }
 
+/// The fields of a source decision, comparable in one assertion.
+auto decision_fields(const core::SourceDecision& d) {
+  return std::tuple(d.hamming, d.c1, d.c2, d.c3, d.dest_link_faulty);
+}
+
 // Guarantee 2: with ground == decision the serving path IS the paper's
 // routing algorithm — same status, same path, same trace — across
-// randomized configurations and every healthy pair of a small cube, and
-// tracing does not change what serve_route returns.
+// randomized configurations, and tracing does not change what
+// serve_route or route_unicast_egs returns. The traced walks count every
+// tie, so they are the full scan the untraced walks' early exits must
+// match. Q3–Q5: every healthy pair of 30 configurations with up to N/3
+// node faults. Q10–Q16: 2,000 random pairs of two configurations with 1%
+// node faults and 2n faulty links.
 TEST(Serve, MatchesRouteUnicastEgsWhenGroundEqualsDecision) {
   Xoshiro256ss rng(0x0DD5EED);
   obs::RingBufferSink core_ring;
@@ -187,15 +197,25 @@ TEST(Serve, MatchesRouteUnicastEgsWhenGroundEqualsDecision) {
   core_traced.trace = &core_ring;
   ServeOptions serve_traced;
   serve_traced.trace = &serve_ring;
-  for (unsigned dim = 3; dim <= 5; ++dim) {
+  for (const unsigned dim : {3u, 4u, 5u, 10u, 12u, 14u, 16u}) {
     const topo::Hypercube q(dim);
-    for (int t = 0; t < 30; ++t) {
-      const auto faults =
-          fault::inject_uniform(q, rng.below(q.num_nodes() / 3), rng);
-      const auto links = fault::inject_links_uniform(q, rng.below(dim), rng);
+    const bool small = dim <= 5;
+    for (int t = 0; t < (small ? 30 : 2); ++t) {
+      const auto faults = fault::inject_uniform(
+          q, small ? rng.below(q.num_nodes() / 3) : q.num_nodes() / 100, rng);
+      const auto links =
+          fault::inject_links_uniform(q, small ? rng.below(dim) : 2 * dim, rng);
       const SnapshotOracle oracle(q, faults, links);
       const SnapshotPtr snap = oracle.acquire();
-      for (const auto& [s, d] : workload::all_healthy_pairs(faults)) {
+      std::vector<workload::Pair> pairs;
+      if (small) {
+        pairs = workload::all_healthy_pairs(faults);
+      } else {
+        for (int p = 0; p < 2'000; ++p) {
+          pairs.push_back(*workload::sample_uniform_pair(faults, rng));
+        }
+      }
+      for (const auto& [s, d] : pairs) {
         core_ring.clear();
         serve_ring.clear();
         const core::RouteResult expected = core::route_unicast_egs(
@@ -206,6 +226,8 @@ TEST(Serve, MatchesRouteUnicastEgsWhenGroundEqualsDecision) {
         ASSERT_EQ(got.path, expected.path);
         ASSERT_FALSE(got.stale());
         ASSERT_EQ(got.status, expected.status);
+        ASSERT_EQ(decision_fields(got.decision),
+                  decision_fields(expected.decision));
         ASSERT_NE(got.status, ServeStatus::kStuck)
             << "fixed-point tables cannot produce kStuck";
 
@@ -216,8 +238,12 @@ TEST(Serve, MatchesRouteUnicastEgsWhenGroundEqualsDecision) {
             serve_route(*snap, *snap, s, d, serve_traced);
         ASSERT_EQ(expected_traced.status, expected.status);
         ASSERT_EQ(expected_traced.path, expected.path);
+        ASSERT_EQ(decision_fields(expected_traced.decision),
+                  decision_fields(expected.decision));
         ASSERT_EQ(got_traced.status, got.status);
         ASSERT_EQ(got_traced.path, got.path);
+        ASSERT_EQ(decision_fields(got_traced.decision),
+                  decision_fields(got.decision));
         ASSERT_EQ(got_traced.decision_epoch, got.decision_epoch);
         ASSERT_EQ(got_traced.ground_epoch, got.ground_epoch);
         const auto core_events = jsonl_lines(core_ring);
