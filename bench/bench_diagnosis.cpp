@@ -13,9 +13,10 @@
 // every route's trace (including its misroute postmortem) streams
 // through obs::AuditSink, and the audit's per-class misroute counts are
 // cross-checked against the sweep's own tallies. --bench-json writes
-// BENCH_DIAG.json for the CI perf gate; --telemetry reruns pmc-adv with
-// the flight recorder attached and digest-checks it too.
-#include <fstream>
+// every arm's tallies and digest and the search's scores, which CI
+// compares exactly against BENCH_DIAG.json; the arms' wall times are
+// printed, not recorded. --telemetry reruns pmc-adv with the flight
+// recorder attached and digest-checks it too.
 #include <iostream>
 #include <map>
 #include <memory>
@@ -261,7 +262,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  double telemetry_ms = 0.0;
   if (telemetry.enabled()) {
     auto c = base_config(0);
     c.syndrome = {diag::TestModel::kPmc, diag::LiarPolicy::kAdversarial};
@@ -281,54 +281,40 @@ int main(int argc, char** argv) {
       std::cerr << "FATAL: telemetry-enabled run diverged\n";
       return 1;
     }
-    telemetry_ms = telemetered.wall_ms;
     if (!telemetry.finish(dims.front(), opt.threads)) return 2;
     std::cout << "telemetry: digest matches untelemetered run ("
               << opt.telemetry_file << ")\n";
   }
 
-  if (!opt.bench_json.empty()) {
-    std::ofstream out(opt.bench_json, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot open " << opt.bench_json << " for writing\n";
-      return 2;
-    }
-    out << "{\n"
-        << "  \"bench\": \"diagnosis\",\n"
-        << "  \"dims\": \"" << dims.front() << ".." << dims.back() << "\",\n"
-        << "  \"trials\": " << trials << ",\n"
-        << "  \"pairs\": " << pairs << ",\n";
+  const bool written = bench::write_record(opt, [&](obs::JsonWriter& w) {
+    w.field("bench", "diagnosis")
+        .field("dims", std::to_string(dims.front()) + ".." +
+                           std::to_string(dims.back()))
+        .field("trials", trials)
+        .field("pairs", pairs);
     for (const ArmResult* a : arms) {
       std::string key = a->name;
       for (char& ch : key) {
         if (ch == '-') ch = '_';
       }
-      out << "  \"" << key << "_attempts\": " << a->attempts << ",\n"
-          << "  \"" << key << "_delivered\": " << a->delivered << ",\n"
-          << "  \"" << key << "_misrouted\": " << a->misrouted << ",\n"
-          << "  \"" << key << "_false_rejects\": " << a->false_rejects
-          << ",\n"
-          << "  \"" << key << "_optimism_drops\": " << a->optimism_drops
-          << ",\n"
-          << "  \"" << key << "_pessimism_detours\": " << a->pessimism_detours
-          << ",\n"
-          << "  \"" << key << "_digest\": " << a->digest << ",\n"
-          << "  \"" << key << "_wall_ms\": " << a->wall_ms << ",\n";
+      w.field(key + "_attempts", a->attempts)
+          .field(key + "_delivered", a->delivered)
+          .field(key + "_misrouted", a->misrouted)
+          .field(key + "_false_rejects", a->false_rejects)
+          .field(key + "_optimism_drops", a->optimism_drops)
+          .field(key + "_pessimism_detours", a->pessimism_detours)
+          .field(key + "_digest", a->digest);
     }
-    if (telemetry.enabled()) {
-      out << "  \"telemetry_wall_ms\": " << telemetry_ms << ",\n";
-    }
-    out << "  \"adv_fault_count\": " << adv.fault_count << ",\n"
-        << "  \"adv_rejects_best\": " << rejects.best_score << ",\n"
-        << "  \"adv_rejects_random_best\": " << rejects.random_best << ",\n"
-        << "  \"adv_detours_best\": " << detours.best_score << ",\n"
-        << "  \"adv_detours_random_best\": " << detours.random_best << ",\n"
-        << "  \"adv_evals\": " << rejects.evals + detours.evals << ",\n"
-        << "  \"adversarial_beats_random\": "
-        << (beats_random ? "true" : "false") << ",\n"
-        << "  \"threads_invariant\": true\n"
-        << "}\n";
-  }
+    w.field("adv_fault_count", adv.fault_count)
+        .field("adv_rejects_best", rejects.best_score)
+        .field("adv_rejects_random_best", rejects.random_best)
+        .field("adv_detours_best", detours.best_score)
+        .field("adv_detours_random_best", detours.random_best)
+        .field("adv_evals", rejects.evals + detours.evals)
+        .field("adversarial_beats_random", beats_random)
+        .field("threads_invariant", true);
+  });
+  if (!written) return 2;
 
   if (audit_rc != 0) return audit_rc;
   return beats_random ? 0 : 1;

@@ -19,11 +19,10 @@
 //    route dim is re-run serial and compared as a self-check. Reported
 //    per dim: outcome tallies and routes/sec.
 //
-// --bench-json writes BENCH_MEGA_CUBE.json: digests, rounds, tallies and
-// bytes/node are exact fields under scripts/bench_gate.py; *_ms and
-// *_per_sec are rate/time fields (warn-only drift).
+// --bench-json writes the digests, rounds, tallies and bytes/node, which
+// CI compares exactly against BENCH_MEGA_CUBE.json; the build and route
+// wall times and routes/sec are printed, not recorded.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -257,43 +256,26 @@ int main(int argc, char** argv) {
             << "serial/threaded route digests identical at Q"
             << route_dims.front() << ": yes\n";
 
-  if (!opt.bench_json.empty()) {
-    std::ofstream out(opt.bench_json, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot open " << opt.bench_json << " for writing\n";
-      return 2;
-    }
-    out << "{\n"
-        << "  \"bench\": \"mega_cube\",\n"
-        << "  \"max_dim\": " << max_dim << ",\n"
-        << "  \"route_requests\": " << requests << ",\n"
-        << "  \"workers\": " << workers << ",\n"
-        << "  \"tables_identical\": true,\n";
+  const bool written = bench::write_record(opt, [&](obs::JsonWriter& w) {
+    w.field("bench", "mega_cube")
+        .field("max_dim", max_dim)
+        .field("route_requests", requests)
+        .field("tables_identical", true);
     for (const BuildRow& b : builds) {
-      const std::string q = "q" + std::to_string(b.dim);
-      out << "  \"build_" << q << "_rounds\": " << b.rounds << ",\n"
-          << "  \"build_" << q << "_serial_ms\": " << b.gs_ms << ",\n"
-          << "  \"build_" << q << "_peel_ms\": " << b.peel_ms << ",\n"
-          << "  \"table_digest_" << q << "\": " << b.digest << ",\n"
-          << "  \"bytes_per_node_" << q << "\": " << b.bytes_per_node
-          << ",\n";
+      const std::string dim = std::to_string(b.dim);
+      w.field("build_q" + dim + "_rounds", b.rounds)
+          .field("table_digest_q" + dim, b.digest)
+          .field("bytes_per_node_q" + dim, b.bytes_per_node);
     }
-    bool first = true;
     for (const RouteRow& r : routes) {
-      const std::string q = "q" + std::to_string(r.dim);
-      out << (first ? "" : ",\n") << "  \"routes_" << q
-          << "_optimal\": " << r.tally.optimal << ",\n"
-          << "  \"routes_" << q << "_suboptimal\": " << r.tally.suboptimal
-          << ",\n"
-          << "  \"routes_" << q << "_refused\": " << r.tally.refused << ",\n"
-          << "  \"routes_" << q << "_stuck\": " << r.tally.stuck << ",\n"
-          << "  \"routes_" << q << "_hops\": " << r.tally.hops << ",\n"
-          << "  \"routes_" << q << "_digest\": " << r.tally.digest << ",\n"
-          << "  \"routes_" << q << "_wall_ms\": " << r.wall_ms << ",\n"
-          << "  \"routes_" << q << "_per_sec\": " << r.routes_per_sec;
-      first = false;
+      const std::string q = "routes_q" + std::to_string(r.dim);
+      w.field(q + "_optimal", r.tally.optimal)
+          .field(q + "_suboptimal", r.tally.suboptimal)
+          .field(q + "_refused", r.tally.refused)
+          .field(q + "_stuck", r.tally.stuck)
+          .field(q + "_hops", r.tally.hops)
+          .field(q + "_digest", r.tally.digest);
     }
-    out << "\n}\n";
-  }
-  return 0;
+  });
+  return written ? 0 : 2;
 }

@@ -22,15 +22,15 @@
 // its current snapshot's two views against a from-scratch run_egs of the
 // snapshot's own fault configuration (the RCU guarantee), the outcome
 // counts must sum to the request count, and --audit streams every route
-// through the invariant-checking AuditSink. Outcome counts are
-// interleaving-dependent, so the JSON baseline gates only the
-// self-consistency flags, latencies, and rates (see scripts/bench_gate.py).
+// through the invariant-checking AuditSink; a failed check exits 1. The
+// live run writes no --bench-json record: its outcome counts depend on
+// thread interleaving, and perfbench's live-q10 workload measures serving
+// throughput. --sample's deterministic record is the one CI gates.
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -71,33 +71,35 @@ ServiceOptions take_service_flags(int& argc, char** argv) {
   ServiceOptions svc;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    const auto value = [&](const char* flag) -> const char* {
+    // Same rules as bench::Options: a missing or malformed value exits 2.
+    const auto number = [&](auto& field) {
+      const char* const flag = argv[i];
       if (i + 1 >= argc) {
         std::cerr << argv[0] << ": flag " << flag
                   << " is missing its value\n";
         std::exit(2);
       }
-      return argv[++i];
+      if (!bench::parse_unsigned(argv[++i], field)) {
+        std::cerr << argv[0] << ": flag " << flag
+                  << " needs an unsigned integer that fits, not '" << argv[i]
+                  << "'\n";
+        std::exit(2);
+      }
     };
     if (std::strcmp(argv[i], "--readers") == 0) {
-      svc.readers = static_cast<unsigned>(std::atoi(value("--readers")));
+      number(svc.readers);
     } else if (std::strcmp(argv[i], "--requests") == 0) {
-      svc.requests =
-          static_cast<std::uint64_t>(std::atoll(value("--requests")));
+      number(svc.requests);
     } else if (std::strcmp(argv[i], "--churn-pause-us") == 0) {
-      svc.churn_pause_us =
-          static_cast<unsigned>(std::atoi(value("--churn-pause-us")));
+      number(svc.churn_pause_us);
     } else if (std::strcmp(argv[i], "--verify-every") == 0) {
-      svc.verify_every =
-          static_cast<std::uint64_t>(std::atoll(value("--verify-every")));
+      number(svc.verify_every);
     } else if (std::strcmp(argv[i], "--sample") == 0) {
       svc.sample = true;
     } else if (std::strcmp(argv[i], "--script-epochs") == 0) {
-      svc.script_epochs =
-          static_cast<std::uint64_t>(std::atoll(value("--script-epochs")));
+      number(svc.script_epochs);
     } else if (std::strcmp(argv[i], "--head-every") == 0) {
-      svc.head_every =
-          static_cast<std::uint32_t>(std::atoll(value("--head-every")));
+      number(svc.head_every);
     } else {
       argv[out++] = argv[i];
     }
@@ -164,8 +166,8 @@ bool snapshot_matches_scratch(const topo::Hypercube& cube,
 // interleaving-free, then runs four passes over the same requests:
 //
 //   A  untraced              -> the baseline routes/sec;
-//   B  sampled, null sink    -> sampled routes/sec (the <5% overhead
-//                               gate) and the promoted-route digest;
+//   B  sampled, null sink    -> sampled routes/sec (the printed
+//                               overhead) and the promoted-route digest;
 //   C  sampled, other thread
 //      count                 -> digest must be bit-identical (the
 //                               thread-invariance gate);
@@ -488,54 +490,36 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
     }
   }
 
-  if (!opt.bench_json.empty()) {
-    std::ofstream out(opt.bench_json, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot open " << opt.bench_json << " for writing\n";
-      return 2;
-    }
-    // Everything prefixed sampling_ is deterministic (scripted workload,
-    // unlimited budget) and exact-gated except the *_per_sec rates; the
-    // intra-run overhead check compares sampling_routes_per_sec against
-    // untraced_routes_per_sec (scripts/bench_gate.py --sampling-overhead).
-    out << "{\n"
-        << "  \"bench\": \"sampling\",\n"
-        << "  \"dim\": " << dim << ",\n"
-        << "  \"readers\": " << readers << ",\n"
-        << "  \"requests\": " << requests << ",\n"
-        << "  \"script_epochs\": " << svc_opt.script_epochs << ",\n"
-        << "  \"head_every\": " << svc_opt.head_every << ",\n"
-        << "  \"untraced_wall_ms\": " << untraced_ms << ",\n"
-        << "  \"sampled_wall_ms\": " << sampled_ms << ",\n"
-        << "  \"untraced_routes_per_sec\": " << untraced_rate << ",\n"
-        << "  \"sampling_routes_per_sec\": " << sampled_rate << ",\n"
-        << "  \"sampling_overhead_pct\": " << overhead_pct << ",\n"
-        << "  \"sampling_promoted_digest\": " << digest << ",\n"
-        << "  \"sampling_routes\": " << stats.routes << ",\n"
-        << "  \"sampling_promoted\": " << stats.promoted << ",\n"
-        << "  \"sampling_breadcrumb_only\": " << stats.breadcrumb_only << ",\n"
-        << "  \"sampling_promoted_head\": "
-        << reason_count(obs::PromoteReason::kHead) << ",\n"
-        << "  \"sampling_promoted_drop\": "
-        << reason_count(obs::PromoteReason::kDrop) << ",\n"
-        << "  \"sampling_promoted_detour\": "
-        << reason_count(obs::PromoteReason::kDetour) << ",\n"
-        << "  \"sampling_promoted_stale\": "
-        << reason_count(obs::PromoteReason::kStale) << ",\n"
-        << "  \"sampling_shed_routes\": " << stats.shed_routes << ",\n"
-        << "  \"sampling_overflow_routes\": " << stats.overflow_routes
-        << ",\n"
-        << "  \"sampling_retention_full\": "
-        << (retention_full ? "true" : "false") << ",\n"
-        << "  \"sampling_digest_thread_invariant\": "
-        << (digest_invariant && digest_audited_same ? "true" : "false")
-        << ",\n"
-        << "  \"sampling_audit_clean\": " << (audit_clean ? "true" : "false")
-        << ",\n"
-        << "  \"sampling_passes_identical\": "
-        << (passes_identical ? "true" : "false") << "\n"
-        << "}\n";
-  }
+  // The scripted workload and the unlimited budget make every field
+  // exact for a commit; the wall times and rates above are not recorded.
+  const bool written = bench::write_record(opt, [&](obs::JsonWriter& w) {
+    w.field("bench", "sampling")
+        .field("dim", dim)
+        .field("readers", readers)
+        .field("requests", requests)
+        .field("script_epochs", svc_opt.script_epochs)
+        .field("head_every", svc_opt.head_every)
+        .field("sampling_promoted_digest", digest)
+        .field("sampling_routes", stats.routes)
+        .field("sampling_promoted", stats.promoted)
+        .field("sampling_breadcrumb_only", stats.breadcrumb_only)
+        .field("sampling_promoted_head",
+               reason_count(obs::PromoteReason::kHead))
+        .field("sampling_promoted_drop",
+               reason_count(obs::PromoteReason::kDrop))
+        .field("sampling_promoted_detour",
+               reason_count(obs::PromoteReason::kDetour))
+        .field("sampling_promoted_stale",
+               reason_count(obs::PromoteReason::kStale))
+        .field("sampling_shed_routes", stats.shed_routes)
+        .field("sampling_overflow_routes", stats.overflow_routes)
+        .field("sampling_retention_full", retention_full)
+        .field("sampling_digest_thread_invariant",
+               digest_invariant && digest_audited_same)
+        .field("sampling_audit_clean", audit_clean)
+        .field("sampling_passes_identical", passes_identical);
+  });
+  if (!written) return 2;
 
   int rc = 0;
   if (!audit_clean) {
@@ -568,6 +552,11 @@ int main(int argc, char** argv) {
   const std::uint64_t requests = svc_opt.requests;
 
   if (svc_opt.sample) return run_sample_mode(svc_opt, opt, dim, seed);
+  if (!opt.bench_json.empty()) {
+    std::cerr << argv[0] << ": --bench-json needs --sample; the live run "
+              << "writes no record\n";
+    return 2;
+  }
 
   const topo::Hypercube cube(dim);
   svc::SnapshotOracle oracle(cube);
@@ -818,48 +807,6 @@ int main(int argc, char** argv) {
                "against\n";
 
   if (!telemetry.finish(dim, readers)) return 2;
-
-  if (!opt.bench_json.empty()) {
-    std::ofstream out(opt.bench_json, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot open " << opt.bench_json << " for writing\n";
-      return 2;
-    }
-    // Exact-gated fields are the run parameters and self-consistency
-    // flags; latencies/rates gate as warnings; stale_*/epochs_*/outcome_*
-    // are interleaving-dependent and ignored (scripts/bench_gate.py).
-    out << "{\n"
-        << "  \"bench\": \"service\",\n"
-        << "  \"dim\": " << dim << ",\n"
-        << "  \"readers\": " << readers << ",\n"
-        << "  \"requests\": " << requests << ",\n"
-        << "  \"churn_pause_us_param\": " << svc_opt.churn_pause_us << ",\n"
-        << "  \"wall_ms\": " << wall_ms << ",\n"
-        << "  \"routes_per_sec\": " << routes_per_sec << ",\n"
-        << "  \"p50_us\": " << latency.quantile(0.5) << ",\n"
-        << "  \"p99_us\": " << latency.quantile(0.99) << ",\n"
-        << "  \"p999_us\": " << latency.quantile(0.999) << ",\n"
-        << "  \"epochs_published\": " << epochs << ",\n"
-        << "  \"epochs_per_sec\": " << epochs_per_sec << ",\n"
-        << "  \"outcome_delivered_optimal\": " << total.optimal << ",\n"
-        << "  \"outcome_delivered_suboptimal\": " << total.suboptimal << ",\n"
-        << "  \"outcome_refused\": " << total.refused << ",\n"
-        << "  \"outcome_stuck\": " << total.stuck << ",\n"
-        << "  \"outcome_dropped\": " << total.dropped() << ",\n"
-        << "  \"outcome_no_pair\": " << total.no_pair << ",\n"
-        << "  \"stale_total\": " << stale_total << ",\n"
-        << "  \"stale_delivered\": " << total.stale_delivered << ",\n"
-        << "  \"stale_detour\": " << total.stale_detour << ",\n"
-        << "  \"stale_dropped\": " << total.stale_dropped << ",\n"
-        << "  \"stale_verifications\": " << total.verifications << ",\n"
-        << "  \"snapshots_consistent\": "
-        << (consistent.load() ? "true" : "false") << ",\n"
-        << "  \"outcomes_accounted\": " << (accounted ? "true" : "false")
-        << ",\n"
-        << "  \"stuck_free\": " << (total.stuck == 0 ? "true" : "false")
-        << "\n"
-        << "}\n";
-  }
 
   int rc = bench::finish_audit(audit.get());
   if (!consistent.load()) {

@@ -6,9 +6,9 @@
 // recover one event at a time, the safety-level fixed point is refreshed
 // after every event — run A from scratch with compute_safety_levels, runs
 // B and C with SafetyOracle add_fault/remove_fault — and application
-// unicasts are routed on it. --bench-json writes the
-// BENCH_SWEEP_ENGINE.json artifact checked against the >=3x acceptance
-// bar at dim >= 10 (the default run is Q14 since the mega-cube PR).
+// unicasts are routed on it. The default run is Q14. --bench-json writes
+// the record CI compares exactly against BENCH_SWEEP_ENGINE.json; the
+// wall times and speedups are printed, not recorded.
 #include "core/safety_oracle.hpp"
 #include "fault/fault_set.hpp"
 #include "oracle_sweep.hpp"

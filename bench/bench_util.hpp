@@ -3,10 +3,11 @@
 // file in the same run, --jsonl streams per-point obs events, --audit
 // streams the same events through the invariant-checking AuditSink,
 // --dim/--trials/--seed override binary defaults, and --threads sets the
-// sweep-engine worker count — results are bit-identical for every value)
-// and table emission.
+// sweep-engine worker count — results are bit-identical for every value),
+// table emission, and the --bench-json record.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +15,8 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "common/table.hpp"
 #include "obs/audit.hpp"
@@ -23,6 +26,19 @@
 #include "obs/trace.hpp"
 
 namespace slcube::bench {
+
+/// Parse a flag's value as an unsigned decimal that fits `T`: digits
+/// only, so a sign, a space, a trailing character, an empty string or an
+/// overflow all fail and leave `out` untouched.
+template <typename T>
+[[nodiscard]] bool parse_unsigned(std::string_view text, T& out) {
+  T value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || stop != end) return false;
+  out = value;
+  return true;
+}
 
 struct Options {
   bool csv = false;
@@ -52,8 +68,9 @@ struct Options {
   }
 
   /// Testable core of parse(): fills `out` and returns true, or returns
-  /// false with `error` naming the offending flag (unknown flag, or a
-  /// trailing flag missing its value argument).
+  /// false with `error` naming the offending flag (unknown flag, a
+  /// trailing flag missing its value argument, or a numeric flag whose
+  /// value parse_unsigned rejects).
   [[nodiscard]] static bool try_parse(int argc, char** argv, Options& out,
                                       std::string& error) {
     const auto value = [&](int& i, const char** v) {
@@ -63,6 +80,14 @@ struct Options {
       }
       *v = argv[++i];
       return true;
+    };
+    const auto number = [&](int& i, auto& field) {
+      const char* v = nullptr;
+      if (!value(i, &v)) return false;
+      if (parse_unsigned(v, field)) return true;
+      error = std::string("flag ") + argv[i - 1] +
+              " needs an unsigned integer that fits, not '" + v + "'";
+      return false;
     };
     const char* v = nullptr;
     for (int i = 1; i < argc; ++i) {
@@ -77,17 +102,13 @@ struct Options {
         if (!value(i, &v)) return false;
         out.jsonl_file = v;
       } else if (std::strcmp(argv[i], "--dim") == 0) {
-        if (!value(i, &v)) return false;
-        out.dim = static_cast<unsigned>(std::atoi(v));
+        if (!number(i, out.dim)) return false;
       } else if (std::strcmp(argv[i], "--trials") == 0) {
-        if (!value(i, &v)) return false;
-        out.trials = static_cast<unsigned>(std::atoi(v));
+        if (!number(i, out.trials)) return false;
       } else if (std::strcmp(argv[i], "--seed") == 0) {
-        if (!value(i, &v)) return false;
-        out.seed = static_cast<std::uint64_t>(std::atoll(v));
+        if (!number(i, out.seed)) return false;
       } else if (std::strcmp(argv[i], "--threads") == 0) {
-        if (!value(i, &v)) return false;
-        out.threads = static_cast<unsigned>(std::atoi(v));
+        if (!number(i, out.threads)) return false;
       } else if (std::strcmp(argv[i], "--bench-json") == 0) {
         if (!value(i, &v)) return false;
         out.bench_json = v;
@@ -95,8 +116,7 @@ struct Options {
         if (!value(i, &v)) return false;
         out.telemetry_file = v;
       } else if (std::strcmp(argv[i], "--sample-ms") == 0) {
-        if (!value(i, &v)) return false;
-        out.sample_ms = static_cast<unsigned>(std::atoi(v));
+        if (!number(i, out.sample_ms)) return false;
       } else {
         error = std::string("unknown flag '") + argv[i] + "'";
         return false;
@@ -248,6 +268,29 @@ inline void emit(const Table& table, const Options& options) {
     appending = true;
     table.write_csv(out);
   }
+}
+
+/// The --bench-json record: one flat JSON object, its fields written by
+/// `fill(obs::JsonWriter&)`, then a newline. scripts/bench_gate.py
+/// compares every field exactly against a checked-in BENCH_*.json, so a
+/// record holds only values that are exact for a commit (parameters,
+/// digests, tallies, verdicts); timing belongs on stdout. Does nothing
+/// without --bench-json; returns false, with a message on stderr, when
+/// the file cannot be opened.
+template <typename Fill>
+bool write_record(const Options& options, Fill&& fill) {
+  if (options.bench_json.empty()) return true;
+  std::ofstream out(options.bench_json, std::ios::trunc);
+  if (!out) {
+    std::cerr << "cannot open " << options.bench_json << " for writing\n";
+    return false;
+  }
+  {
+    obs::JsonWriter writer(out);
+    fill(writer);
+  }
+  out << '\n';
+  return true;
 }
 
 }  // namespace slcube::bench

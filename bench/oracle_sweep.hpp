@@ -13,14 +13,14 @@
 // The digest folds every mission's route tallies and a packed_digest of
 // its final tables, so an oracle whose tables drift from scratch fails
 // even when every route is still delivered. --telemetry adds run D (C
-// with the flight recorder, which must not change the digest), and
-// --bench-json writes the BENCH_<NAME>.json record the CI perf gate
-// checks.
+// with the flight recorder, which must not change the digest).
+// --bench-json writes the run's parameters and digest, which CI compares
+// exactly against BENCH_<NAME>.json; wall times and speedups stay on
+// stdout.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -193,7 +193,6 @@ inline int run_oracle_bench(int argc, char** argv, const OracleBench& spec,
 
   // Run D: configuration C with the flight recorder attached; telemetry
   // must not change results, so the digest has to match run C.
-  double telemetry_ms = 0.0;
   if (telemetry.enabled()) {
     const auto telemetered =
         detail::run_sweep(body, oracle_mission, missions, seed, opt.threads,
@@ -202,40 +201,22 @@ inline int run_oracle_bench(int argc, char** argv, const OracleBench& spec,
       std::cerr << "FATAL: telemetry-enabled run diverged from run C\n";
       return 1;
     }
-    telemetry_ms = telemetered.wall_ms;
     if (!telemetry.finish(dim, telemetered.workers)) return 2;
-    std::cout << "telemetry: digest matches run C, " << telemetry_ms
+    std::cout << "telemetry: digest matches run C, " << telemetered.wall_ms
               << " ms vs " << parallel_oracle.wall_ms << " ms untelemetered ("
               << opt.telemetry_file << ")\n";
   }
 
-  if (!opt.bench_json.empty()) {
-    std::ofstream out(opt.bench_json, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot open " << opt.bench_json << " for writing\n";
-      return 2;
-    }
-    out << "{\n"
-        << "  \"bench\": \"" << spec.bench << "\",\n"
-        << "  \"dim\": " << dim << ",\n"
-        << "  \"missions\": " << missions << ",\n"
-        << "  \"events_per_mission\": " << events << ",\n"
-        << "  \"pairs_per_event\": " << pairs << ",\n"
-        << "  \"workers\": " << workers << ",\n"
-        << "  \"serial_scratch_ms\": " << serial_scratch.wall_ms << ",\n"
-        << "  \"serial_oracle_ms\": " << serial_oracle.wall_ms << ",\n"
-        << "  \"parallel_oracle_ms\": " << parallel_oracle.wall_ms << ",\n";
-    if (telemetry.enabled()) {
-      out << "  \"telemetry_parallel_oracle_ms\": " << telemetry_ms << ",\n";
-    }
-    out << "  \"speedup_oracle\": " << speedup_oracle << ",\n"
-        << "  \"speedup_threads\": " << speedup_threads << ",\n"
-        << "  \"speedup_total\": " << speedup_total << ",\n"
-        << "  \"tallies_identical\": true,\n"
-        << "  \"digest\": " << serial_scratch.digest << "\n"
-        << "}\n";
-  }
-  return 0;
+  const bool written = write_record(opt, [&](obs::JsonWriter& w) {
+    w.field("bench", spec.bench)
+        .field("dim", dim)
+        .field("missions", missions)
+        .field("events_per_mission", events)
+        .field("pairs_per_event", pairs)
+        .field("tallies_identical", true)
+        .field("digest", serial_scratch.digest);
+  });
+  return written ? 0 : 2;
 }
 
 }  // namespace slcube::bench

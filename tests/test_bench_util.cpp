@@ -1,10 +1,15 @@
 // bench::Options::try_parse — the testable core of the experiment
-// binaries' flag parsing: valid flag sets fill the struct, unknown flags
-// and trailing flags with a missing value are rejected with an error
-// message that names the offending flag.
+// binaries' flag parsing: valid flag sets fill the struct, unknown flags,
+// trailing flags with a missing value and malformed numbers are rejected
+// with an error message that names the offending flag — and the
+// --bench-json record writer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -77,16 +82,84 @@ TEST(BenchUtil, RejectsUnknownFlagByName) {
 }
 
 TEST(BenchUtil, RejectsTrailingFlagMissingItsValue) {
+  // Each case: the words after argv[0], the flag the error must name, and
+  // why. A numeric value with a sign, a trailing character, no digits, or
+  // more than its field holds is as bad as a missing one.
+  struct Case {
+    std::vector<std::string> words;
+    std::string flag;
+    std::string why;
+  };
+  std::vector<Case> cases;
   for (const char* flag : {"--csv-file", "--jsonl", "--dim", "--trials",
                            "--seed", "--threads", "--bench-json",
                            "--telemetry", "--sample-ms"}) {
-    Argv a({flag});
+    cases.push_back({{flag}, flag, "missing its value"});
+  }
+  for (const char* bad : {"-1", "4x", "", "99999999999"}) {
+    cases.push_back({{"--threads", bad}, "--threads", "unsigned integer"});
+  }
+  cases.push_back(
+      {{"--seed", "18446744073709551616"}, "--seed", "unsigned integer"});
+  for (const Case& c : cases) {
+    Argv a(c.words);
     Options o;
     std::string error;
-    EXPECT_FALSE(Options::try_parse(a.argc(), a.argv(), o, error)) << flag;
-    EXPECT_NE(error.find(flag), std::string::npos) << error;
-    EXPECT_NE(error.find("missing its value"), std::string::npos) << error;
+    EXPECT_FALSE(Options::try_parse(a.argc(), a.argv(), o, error))
+        << c.flag << " " << (c.words.size() > 1 ? c.words[1] : "");
+    EXPECT_NE(error.find(c.flag), std::string::npos) << error;
+    EXPECT_NE(error.find(c.why), std::string::npos) << error;
   }
+}
+
+TEST(BenchUtil, ParseUnsignedTakesOnlyDigitsThatFit) {
+  unsigned u = 7;
+  EXPECT_TRUE(parse_unsigned("0", u));
+  EXPECT_EQ(u, 0u);
+  EXPECT_TRUE(parse_unsigned("4294967295", u));
+  EXPECT_EQ(u, 4294967295u);
+  for (const char* bad :
+       {"-1", "4x", "", "99999999999", "4294967296", "+4", " 4", "4 "}) {
+    EXPECT_FALSE(parse_unsigned(bad, u)) << "'" << bad << "'";
+    EXPECT_EQ(u, 4294967295u) << "'" << bad << "' changed the field";
+  }
+  std::uint64_t seed = 0;
+  EXPECT_TRUE(parse_unsigned("18446744073709551615", seed));
+  EXPECT_EQ(seed, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(parse_unsigned("18446744073709551616", seed));
+  EXPECT_EQ(seed, std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(BenchUtil, WriteRecordWritesOneFlatObjectOnlyWithTheFlag) {
+  bool filled = false;
+  const auto fill = [&filled](obs::JsonWriter& w) {
+    filled = true;
+    w.field("bench", "t")
+        .field("digest", std::uint64_t{17060587129290960515ull})
+        .field("ok", true)
+        .field("bytes", 10928.0 / 16384.0);  // Q14's packed bytes per node
+  };
+
+  const Options off;
+  EXPECT_TRUE(write_record(off, fill));
+  EXPECT_FALSE(filled);
+
+  Options bad;
+  bad.bench_json = ::testing::TempDir() + "slcube_no_such_dir/record.json";
+  EXPECT_FALSE(write_record(bad, fill));
+
+  // Raw text, not read_jsonl_file: the reader holds numbers as doubles,
+  // which would round a digest above 2^53.
+  Options on;
+  on.bench_json = ::testing::TempDir() + "slcube_bench_record.json";
+  ASSERT_TRUE(write_record(on, fill));
+  std::ifstream in(on.bench_json);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(),
+            "{\"bench\":\"t\",\"digest\":17060587129290960515,"
+            "\"ok\":true,\"bytes\":0.666992}\n");
+  std::remove(on.bench_json.c_str());
 }
 
 TEST(BenchUtil, TelemetrySessionIsGatedOnTheFlag) {
