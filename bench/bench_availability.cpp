@@ -86,13 +86,12 @@ int main(int argc, char** argv) {
                 workload::sample_uniform_pair(net.faults(), ctx.rng);
             if (!pair) break;
             const auto r = sim::route_unicast_sim(net, pair->s, pair->d);
-            const bool del = r.status == sim::SimRouteStatus::kDelivered;
-            acc.delivered.add(del);
-            if (del) {
-              acc.optimal.add(r.path.size() - 1 ==
-                              cube.distance(pair->s, pair->d));
+            acc.delivered.add(r.delivered());
+            if (r.delivered()) {
+              acc.optimal.add(r.status ==
+                              core::RouteStatus::kDeliveredOptimal);
             }
-            const bool ref = r.status == sim::SimRouteStatus::kRefused;
+            const bool ref = r.status == core::RouteStatus::kSourceRefused;
             acc.refused.add(ref);
             if (ref) {
               const auto dist =

@@ -97,8 +97,9 @@ int main(int argc, char** argv) {
     c.seed = seed + dim;  // per-dim substream family
     c.threads = opt.threads;
     c.trace = tees[di].get();
-    // Per-route events stream only into the (internally synchronized)
-    // audit sink; JsonlSink is single-threaded and gets point events only.
+    // Per-route events stream only into the audit sink, whose lanes keep
+    // each worker's chains apart; one JSONL file would interleave them,
+    // so it gets point events only.
     c.route_trace = audits[di].get();
     return c;
   };

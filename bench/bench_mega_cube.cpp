@@ -117,6 +117,7 @@ struct RouteTally {
 
 struct RouteRow {
   unsigned dim = 0;
+  std::size_t workers = 0;  ///< sweep-engine workers that ran the sweep
   double wall_ms = 0.0;
   double utilization = 0.0;
   double routes_per_sec = 0.0;
@@ -132,6 +133,7 @@ RouteRow run_routes(const topo::Hypercube& cube, const fault::FaultSet& faults,
   exp::SweepEngine engine({threads, seed, nullptr, nullptr});
   RouteRow row;
   row.dim = cube.dimension();
+  row.workers = engine.workers();
 
   const auto body = [&](exp::TrialContext& ctx) {
     RouteTally t;
@@ -218,9 +220,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const unsigned workers = static_cast<unsigned>(std::max<std::size_t>(
-      1, exp::SweepEngine({opt.threads, seed, nullptr, nullptr}).workers()));
-
   Table build_table(
       "MEGA_CUBE: packed fixed point, GS rounds vs peel, max(2n, 2%) faults",
       {"dim", "nodes", "rounds", "GS ms", "peel ms", "speedup",
@@ -240,7 +239,7 @@ int main(int argc, char** argv) {
   Table route_table(
       "MEGA_CUBE: unicast sweep on the packed table (" +
           std::to_string(requests) + " requests/dim, " +
-          std::to_string(workers) + " workers)",
+          std::to_string(routes.front().workers) + " workers)",
       {"dim", "optimal", "suboptimal", "refused", "stuck", "wall ms",
        "routes/s"});
   route_table.set_precision(5, 1);

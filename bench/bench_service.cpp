@@ -378,10 +378,7 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
   obs::AuditConfig audit_cfg;
   audit_cfg.dimension = dim;
   obs::AuditSink audit(audit_cfg);
-  std::unique_ptr<obs::LockedJsonlSink> jsonl;
-  if (!opt.jsonl_file.empty()) {
-    jsonl = std::make_unique<obs::LockedJsonlSink>(opt.jsonl_file);
-  }
+  const auto jsonl = opt.make_jsonl_sink();
   std::vector<obs::TraceSink*> fanout{&audit};
   if (jsonl != nullptr) fanout.push_back(jsonl.get());
   obs::TeeSink tee(fanout);
@@ -574,17 +571,14 @@ int main(int argc, char** argv) {
   }
 
   const auto audit = opt.make_audit_sink(dim);
-  // Whole-line-locked JSONL so reader threads may share the file. Lanes
-  // still interleave in the output — replaying a multi-reader file
+  // JsonlSink locks each line, so reader threads may share the file.
+  // Lanes still interleave in the output — replaying a multi-reader file
   // through the single-lane JSONL auditor will report broken chains; use
   // --jsonl with --readers 1 for replays.
-  std::unique_ptr<obs::LockedJsonlSink> locked_jsonl;
-  if (!opt.jsonl_file.empty()) {
-    locked_jsonl = std::make_unique<obs::LockedJsonlSink>(opt.jsonl_file);
-  }
+  const auto jsonl = opt.make_jsonl_sink();
   std::vector<obs::TraceSink*> fanout;
   if (audit != nullptr) fanout.push_back(audit.get());
-  if (locked_jsonl != nullptr) fanout.push_back(locked_jsonl.get());
+  if (jsonl != nullptr) fanout.push_back(jsonl.get());
   obs::TeeSink tee(fanout);
   obs::TraceSink* const trace = fanout.empty() ? nullptr : &tee;
 

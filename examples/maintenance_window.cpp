@@ -48,19 +48,9 @@ int main(int argc, char** argv) {
       if (!pair) break;
       ++sent;
       const auto r = sim::route_unicast_sim(net, pair->s, pair->d);
-      switch (r.status) {
-        case sim::SimRouteStatus::kDelivered:
-          ++delivered;
-          optimal += r.path.size() - 1 == cube.distance(pair->s, pair->d)
-                         ? 1u
-                         : 0u;
-          break;
-        case sim::SimRouteStatus::kRefused:
-          ++refused;
-          break;
-        default:
-          break;
-      }
+      delivered += r.delivered() ? 1u : 0u;
+      optimal += r.status == core::RouteStatus::kDeliveredOptimal ? 1u : 0u;
+      refused += r.status == core::RouteStatus::kSourceRefused ? 1u : 0u;
     }
     char ratio[16];
     std::snprintf(ratio, sizeof ratio, "%u/%u", delivered, sent);

@@ -25,7 +25,8 @@
 // through (Figs. 1 and 3), and kRandom is the ablation (DESIGN.md #1).
 //
 // The walk itself, shared with the EGS, safety-vector and serving
-// routers, is core/walk.hpp; the routers here are its instantiations.
+// routers and the simulator, is core/walk.hpp; the routers here are its
+// instantiations.
 #pragma once
 
 #include <cstdint>
@@ -44,11 +45,11 @@ enum class RouteStatus : std::uint8_t {
   kStuck,                ///< mid-route dead end — impossible unless the
                          ///< level table is inconsistent/stale (used by
                          ///< robustness experiments)
-  // Serving only (svc::serve_route): the decision table allowed a
-  // traversal the live ground truth refused.
-  kDroppedSource,  ///< source already dead in the ground epoch
-  kDroppedNode,    ///< a hop landed on a node faulty in the ground epoch
-  kDroppedLink,    ///< a hop crossed a link faulty in the ground epoch
+  // Judged routes only (svc::serve_route, sim::route_unicast_sim): the
+  // decision view allowed a traversal the ground refused.
+  kDroppedSource,  ///< source already dead on the ground at launch
+  kDroppedNode,    ///< a hop landed on a node dead on the ground
+  kDroppedLink,    ///< a hop crossed a link dead on the ground
   /// The serving layer's name for kSourceRefused, kept for perfbench.
   kRefused = kSourceRefused,
 };

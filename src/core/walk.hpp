@@ -11,20 +11,20 @@
 //            and the next hop. LevelView reads one level table (§3);
 //            EgsView reads the two EGS views plus the decision-side link
 //            faults and owns footnote 3's final hop (§4.1); VectorView
-//            reads safety vectors.
+//            reads safety vectors; the simulator's view reads the
+//            holder's neighbor registers (src/sim).
 //   Judge  — the ground judge: NoGround for the core routers (the
-//            decision table is the network), or svc's snapshot judge,
-//            which can drop the route at launch or at any traversal.
+//            decision table is the network), svc's snapshot judge, or
+//            the simulator's network; either of the last two can drop
+//            the route at launch or at any traversal.
 //   Events — NullEvents compiles to nothing; TraceEvents is the one
-//            builder of the route-chain trace events (also used by the
-//            message-level simulator in src/sim).
+//            builder of the route-chain trace events.
 //
 // walk_route() branches on UnicastOptions::trace once, before the walk,
 // so the untraced instantiation carries no trace code at all; since it
 // asks for no tie counts, its scans also stop at the first neighbor that
 // settles the answer. The max-level tie-break kernel argmax_level() is
-// shared with the GH router (keyed by node) and the simulator (keyed by
-// dimension).
+// shared with the GH router (keyed by node).
 #pragma once
 
 #include <cstdint>
@@ -100,7 +100,11 @@ struct LevelView {
 
   static constexpr bool kTwoView = false;
   [[nodiscard]] Level self_level(NodeId) const noexcept { return 0; }
-  [[nodiscard]] unsigned level(NodeId a) const noexcept { return levels[a]; }
+  /// The level of `from`'s dim-neighbor as `from` reads it (a hop event's
+  /// `level`).
+  [[nodiscard]] unsigned level(NodeId from, Dim dim) const noexcept {
+    return levels[cube.neighbor(from, dim)];
+  }
 
   [[nodiscard]] SourceDecision decide(NodeId s, NodeId d) const {
     return decide_at_source(cube, levels, s, d);
@@ -280,30 +284,26 @@ struct TraceEvents {
     sink->on_event(ev);
   }
 
-  /// `level` is the level of `to` as the deciding node sees it.
-  void hop(NodeId from, NodeId to, Dim dim, unsigned level,
+  /// The hop's `level` is the level of `to` as `from`, the deciding node,
+  /// reads it.
+  template <typename View>
+  void hop(const View& view, NodeId from, NodeId to, Dim dim,
            std::uint32_t nav_before, std::uint32_t nav_after, bool preferred,
            unsigned ties) const {
     obs::HopEvent ev;
     ev.from = from;
     ev.to = to;
     ev.dim = dim;
-    ev.level = level;
+    ev.level = view.level(from, dim);
     ev.nav_before = nav_before;
     ev.nav_after = nav_after;
     ev.preferred = preferred;
     ev.ties = ties;
     sink->on_event(ev);
   }
-  template <typename View>
-  void hop(const View& view, NodeId from, NodeId to, Dim dim,
-           std::uint32_t nav_before, std::uint32_t nav_after, bool preferred,
-           unsigned ties) const {
-    hop(from, to, dim, view.level(to), nav_before, nav_after, preferred, ties);
-  }
 
-  /// The fatal traversal in the simulator's dialect, which is the
-  /// in-flight-death shape obs::AuditSink accepts.
+  /// The message a refused traversal lost, as the send/drop pair
+  /// obs::AuditSink requires of a dropped route.
   void drop(NodeId from, NodeId to, RouteStatus why,
             std::uint64_t time) const {
     obs::MessageSendEvent send;
@@ -322,17 +322,13 @@ struct TraceEvents {
     sink->on_event(lost);
   }
 
-  void done(const char* status, unsigned hops) const {
+  void done(RouteStatus status, unsigned hops) const {
     obs::RouteDoneEvent ev;
     ev.source = s;
     ev.dest = d;
-    ev.status = status;
+    ev.status = to_string(status);
     ev.hops = hops;
     sink->on_event(ev);
-  }
-  /// A dropped route ends "lost" over the hops that landed.
-  void done(RouteStatus status, unsigned hops) const {
-    done(is_drop(status) ? "lost" : to_string(status), hops);
   }
 };
 

@@ -1,6 +1,7 @@
 #include "diag/routing.hpp"
 
 #include "common/contracts.hpp"
+#include "core/walk.hpp"
 
 namespace slcube::diag {
 
@@ -53,26 +54,16 @@ DiagnosedRouteResult route_diagnosed(const topo::Hypercube& cube,
   r.ground_decision = core::decide_at_source(cube, ground_levels, s, d);
 
   if (diagnosed.is_faulty(d)) {
-    // The system believes the destination is dead: no source decision is
-    // even attempted. Synthesize the refusal (and trace it under a
-    // status of its own — the audit invariants for "source-refused"
-    // assume the C1/C2/C3 machinery actually ran).
+    // The system believes the destination is dead, so no condition is
+    // even checked: a refusal with C1, C2 and C3 all unset.
     r.planned.status = core::RouteStatus::kSourceRefused;
     r.planned.decision.hamming =
         bits::popcount(static_cast<std::uint32_t>(s ^ d));
     r.planned.path = {s};
     if (options.trace != nullptr) {
-      obs::SourceDecisionEvent src;
-      src.source = s;
-      src.dest = d;
-      src.hamming = r.planned.decision.hamming;
-      options.trace->on_event(src);
-      obs::RouteDoneEvent done;
-      done.source = s;
-      done.dest = d;
-      done.status = "refused-presumed-dest";
-      done.hops = 0;
-      options.trace->on_event(done);
+      core::TraceEvents events{options.trace, s, d, &r.planned.decision};
+      events.source(-1, 0, false);
+      events.done(r.planned.status, 0);
     }
   } else {
     // Plan on the diagnosed tables. `ground` is passed as the fault set

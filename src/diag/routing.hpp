@@ -51,8 +51,8 @@ struct DiagnosedRouteResult {
 
 /// Plan s -> d over `diagnosed`/`diagnosed_levels`, replay against
 /// `ground`. Both endpoints must be GROUND-healthy (a diagnosed-faulty
-/// destination yields a synthesized refusal traced with the status
-/// "refused-presumed-dest"). `ground_levels` must be the fixed point of
+/// destination yields a refusal with no condition set, traced as
+/// "source-refused"). `ground_levels` must be the fixed point of
 /// `ground`, `diagnosed_levels` of `diagnosed`. When `options.trace` is
 /// set, the planned route is traced as usual and a MisrouteEvent follows
 /// the route_done.

@@ -10,36 +10,32 @@ namespace slcube::obs {
 
 namespace {
 
-/// The route-status dialects the two unicast producers emit. Core
-/// statuses come from a global-view router over a consistent table and
-/// get the strict flag checks; sim statuses are local-view (registers
-/// can be stale, links can hide neighbors) and get only the checks the
-/// protocol actually guarantees.
+/// One class per core::RouteStatus name (core/unicast.cpp's to_string),
+/// the one route-status vocabulary every producer emits.
 enum class StatusClass {
-  kCoreOptimal,     // "delivered-optimal"
-  kCoreSuboptimal,  // "delivered-suboptimal"
-  kCoreRefused,     // "source-refused"
-  kStuck,           // "stuck" (both dialects)
-  kSimDelivered,    // "delivered"
-  kSimRefused,      // "refused"
-  kSimLost,         // "lost"
+  kOptimal,        // "delivered-optimal"
+  kSuboptimal,     // "delivered-suboptimal"
+  kRefused,        // "source-refused"
+  kStuck,          // "stuck"
+  kDroppedSource,  // "dropped-source"
+  kDroppedNode,    // "dropped-node"
+  kDroppedLink,    // "dropped-link"
   kUnknown,
 };
 
 StatusClass classify(std::string_view status) {
-  if (status == "delivered-optimal") return StatusClass::kCoreOptimal;
-  if (status == "delivered-suboptimal") return StatusClass::kCoreSuboptimal;
-  if (status == "source-refused") return StatusClass::kCoreRefused;
+  if (status == "delivered-optimal") return StatusClass::kOptimal;
+  if (status == "delivered-suboptimal") return StatusClass::kSuboptimal;
+  if (status == "source-refused") return StatusClass::kRefused;
   if (status == "stuck") return StatusClass::kStuck;
-  if (status == "delivered") return StatusClass::kSimDelivered;
-  if (status == "refused") return StatusClass::kSimRefused;
-  if (status == "lost") return StatusClass::kSimLost;
+  if (status == "dropped-source") return StatusClass::kDroppedSource;
+  if (status == "dropped-node") return StatusClass::kDroppedNode;
+  if (status == "dropped-link") return StatusClass::kDroppedLink;
   return StatusClass::kUnknown;
 }
 
 bool is_delivered(StatusClass c) {
-  return c == StatusClass::kCoreOptimal || c == StatusClass::kCoreSuboptimal ||
-         c == StatusClass::kSimDelivered;
+  return c == StatusClass::kOptimal || c == StatusClass::kSuboptimal;
 }
 
 std::uint64_t pair_key(NodeId from, NodeId to) {
@@ -103,6 +99,9 @@ void AuditSink::on_event(const TraceEvent& ev) {
         lane.sends[kind_slot(drop->kind)][pair_key(drop->from, drop->to)];
     if (outstanding > 0) {
       --outstanding;
+      if (drop->kind == MsgKind::kUnicast && lane.route_open) {
+        lane.lost = *drop;
+      }
     } else {
       std::ostringstream ss;
       ss << "drop of " << to_string(drop->kind) << ' ' << drop->from << "->"
@@ -190,6 +189,7 @@ void AuditSink::handle(Lane& lane, const SourceDecisionEvent& ev) {
   }
   lane.route_open = true;
   lane.route_saw_fault_churn = false;
+  lane.lost.reset();
   lane.source = ev;
   lane.hops.clear();
 }
@@ -335,7 +335,7 @@ void AuditSink::close_route(Lane& lane, const RouteDoneEvent& done) {
     }
     const bool spare = src.spare;
     const unsigned expected = h + (spare ? 2u : 0u);
-    if (cls == StatusClass::kCoreOptimal && spare) {
+    if (cls == StatusClass::kOptimal && spare) {
       violation(ViolationKind::kSpareMisuse,
                 "delivered-optimal route launched on the spare detour");
     }
@@ -349,7 +349,7 @@ void AuditSink::close_route(Lane& lane, const RouteDoneEvent& done) {
          << "spare detour";
       violation(ViolationKind::kSpareMisuse, ss.str());
     }
-    if (cls == StatusClass::kCoreSuboptimal && !spare) {
+    if (cls == StatusClass::kSuboptimal && !spare) {
       violation(ViolationKind::kSpareMisuse,
                 "delivered-suboptimal route without a spare first hop");
     }
@@ -376,11 +376,11 @@ void AuditSink::close_route(Lane& lane, const RouteDoneEvent& done) {
       }
     }
     if (spare) {
-      // C3 was checked at the source event; core additionally promises
-      // the detour is taken only when no optimal first hop existed.
-      if (cls == StatusClass::kCoreSuboptimal && (src.c1 || src.c2)) {
+      // C3 was checked at the source event; the detour is taken only
+      // when no optimal first hop existed.
+      if (src.c1 || src.c2) {
         std::ostringstream ss;
-        ss << "core spare detour " << src.source << "->" << src.dest
+        ss << "spare detour " << src.source << "->" << src.dest
            << " taken although C1/C2 offered an optimal first hop";
         violation(ViolationKind::kFlagsInconsistent, ss.str());
       }
@@ -403,53 +403,61 @@ void AuditSink::close_route(Lane& lane, const RouteDoneEvent& done) {
       }
     }
     report_.hops_per_route.observe(static_cast<double>(done.hops));
-  } else if (cls == StatusClass::kCoreRefused ||
-             cls == StatusClass::kSimRefused) {
+  } else if (cls == StatusClass::kRefused ||
+             cls == StatusClass::kDroppedSource) {
+    // Nothing was sent: no hop and no chosen first hop.
     if (nhops != 0 || done.hops != 0) {
       std::ostringstream ss;
-      ss << "refused route " << src.source << "->" << src.dest
+      ss << done.status << " route " << src.source << "->" << src.dest
          << " has hops (" << done.hops << " reported, " << nhops
          << " hop events)";
       violation(ViolationKind::kHopCountMismatch, ss.str());
     }
     if (src.chosen_dim != -1) {
       std::ostringstream ss;
-      ss << "refused route " << src.source << "->" << src.dest
+      ss << done.status << " route " << src.source << "->" << src.dest
          << " records chosen_dim " << src.chosen_dim;
       violation(ViolationKind::kFlagsInconsistent, ss.str());
     }
-    // Strict flag check only for the global-view router: it refuses iff
-    // none of C1/C2/C3 holds. The sim can refuse with flags set (a
-    // feasible-looking register can sit behind a link it cannot use).
-    if (cls == StatusClass::kCoreRefused && (src.c1 || src.c2 || src.c3)) {
+    // The source refuses iff none of C1/C2/C3 holds.
+    if (cls == StatusClass::kRefused && (src.c1 || src.c2 || src.c3)) {
       std::ostringstream ss;
       ss << "source refused " << src.source << "->" << src.dest
          << " although C1/C2/C3 offered a move (c1=" << src.c1
          << " c2=" << src.c2 << " c3=" << src.c3 << ')';
       violation(ViolationKind::kFlagsInconsistent, ss.str());
     }
-  } else if (cls == StatusClass::kStuck) {
+  } else if (cls != StatusClass::kUnknown) {
+    // Stuck at a holder, or dropped in flight: the hops that landed.
     if (done.hops != nhops) {
       std::ostringstream ss;
-      ss << "stuck route " << src.source << "->" << src.dest << " reports "
-         << done.hops << " hops but " << nhops << " hop events were seen";
+      ss << done.status << " route " << src.source << "->" << src.dest
+         << " reports " << done.hops << " hops but " << nhops
+         << " hop events were seen";
       violation(ViolationKind::kHopCountMismatch, ss.str());
     }
-    if (!lane.route_saw_fault_churn && !lane.stale_tables) {
-      std::ostringstream ss;
-      ss << "route " << src.source << "->" << src.dest << " stuck after "
-         << done.hops << " hops with no mid-route fault churn (impossible "
-         << "over a consistent level table)";
-      violation(ViolationKind::kStuckRoute, ss.str());
-    }
-  } else if (cls == StatusClass::kSimLost) {
-    // A lost packet may die in flight: the hop that sent it was traced
-    // but the landing never happened, so one extra hop event is legal.
-    if (nhops != done.hops && nhops != done.hops + 1) {
-      std::ostringstream ss;
-      ss << "lost route " << src.source << "->" << src.dest << " reports "
-         << done.hops << " hops but " << nhops << " hop events were seen";
-      violation(ViolationKind::kHopCountMismatch, ss.str());
+    if (cls == StatusClass::kStuck) {
+      if (!lane.route_saw_fault_churn && !lane.stale_tables) {
+        std::ostringstream ss;
+        ss << "route " << src.source << "->" << src.dest << " stuck after "
+           << done.hops << " hops with no mid-route fault churn (impossible "
+           << "over a consistent level table)";
+        violation(ViolationKind::kStuckRoute, ss.str());
+      }
+    } else {
+      // The message died in flight: its send/drop pair, sent by the last
+      // node reached, for the stated cause.
+      const NodeId holder =
+          lane.hops.empty() ? src.source : lane.hops.back().to;
+      const std::string_view why =
+          cls == StatusClass::kDroppedLink ? "faulty-link" : "dead-node";
+      if (!lane.lost || lane.lost->from != holder ||
+          lane.lost->reason != why) {
+        std::ostringstream ss;
+        ss << done.status << " route " << src.source << "->" << src.dest
+           << " shows no " << why << " drop of a message sent by " << holder;
+        violation(ViolationKind::kBrokenChain, ss.str());
+      }
     }
   }
   // Unknown statuses are counted in routes_by_status and left unchecked.
@@ -526,18 +534,6 @@ void AuditSink::handle(Lane& lane, const MisrouteEvent& ev) {
   }
 }
 
-namespace {
-
-/// Does a sampled-stream summary status agree with the chain's terminal
-/// status? The serving path's chain dialect reports every in-flight
-/// death as "lost"; the summary refines it with the precise drop cause.
-bool summary_status_matches(std::string_view chain, std::string_view summary) {
-  if (chain == summary) return true;
-  return chain == "lost" && summary.substr(0, 7) == "dropped";
-}
-
-}  // namespace
-
 void AuditSink::handle(Lane& lane, const RouteSummaryEvent& ev) {
   if (!ev.promoted) {
     // Breadcrumb-only: no chain exists by design. Counted, reconciled
@@ -562,7 +558,7 @@ void AuditSink::handle(Lane& lane, const RouteSummaryEvent& ev) {
     return;
   }
   lane.last_route_summarized = true;
-  if (!summary_status_matches(lane.last_route_status, ev.status)) {
+  if (std::string_view(lane.last_route_status) != ev.status) {
     std::ostringstream ss;
     ss << "route_summary " << ev.route_id << " status \"" << ev.status
        << "\" contradicts the chain's \"" << lane.last_route_status << '"';

@@ -11,9 +11,11 @@
 //   * every HopEvent's nav_after equals nav_before with dim toggled, and
 //     hop.to == hop.from with dim toggled;
 //   * C1/C2/C3 are mutually consistent with the chosen first hop and the
-//     terminal status (strictly for core route statuses; the sim's
-//     local-view statuses get the weaker checks its footnote-3 final-hop
-//     rule allows);
+//     terminal status (the core::RouteStatus names, which every producer
+//     emits);
+//   * a route dropped in flight shows the send/drop pair of the message
+//     it lost, sent by the last node it reached; a refused or
+//     dropped-at-source route chose no first hop;
 //   * every preferred hop's advertised level covers the remaining
 //     distance (level >= popcount(nav_after), the Theorem-2 floor);
 //   * GS/EGS round sequences are monotone (+1 per round) and a wave that
@@ -43,6 +45,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,6 +106,9 @@ class AuditSink final : public TraceSink {
     // --- in-flight route chain ---
     bool route_open = false;
     bool route_saw_fault_churn = false;  ///< node died/recovered mid-route
+    /// The message the open route lost: a unicast drop matched to its
+    /// send while the route was open.
+    std::optional<MessageDropEvent> lost;
     /// Fault churn seen since the last quiesced synchronous GS wave:
     /// level tables may be stale, so "stuck is impossible" is suspended
     /// until the stream shows a full re-stabilization.

@@ -205,13 +205,6 @@ Counter Registry::counter(std::string_view name) {
   return Counter(this, find_or_append(counter_names_, name));
 }
 
-Gauge Registry::gauge(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  const std::uint32_t idx = find_or_append(gauge_names_, name);
-  if (idx == gauge_values_.size()) gauge_values_.push_back(0);
-  return Gauge(this, idx);
-}
-
 Histogram Registry::histogram(std::string_view name,
                               std::vector<double> bounds) {
   std::lock_guard lock(mutex_);
@@ -244,24 +237,6 @@ std::uint64_t Counter::value() const {
     if (idx_ < shard->counters.size()) total += shard->counters[idx_];
   }
   return total;
-}
-
-void Gauge::set(std::int64_t v) const noexcept {
-  if (reg_ == nullptr) return;
-  std::lock_guard lock(reg_->mutex_);
-  reg_->gauge_values_[idx_] = v;
-}
-
-void Gauge::add(std::int64_t delta) const noexcept {
-  if (reg_ == nullptr) return;
-  std::lock_guard lock(reg_->mutex_);
-  reg_->gauge_values_[idx_] += delta;
-}
-
-std::int64_t Gauge::value() const {
-  if (reg_ == nullptr) return 0;
-  std::lock_guard lock(reg_->mutex_);
-  return reg_->gauge_values_[idx_];
 }
 
 void Histogram::observe(double v) const noexcept {
@@ -317,9 +292,6 @@ MetricsSnapshot Registry::scrape() const {
   }
   snap.counters.reserve(counter_names_.size());
   for (const auto& name : counter_names_) snap.counters.emplace_back(name, 0);
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    snap.gauges.emplace_back(gauge_names_[i], gauge_values_[i]);
-  }
   for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
     snap.histograms.emplace_back(histogram_names_[i],
                                  HistogramData(histogram_bounds_[i]));
@@ -342,22 +314,10 @@ MetricsSnapshot Registry::scrape() const {
   return snap;
 }
 
-Registry& Registry::global() {
-  static Registry registry;
-  return registry;
-}
-
 // --- snapshot lookups ------------------------------------------------------
 
 std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
   for (const auto& [n, v] : counters) {
-    if (n == name) return v;
-  }
-  return 0;
-}
-
-std::int64_t MetricsSnapshot::gauge(std::string_view name) const {
-  for (const auto& [n, v] : gauges) {
     if (n == name) return v;
   }
   return 0;
@@ -373,7 +333,6 @@ const HistogramData* MetricsSnapshot::histogram(std::string_view name) const {
 void MetricsSnapshot::write_json(std::ostream& os) const {
   JsonWriter w(os);
   for (const auto& [name, v] : counters) w.field(name, v);
-  for (const auto& [name, v] : gauges) w.field(name, v);
   for (const auto& [name, h] : histograms) {
     w.object(name, [&h](JsonWriter& o) {
       o.field("count", h.count)

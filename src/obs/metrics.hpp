@@ -1,11 +1,11 @@
-// slcube::obs — a process-wide (or per-object) metrics registry: named
-// counters, gauges, and fixed-bucket histograms. Writes go to cheap
-// thread-local shards (one uncontended mutex per thread); scrape() merges
-// every shard into an immutable snapshot. This replaces the ad-hoc
-// counter structs that used to live inside individual subsystems
-// (sim::NetworkStats is now a scrape view over one of these).
+// slcube::obs — a per-object metrics registry: named counters and
+// fixed-bucket histograms. Writes go to cheap thread-local shards (one
+// uncontended mutex per thread); scrape() merges every shard into an
+// immutable snapshot. This replaces the ad-hoc counter structs that used
+// to live inside individual subsystems (sim::NetworkStats is now a
+// scrape view over one of these).
 //
-// Lifetime contract: handles (Counter/Gauge/Histogram) are thin
+// Lifetime contract: handles (Counter/Histogram) are thin
 // {registry, index} pairs and must not outlive their Registry. Metric
 // names are registered idempotently — asking twice for the same name
 // returns the same slot, so independent modules can share a metric.
@@ -84,21 +84,6 @@ class Counter {
   std::uint32_t idx_ = 0;
 };
 
-/// Point-in-time value (not sharded: set() wants last-write-wins).
-class Gauge {
- public:
-  Gauge() = default;
-  void set(std::int64_t v) const noexcept;
-  void add(std::int64_t delta) const noexcept;
-  [[nodiscard]] std::int64_t value() const;
-
- private:
-  friend class Registry;
-  Gauge(Registry* reg, std::uint32_t idx) : reg_(reg), idx_(idx) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t idx_ = 0;
-};
-
 /// Sharded fixed-bucket histogram.
 class Histogram {
  public:
@@ -116,14 +101,12 @@ class Histogram {
 /// Everything a registry knew at one scrape, by name.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::int64_t>> gauges;
   std::vector<std::pair<std::string, HistogramData>> histograms;
 
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
-  [[nodiscard]] std::int64_t gauge(std::string_view name) const;
   [[nodiscard]] const HistogramData* histogram(std::string_view name) const;
 
-  /// One flat JSON object: counters/gauges by name, histograms as
+  /// One flat JSON object: counters by name, histograms as
   /// {"count":..,"mean":..,"p50":..,"p90":..,"p99":..,"p999":..,"max":..}.
   /// No newline.
   void write_json(std::ostream& os) const;
@@ -142,7 +125,6 @@ class Registry {
 
   /// Idempotent registration: the same name always maps to one slot.
   [[nodiscard]] Counter counter(std::string_view name);
-  [[nodiscard]] Gauge gauge(std::string_view name);
   [[nodiscard]] Histogram histogram(std::string_view name,
                                     std::vector<double> bounds);
 
@@ -153,12 +135,8 @@ class Registry {
   /// by the number of *live* writer threads, not the historical total).
   [[nodiscard]] std::size_t live_shards() const;
 
-  /// Process-wide default registry (for code without a natural owner).
-  static Registry& global();
-
  private:
   friend class Counter;
-  friend class Gauge;
   friend class Histogram;
 
   [[nodiscard]] detail::MetricsShard& local_shard() const;
@@ -169,8 +147,6 @@ class Registry {
   const std::uint64_t id_;  ///< never-reused registry identity
   mutable std::mutex mutex_;
   std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
-  std::vector<std::int64_t> gauge_values_;
   std::vector<std::string> histogram_names_;
   std::vector<std::vector<double>> histogram_bounds_;
   /// shared_ptr so a thread-exit retirer can keep its shard alive past

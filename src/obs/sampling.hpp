@@ -36,7 +36,7 @@
 // non-route events (epoch_publish, churn) straight downstream. Promoted
 // chains are forwarded under one internal mutex as an atomic burst, so
 // the downstream sink sees whole chains even when it is a shared
-// LockedJsonlSink; the downstream sink must itself be thread-safe.
+// JsonlSink; the downstream sink must itself be thread-safe.
 #pragma once
 
 #include <cstdint>

@@ -124,7 +124,6 @@ void write_timeseries_jsonl(std::ostream& os,
         w.field("c." + name, v);
         w.field("d." + name, v >= before ? v - before : 0);
       }
-      for (const auto& [name, v] : s.snapshot.gauges) w.field("g." + name, v);
       for (const auto& [name, h] : s.snapshot.histograms) {
         const HistogramData d = interval_histogram(
             h, prev ? prev->snapshot.histogram(name) : nullptr);

@@ -109,7 +109,7 @@ struct InstrumentationHooks {
 
 /// One "ts_sample" JSONL line per sample, flat dotted keys:
 /// {"event":"ts_sample","tick":N[,"t_ms":X],"c.<name>":V,"d.<name>":D,
-///  "g.<name>":V,"h.<name>.count":C,"h.<name>.d_count":DC,
+///  "h.<name>.count":C,"h.<name>.d_count":DC,
 ///  "h.<name>.mean":M,"h.<name>.p50":..,"h.<name>.p90":..,
 ///  "h.<name>.p99":..,"h.<name>.p999":..,"h.<name>.max":..}
 /// where "d." is the counter delta since the previous sample, "d_count"/

@@ -193,6 +193,7 @@ JsonlSink::JsonlSink(const std::string& path)
 JsonlSink::~JsonlSink() { os_->flush(); }
 
 void JsonlSink::on_event(const TraceEvent& ev) {
+  const std::scoped_lock lock(mutex_);
   write_json(*os_, ev);
   *os_ << '\n';
 }

@@ -22,14 +22,12 @@
 //
 // Locking contract: TraceSink::on_event makes no thread-safety promise
 // by itself — each concrete sink documents its own. NullSink is
-// stateless and trivially safe. RingBufferSink synchronizes internally
-// (one mutex around the ring), so SweepEngine workers may tee into a
-// shared instance. JsonlSink is NOT synchronized: give it to one thread,
-// or serialize calls externally (interleaved writes would corrupt the
-// line structure); LockedJsonlSink is the synchronized wrapper for
-// multi-worker shared files. TeeSink adds no locking of its own — it is
-// exactly as safe as the least safe sink it fans out to. AuditSink
-// (audit.hpp) and SamplingSink (sampling.hpp) synchronize internally.
+// stateless and trivially safe. RingBufferSink and JsonlSink synchronize
+// internally (one mutex around the ring, one around each written line),
+// so SweepEngine workers may tee into a shared instance. TeeSink adds no
+// locking of its own — it is exactly as safe as the least safe sink it
+// fans out to. AuditSink (audit.hpp) and SamplingSink (sampling.hpp)
+// synchronize internally.
 #pragma once
 
 #include <cstdint>
@@ -109,7 +107,7 @@ struct HopEvent {
 struct RouteDoneEvent {
   NodeId source = 0;
   NodeId dest = 0;
-  const char* status = "";  ///< to_string of the route status
+  const char* status = "";  ///< core::to_string of the RouteStatus
   unsigned hops = 0;
 
   static constexpr const char* kName = "route_done";
@@ -259,9 +257,8 @@ struct EpochPublishEvent {
 
 /// Per-route verdict from obs::SamplingSink: emitted after the full
 /// chain for promoted routes, and (optionally) alone for breadcrumb-only
-/// routes. `status` is the serving-layer status string (core::RouteStatus
-/// for the service benches), which refines the chain's route_done status
-/// ("lost" chains carry the precise dropped-source/node/link cause here).
+/// routes. `status` is the route's core::RouteStatus name, the same one
+/// its chain's route_done carries.
 struct RouteSummaryEvent {
   std::uint64_t route_id = 0;
   std::uint64_t decision_epoch = 0;
@@ -382,7 +379,13 @@ class RingBufferSink final : public TraceSink {
   std::uint64_t dropped_ = 0;
 };
 
-/// One JSON object per event per line, flushed on destruction.
+/// One JSON object per event per line, flushed on destruction. Each line
+/// is written under one mutex, so any number of threads may share one
+/// file. Lines from different threads interleave at event granularity —
+/// fine for independent events (churn, sweep points, promoted summaries)
+/// and for SamplingSink output (which forwards each promoted chain as one
+/// locked burst), but threads emitting raw route chains interleave
+/// *chains*; keep those per-thread or sample them.
 class JsonlSink final : public TraceSink {
  public:
   /// Borrow a stream (caller keeps it alive).
@@ -394,31 +397,9 @@ class JsonlSink final : public TraceSink {
   void on_event(const TraceEvent& ev) override;
 
  private:
+  std::mutex mutex_;
   std::unique_ptr<std::ostream> owned_;
   std::ostream* os_;
-};
-
-/// JsonlSink behind a mutex: whole lines are written atomically, so any
-/// number of worker threads may share one JSONL file. Lines from
-/// different threads interleave at event granularity — fine for
-/// independent events (churn, sweep points, promoted summaries) and for
-/// SamplingSink output (which forwards each promoted chain as one
-/// locked burst), but a multi-threaded producer emitting raw route
-/// chains will still interleave *chains*; keep those per-thread or
-/// sample them.
-class LockedJsonlSink final : public TraceSink {
- public:
-  explicit LockedJsonlSink(std::ostream& os) : inner_(os) {}
-  explicit LockedJsonlSink(const std::string& path) : inner_(path) {}
-
-  void on_event(const TraceEvent& ev) override {
-    const std::scoped_lock lock(mutex_);
-    inner_.on_event(ev);
-  }
-
- private:
-  std::mutex mutex_;
-  JsonlSink inner_;
 };
 
 /// Fan out to several sinks (e.g. flight recorder + JSONL file).
@@ -426,8 +407,7 @@ class LockedJsonlSink final : public TraceSink {
 /// Locking contract (tested under TSan in test_obs): TeeSink itself is
 /// immutable after construction — on_event touches only the const sink
 /// list — so concurrent calls are safe exactly when every child sink's
-/// on_event is safe (RingBufferSink, LockedJsonlSink, AuditSink: yes;
-/// JsonlSink: no). TeeSink adds no ordering either: events from
+/// on_event is safe. TeeSink adds no ordering either: events from
 /// different threads reach the children in whatever order the children's
 /// own locks admit them.
 class TeeSink final : public TraceSink {

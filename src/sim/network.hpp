@@ -166,8 +166,9 @@ class Network {
     }
   }
 
-  /// Advance the clock with no message traffic (used between rounds of
-  /// the synchronous protocol).
+  /// Advance the clock: between rounds of the synchronous protocol, or
+  /// to an in-flight message's arrival (never past it), so that what
+  /// happens by then precedes its delivery-time check.
   void advance_to(SimTime t) {
     SLC_EXPECT(t >= now_);
     now_ = t;

@@ -61,10 +61,6 @@ void drain_and_cascade(Network& net, std::uint64_t& messages) {
   });
 }
 
-}  // namespace
-
-namespace {
-
 /// One GsRoundEvent per completed announcement-recompute round.
 void emit_round(Network& net, unsigned round, std::uint64_t changed,
                 std::uint64_t messages, bool egs, bool periodic = false) {
@@ -79,12 +75,20 @@ void emit_round(Network& net, unsigned round, std::uint64_t changed,
   net.trace()->on_event(ev);
 }
 
-}  // namespace
-
-SyncGsResult run_gs_synchronous(Network& net) {
+/// Discipline 1's rounds, shared by GS and EGS: every healthy node
+/// announces, all announcements are delivered, then every iterating node
+/// recomputes from its fresh registers, until a round changes nothing.
+/// Under `egs` the N2 nodes self-declare 0 before the first wave and stay
+/// pinned there while the N1 nodes iterate.
+SyncGsResult run_rounds(Network& net, bool egs) {
   SLC_EXPECT_MSG(net.idle(), "network must be idle before synchronous GS");
   SyncGsResult result;
   const auto& cube = net.cube();
+  if (egs) {
+    for (NodeId a = 0; a < cube.num_nodes(); ++a) {
+      if (net.in_n2(a)) net.set_level(a, 0);
+    }
+  }
   for (;;) {
     // Announcement wave ...
     std::uint64_t round_messages = 0;
@@ -96,14 +100,14 @@ SyncGsResult run_gs_synchronous(Network& net) {
     // ... then everyone recomputes from the fresh registers.
     std::uint64_t changed = 0;
     for (NodeId a = 0; a < cube.num_nodes(); ++a) {
-      if (net.faults().is_faulty(a)) continue;
+      if (net.faults().is_faulty(a) || (egs && net.in_n2(a))) continue;
       const core::Level updated = local_node_status(net, a);
       if (updated != net.level_of(a)) {
         net.set_level(a, updated);
         ++changed;
       }
     }
-    emit_round(net, result.rounds, changed, round_messages, /*egs=*/false);
+    emit_round(net, result.rounds, changed, round_messages, egs);
     if (changed == 0) break;
     ++result.rounds;
   }
@@ -111,41 +115,19 @@ SyncGsResult run_gs_synchronous(Network& net) {
   return result;
 }
 
+}  // namespace
+
+SyncGsResult run_gs_synchronous(Network& net) {
+  return run_rounds(net, /*egs=*/false);
+}
+
 SyncGsResult run_egs_synchronous(Network& net) {
-  SLC_EXPECT_MSG(net.idle(), "network must be idle before synchronous EGS");
-  SyncGsResult result;
-  const auto& cube = net.cube();
-  // N2 nodes self-declare 0 before the first wave.
-  for (NodeId a = 0; a < cube.num_nodes(); ++a) {
-    if (net.in_n2(a)) net.set_level(a, 0);
-  }
-  for (;;) {
-    std::uint64_t round_messages = 0;
-    for (NodeId a = 0; a < cube.num_nodes(); ++a) {
-      if (net.faults().is_healthy(a)) round_messages += announce(net, a);
-    }
-    result.messages += round_messages;
-    drain_updates(net);
-    std::uint64_t changed = 0;
-    for (NodeId a = 0; a < cube.num_nodes(); ++a) {
-      // Only N1 nodes iterate; N2 stays pinned at its declared 0.
-      if (net.faults().is_faulty(a) || net.in_n2(a)) continue;
-      const core::Level updated = local_node_status(net, a);
-      if (updated != net.level_of(a)) {
-        net.set_level(a, updated);
-        ++changed;
-      }
-    }
-    emit_round(net, result.rounds, changed, round_messages, /*egs=*/true);
-    if (changed == 0) break;
-    ++result.rounds;
-  }
+  SyncGsResult result = run_rounds(net, /*egs=*/true);
   // The last EGS round: each N2 node runs NODE_STATUS once on its own
   // view. No announcement — the result is the node's private self view.
-  for (NodeId a = 0; a < cube.num_nodes(); ++a) {
+  for (NodeId a = 0; a < net.cube().num_nodes(); ++a) {
     if (net.in_n2(a)) net.set_level(a, local_node_status(net, a));
   }
-  result.finished_at = net.now();
   return result;
 }
 

@@ -1,39 +1,30 @@
-// The unicast of Section 3 executed as real hop-by-hop message traffic.
-// Every forwarding decision is made by the node currently holding the
-// packet, from nothing but its own level and its neighbor registers —
-// the distributed counterpart of core::route_unicast, with which tests
-// assert hop-for-hop agreement on stabilized networks.
+// The unicast of Section 3 executed as real hop-by-hop message traffic:
+// core/walk.hpp's walk, decided by whichever node holds the packet from
+// nothing but its own level, its neighbor registers and the liveness of
+// its direct links and neighbors, with the network as the ground judge.
+// Tests assert that it equals core::route_unicast on every stabilized
+// network.
 //
 // Mid-flight failures (the Section 2.2 "demand-driven" discussion): a
 // scheduled failure can kill a node while the packet travels. A sender
 // always sees a *neighbor's* death (assumption 2) and re-decides with the
-// updated view, so the packet is only lost if its current holder dies;
-// if every preferred neighbor is dead it is aborted at that node — the
-// paper's "this unicast might either be aborted or be re-routed ... after
-// all the safety levels are stabilized".
+// updated view, so the packet is only lost if the node it is sent to
+// dies by its arrival (kDroppedNode); if every preferred neighbor is dead
+// it is aborted at its holder (kStuck) — the paper's "this unicast might
+// either be aborted or be re-routed ... after all the safety levels are
+// stabilized". A source killed at injection sends nothing
+// (kDroppedSource).
 #pragma once
 
 #include <vector>
 
-#include "analysis/path.hpp"
 #include "core/unicast.hpp"
 #include "sim/network.hpp"
 
 namespace slcube::sim {
 
-enum class SimRouteStatus : std::uint8_t {
-  kDelivered,
-  kRefused,  ///< source-side feasibility check failed; nothing sent
-  kStuck,    ///< aborted at an intermediate node (all preferred dead)
-  kLost,     ///< the node holding the packet died
-};
-
-[[nodiscard]] const char* to_string(SimRouteStatus s);
-
-struct SimRouteResult {
-  SimRouteStatus status = SimRouteStatus::kRefused;
-  core::SourceDecision decision;
-  analysis::Path path;  ///< nodes the packet actually visited
+/// A core route result plus the two sim times it ran between.
+struct SimRouteResult : core::RouteResult {
   SimTime injected_at = 0;
   SimTime finished_at = 0;
 
@@ -49,8 +40,12 @@ struct ScheduledFailure {
 };
 
 /// Route one unicast over the (normally stabilized) network. `failures`
-/// are applied in time order as the packet progresses; pass {} for the
-/// steady-state case.
+/// strike in time order: those due at injection before the source
+/// decides, each later one just before the network judges the first hop
+/// arriving at or after its time; those due after the route ends never
+/// strike. Pass {} for the steady-state case. `options` supplies the
+/// tie-break; the route's events go to the network's sink (`options.trace`
+/// must be null or that sink), beside the packet's own sends and drops.
 SimRouteResult route_unicast_sim(Network& net, NodeId s, NodeId d,
                                  std::vector<ScheduledFailure> failures = {},
                                  const core::UnicastOptions& options = {});

@@ -56,10 +56,10 @@ struct ServeResult : core::RouteResult {
 
 struct ServeOptions {
   /// When non-null, the walk emits the same event chain as
-  /// route_unicast_egs (source decision, hops, terminal status) — with
-  /// the sim dialect's send/drop/"lost" events on a staleness drop, so
-  /// obs::AuditSink checks the serving path with its strictest rules on
-  /// intact routes and its in-flight-death rules on dropped ones.
+  /// route_unicast_egs (source decision, hops, terminal status); a
+  /// staleness drop adds the lost message's send/drop pair and ends in
+  /// its dropped-source/node/link status, the shape obs::AuditSink
+  /// checks for a message that died in flight.
   obs::TraceSink* trace = nullptr;
 };
 

@@ -481,6 +481,68 @@ TEST(Audit, DetectsRefusalWithFlagsSetInCoreDialect) {
             1u);
 }
 
+TEST(Audit, DetectsDroppedRouteWithoutItsSendDropPair) {
+  // 0 -> 011: the first hop lands on 001, the second is lost on its way
+  // to 011. The chain must show that message's send/drop pair, sent by
+  // 001 for the stated cause; a dropped-source route sends nothing.
+  const auto route = [](AuditSink& audit, const char* status,
+                        const char* reason) {
+    SourceDecisionEvent src;
+    src.source = 0;
+    src.dest = 0b011;
+    src.hamming = 2;
+    src.c1 = true;
+    src.chosen_dim = 0;
+    audit.on_event(src);
+    HopEvent hop;
+    hop.from = 0;
+    hop.to = 0b001;
+    hop.dim = 0;
+    hop.level = 3;
+    hop.nav_before = 0b011;
+    hop.nav_after = 0b010;
+    audit.on_event(hop);
+    if (reason != nullptr) {
+      audit.on_event(MessageSendEvent{1, 0b001, 0b011, MsgKind::kUnicast});
+      audit.on_event(
+          MessageDropEvent{2, 0b001, 0b011, MsgKind::kUnicast, reason});
+    }
+    audit.on_event(RouteDoneEvent{0, 0b011, status, 1});
+    audit.finish();
+    return audit.report();
+  };
+  {
+    AuditSink audit(dim3_config());
+    EXPECT_EQ(route(audit, "dropped-node", "dead-node").violations_total, 0u);
+  }
+  {
+    AuditSink audit(dim3_config());
+    EXPECT_EQ(kind_count(route(audit, "dropped-node", nullptr),
+                         ViolationKind::kBrokenChain),
+              1u);
+  }
+  {
+    AuditSink audit(dim3_config());
+    EXPECT_EQ(kind_count(route(audit, "dropped-link", "dead-node"),
+                         ViolationKind::kBrokenChain),
+              1u);
+  }
+  {
+    AuditSink audit(dim3_config());
+    SourceDecisionEvent src;
+    src.source = 0;
+    src.dest = 0b011;
+    src.hamming = 2;
+    src.c1 = true;
+    src.chosen_dim = 0;  // tampered: a dead source chose no first hop
+    audit.on_event(src);
+    audit.on_event(RouteDoneEvent{0, 0b011, "dropped-source", 0});
+    audit.finish();
+    EXPECT_EQ(kind_count(audit.report(), ViolationKind::kFlagsInconsistent),
+              1u);
+  }
+}
+
 TEST(Audit, DetectsHopLevelBelowTheoremTwoFloor) {
   AuditSink audit(dim3_config());
   SourceDecisionEvent src;

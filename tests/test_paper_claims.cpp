@@ -147,7 +147,7 @@ TEST(PaperClaims, DistributedEndToEnd) {
       const auto pair = workload::sample_uniform_pair(f, rng);
       ASSERT_TRUE(pair.has_value());
       const auto r = sim::route_unicast_sim(net, pair->s, pair->d);
-      ASSERT_EQ(r.status, sim::SimRouteStatus::kDelivered);
+      ASSERT_TRUE(r.delivered());
       ASSERT_LE(r.latency(),
                 (q.distance(pair->s, pair->d) + 2) * net.link_delay());
     }

@@ -112,7 +112,7 @@ TEST(DistributedEgs, UnicastOnTwoViewLevelsDelivers) {
       sc.cube, sc.faults, sc.link_faults, egs, 0b1011, 0b1111);
   ASSERT_TRUE(oracle.delivered());
   const auto sim = route_unicast_sim(net, 0b1011, 0b1111);
-  EXPECT_EQ(sim.status, SimRouteStatus::kDelivered);
+  EXPECT_EQ(sim.status, oracle.status);
   EXPECT_EQ(sim.path, oracle.path);
 }
 
@@ -124,8 +124,13 @@ TEST(DistributedEgs, Fig4PaperRouteHopByHop) {
   const auto sc = fault::scenario::fig4();
   Network net(sc.cube, sc.faults, sc.link_faults);
   run_egs_synchronous(net);
+  const auto oracle = core::route_unicast_egs(
+      sc.cube, sc.faults, sc.link_faults,
+      core::run_egs(sc.cube, sc.faults, sc.link_faults), 0b1101, 0b1000);
   const auto r = route_unicast_sim(net, 0b1101, 0b1000);
-  ASSERT_EQ(r.status, SimRouteStatus::kDelivered);
+  ASSERT_EQ(r.status, core::RouteStatus::kDeliveredSuboptimal);
+  EXPECT_EQ(r.status, oracle.status);
+  EXPECT_EQ(r.path, oracle.path);
   EXPECT_EQ(r.path, (analysis::Path{0b1101, 0b1111, 0b1011, 0b1010,
                                     0b1000}));
   EXPECT_EQ(r.latency(), 4u);
@@ -144,7 +149,7 @@ TEST(DistributedEgs, DeadLinkDestinationRoutedAroundSuboptimally) {
       sc.cube, sc.faults, sc.link_faults, egs, 0b1001, 0b1000);
   ASSERT_EQ(oracle.status, core::RouteStatus::kDeliveredSuboptimal);
   const auto r = route_unicast_sim(net, 0b1001, 0b1000);
-  ASSERT_EQ(r.status, SimRouteStatus::kDelivered);
+  ASSERT_EQ(r.status, oracle.status);
   EXPECT_EQ(r.path.size(), 4u);  // 3 hops
   EXPECT_EQ(r.path, oracle.path);
 }

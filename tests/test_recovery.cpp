@@ -164,10 +164,10 @@ TEST(Recovery, InFlightUnicastSurvivesRecovery) {
   // recovery between two sub-routes instead: first leg to 0101, recover,
   // second leg onward — both legs must deliver.
   const auto leg1 = route_unicast_sim(net, 0b0000, 0b0101);
-  ASSERT_EQ(leg1.status, SimRouteStatus::kDelivered);
+  ASSERT_TRUE(leg1.delivered());
   net.recover_node(0b0011);
   const auto leg2 = route_unicast_sim(net, 0b0101, 0b1111);
-  EXPECT_EQ(leg2.status, SimRouteStatus::kDelivered);
+  EXPECT_TRUE(leg2.delivered());
 }
 
 TEST(Recovery, PessimisticRejoinStateRegression) {
