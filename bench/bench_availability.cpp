@@ -23,7 +23,9 @@
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(
+      argc, argv,
+      bench::kAudit | bench::kTrials | bench::kSeed | bench::kThreads);
   const unsigned missions = opt.trials ? opt.trials : 30;
   const std::uint64_t seed = opt.seed ? opt.seed : 0xA5A11;
 

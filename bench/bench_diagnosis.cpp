@@ -62,7 +62,11 @@ ArmResult run_arm(const std::string& name, workload::DiagSweepConfig config) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(
+      argc, argv,
+      bench::kJsonl | bench::kAudit | bench::kDim | bench::kTrials |
+          bench::kSeed | bench::kThreads | bench::kBenchJson |
+          bench::kTelemetry);
   const std::vector<unsigned> dims =
       opt.dim ? std::vector<unsigned>{opt.dim} : std::vector<unsigned>{5, 6, 7};
   const unsigned trials = opt.trials ? opt.trials : 120;

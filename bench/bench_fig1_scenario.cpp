@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(argc, argv, 0);
   const auto sc = fault::scenario::fig1();
   const auto gs = core::run_gs(sc.cube, sc.faults);
 

@@ -15,7 +15,10 @@
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(
+      argc, argv,
+      bench::kJsonl | bench::kDim | bench::kTrials | bench::kSeed |
+          bench::kThreads);
   const auto jsonl = opt.make_jsonl_sink();
   const unsigned dim = opt.dim ? opt.dim : 7;
   const unsigned trials = opt.trials ? opt.trials : 2000;

@@ -24,7 +24,8 @@
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(
+      argc, argv, bench::kTrials | bench::kSeed);
   const unsigned trials = opt.trials ? opt.trials : 300;
   const std::uint64_t seed = opt.seed ? opt.seed : 0xF163;
   bool ok = true;

@@ -19,7 +19,10 @@
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(
+      argc, argv,
+      bench::kJsonl | bench::kAudit | bench::kDim | bench::kTrials |
+          bench::kSeed | bench::kThreads | bench::kTelemetry);
   const unsigned trials = opt.trials ? opt.trials : 200;
   const std::uint64_t seed = opt.seed ? opt.seed : 0xF164;
   const unsigned dim = opt.dim ? opt.dim : 7;

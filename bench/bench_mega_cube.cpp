@@ -170,7 +170,10 @@ RouteRow run_routes(const topo::Hypercube& cube, const fault::FaultSet& faults,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(
+      argc, argv,
+      bench::kDim | bench::kTrials | bench::kSeed | bench::kThreads |
+          bench::kBenchJson);
   const unsigned max_dim =
       std::min(opt.dim ? opt.dim : 20u, topo::Hypercube::kMaxDimension);
   const std::size_t requests = opt.trials ? opt.trials : 200000;

@@ -12,7 +12,8 @@
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(
+      argc, argv, bench::kTrials | bench::kSeed);
   const unsigned trials = opt.trials ? opt.trials : 200;
   const std::uint64_t seed = opt.seed ? opt.seed : 0x3CA57;
   bool ok = true;

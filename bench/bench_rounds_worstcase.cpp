@@ -38,7 +38,8 @@ fault::FaultSet staircase(const topo::Hypercube& cube, unsigned pairs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(
+      argc, argv, bench::kTrials | bench::kSeed);
   const unsigned trials = opt.trials ? opt.trials : 400;
   const std::uint64_t seed = opt.seed ? opt.seed : 0x20175;
   bool ok = true;

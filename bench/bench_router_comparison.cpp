@@ -56,7 +56,10 @@ void print_point(const workload::SweepPoint& point,
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(
+      argc, argv,
+      bench::kJsonl | bench::kAudit | bench::kDim | bench::kTrials |
+          bench::kSeed | bench::kThreads | bench::kTelemetry);
   const auto jsonl = opt.make_jsonl_sink();
 
   workload::SweepConfig cfg;

@@ -11,29 +11,27 @@
 // policy: ceilings at 2n faults, coin-flip repairs past 4), publishing
 // one epoch per event and emitting node_fail/node_recover trace events.
 //
-// Reported: routes/sec, serve-latency p50/p90/p99/p999 (obs histograms),
-// epochs published + epochs/sec, and the STALENESS split — of the routes
+// Reported: the outcome counts and the STALENESS split — of the routes
 // that ran against a ground epoch newer than their decision epoch, how
 // many were delivered anyway, delivered on the H+2 spare detour, or
 // dropped in flight (every drop is stale by construction: ground ==
-// decision cannot block a hop the decision tables allowed).
+// decision cannot block a hop the decision tables allowed). The bench
+// keeps no clock: perfbench's live-q10 workload measures serving speed.
 //
 // Self-checks: every `--verify-every` requests each reader bit-compares
 // its current snapshot's two views against a from-scratch run_egs of the
 // snapshot's own fault configuration (the RCU guarantee), the outcome
 // counts must sum to the request count, and --audit streams every route
 // through the invariant-checking AuditSink; a failed check exits 1. The
-// live run writes no --bench-json record: its outcome counts depend on
-// thread interleaving, and perfbench's live-q10 workload measures serving
-// throughput. --sample's deterministic record is the one CI gates.
+// live run writes no --bench-json record, because its outcome counts
+// depend on thread interleaving. --sample's deterministic record is the
+// one CI gates.
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -41,7 +39,6 @@
 #include "common/rng.hpp"
 #include "core/egs.hpp"
 #include "exp/sweep_engine.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sampling.hpp"
 #include "svc/serve.hpp"
 #include "svc/snapshot_oracle.hpp"
@@ -51,7 +48,6 @@
 namespace {
 
 using namespace slcube;
-using Clock = std::chrono::steady_clock;
 
 struct ServiceOptions {
   unsigned readers = 4;
@@ -165,9 +161,9 @@ bool snapshot_matches_scratch(const topo::Hypercube& cube,
 // function of its index) so the SamplingSink's promotion decisions are
 // interleaving-free, then runs four passes over the same requests:
 //
-//   A  untraced              -> the baseline routes/sec;
-//   B  sampled, null sink    -> sampled routes/sec (the printed
-//                               overhead) and the promoted-route digest;
+//   A  untraced              -> the workload's ground-truth tallies;
+//   B  sampled, null sink    -> the promoted-route digest; its tallies
+//                               must equal A's;
 //   C  sampled, other thread
 //      count                 -> digest must be bit-identical (the
 //                               thread-invariance gate);
@@ -175,6 +171,9 @@ bool snapshot_matches_scratch(const topo::Hypercube& cube,
 //      (+ --jsonl tee)          the paper invariants, sampler counters
 //                               reconciled, 100% anomaly retention
 //                               verified; digest must match B.
+//
+// The sampler's cost is not measured here: these passes last tens of
+// milliseconds at CI's size, too short to resolve it.
 // ---------------------------------------------------------------------------
 
 /// Per-thread tallies for one scripted pass.
@@ -195,12 +194,11 @@ struct SampleTally {
   }
 };
 
-/// Run all requests through `body(i)` on `nthreads` threads (contiguous
-/// static split, same as the live bench); returns wall ms.
+/// Run all requests through `body(r, i)` on `nthreads` threads
+/// (contiguous static split, same as the live bench).
 template <typename Body>
-double run_scripted_pass(std::uint64_t requests, unsigned nthreads,
-                         const Body& body) {
-  const auto t0 = Clock::now();
+void run_scripted_pass(std::uint64_t requests, unsigned nthreads,
+                       const Body& body) {
   std::vector<std::thread> pool;
   pool.reserve(nthreads);
   std::uint64_t start = 0;
@@ -213,7 +211,6 @@ double run_scripted_pass(std::uint64_t requests, unsigned nthreads,
     start += share;
   }
   for (auto& t : pool) t.join();
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
 /// Buffers a regenerated chain for SamplingSink::replay_chain.
@@ -275,92 +272,36 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
   script_cfg.epochs = svc_opt.script_epochs;
   const workload::ServiceScript script(script_cfg);
 
-  // --- passes A + B: untraced baseline vs sampled (replay mode, null
-  // downstream) — the overhead measurement. The per-route delta under
-  // test (~tens of ns) is smaller than run-to-run machine noise, so the
-  // timing discipline matters: an untimed warmup pass burns off the
-  // cold-start turbo/page-fault transient, then each rep times both
-  // passes back to back with the order mirrored every other rep (A,B /
-  // B,A / ...) so monotonic frequency drift cannot systematically favor
-  // one side; the minima are compared. The workload is a pure function
-  // of the request index, so every rep serves identical routes; the
-  // sampler is rebuilt per rep because its promoted digest is an xor
-  // fold (a repeated promotion would cancel itself).
-  constexpr int kTimingReps = 4;
+  // --- pass A: untraced, the workload's ground truth --------------------
   std::vector<SampleTally> untraced_tallies(readers);
-  std::vector<SampleTally> sampled_tallies(readers);
-  obs::NullSink null_b;
-  std::unique_ptr<obs::SamplingSink> sampler_b;
-  double untraced_ms = std::numeric_limits<double>::infinity();
-  double sampled_ms = std::numeric_limits<double>::infinity();
-
-  const auto run_untraced = [&]() -> double {
-    std::vector<SampleTally> untraced_rep(readers);
-    const double ms =
-        run_scripted_pass(requests, readers, [&](unsigned r, std::uint64_t i) {
-          const auto req = script.request(i, requests);
-          if (!req.has_pair) {
-            ++untraced_rep[r].no_pair;
-            return;
-          }
-          const svc::ServeResult res = script.serve(req);
-          SampleTally& tally = untraced_rep[r];
-          ++tally.served;
-          if (res.dropped()) ++tally.dropped;
-          if (res.status == svc::ServeStatus::kDeliveredSuboptimal)
-            ++tally.detour;
-          if (res.stale()) ++tally.stale;
-          if (res.dropped() ||
-              res.status == svc::ServeStatus::kDeliveredSuboptimal ||
-              res.stale())
-            ++tally.anomalies;
-        });
-    untraced_ms = std::min(untraced_ms, ms);
-    untraced_tallies = std::move(untraced_rep);
-    return ms;
-  };
-  const auto run_sampled = [&]() -> double {
-    sampler_b = std::make_unique<obs::SamplingSink>(
-        &null_b, make_sampling_config(svc_opt, false));
-    script.emit_epoch_events(*sampler_b, requests);
-    std::vector<SampleTally> sampled_rep(readers);
-    std::vector<ChainCollector> collectors_b(readers);
-    const double ms =
-        run_scripted_pass(requests, readers, [&](unsigned r, std::uint64_t i) {
-          serve_replay(script, i, requests, *sampler_b, collectors_b[r],
-                       sampled_rep[r]);
-        });
-    sampled_ms = std::min(sampled_ms, ms);
-    sampled_tallies = std::move(sampled_rep);
-    return ms;
-  };
-
-  {  // warmup: untimed, half the requests through each path
-    const std::uint64_t warm = std::max<std::uint64_t>(requests / 2, 1);
-    run_scripted_pass(warm, readers, [&](unsigned, std::uint64_t i) {
-      const auto req = script.request(i, requests);
-      if (req.has_pair) (void)script.serve(req);
-    });
-  }
-  // Overhead is judged per rep pair (the two passes run back to back,
-  // so a machine-wide slowdown epoch hits both sides of a pair equally)
-  // and the best pair wins — far more robust against multi-hundred-ms
-  // noise than comparing two global minima taken seconds apart.
-  double overhead_ratio = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kTimingReps; ++rep) {
-    double a_ms = 0.0;
-    double b_ms = 0.0;
-    if (rep % 2 == 0) {
-      a_ms = run_untraced();
-      b_ms = run_sampled();
-    } else {
-      b_ms = run_sampled();
-      a_ms = run_untraced();
+  run_scripted_pass(requests, readers, [&](unsigned r, std::uint64_t i) {
+    const auto req = script.request(i, requests);
+    SampleTally& tally = untraced_tallies[r];
+    if (!req.has_pair) {
+      ++tally.no_pair;
+      return;
     }
-    if (a_ms > 0) overhead_ratio = std::min(overhead_ratio, b_ms / a_ms);
-  }
-  const obs::SamplingSink::Stats stats = sampler_b->stats();
-  const std::uint64_t digest = sampler_b->promoted_digest();
+    const svc::ServeResult res = script.serve(req);
+    const bool detour = res.status == svc::ServeStatus::kDeliveredSuboptimal;
+    ++tally.served;
+    if (res.dropped()) ++tally.dropped;
+    if (detour) ++tally.detour;
+    if (res.stale()) ++tally.stale;
+    if (res.dropped() || detour || res.stale()) ++tally.anomalies;
+  });
+
+  // --- pass B: sampled (replay mode, null downstream) -> the digest ------
+  obs::NullSink null_b;
+  obs::SamplingSink sampler_b(&null_b, make_sampling_config(svc_opt, false));
+  script.emit_epoch_events(sampler_b, requests);
+  std::vector<SampleTally> sampled_tallies(readers);
+  std::vector<ChainCollector> collectors_b(readers);
+  run_scripted_pass(requests, readers, [&](unsigned r, std::uint64_t i) {
+    serve_replay(script, i, requests, sampler_b, collectors_b[r],
+                 sampled_tallies[r]);
+  });
+  const obs::SamplingSink::Stats stats = sampler_b.stats();
+  const std::uint64_t digest = sampler_b.promoted_digest();
 
   // --- pass C: same workload, different thread count -> same digest ----
   const unsigned alt_readers = readers == 1 ? 4 : 1;
@@ -425,30 +366,6 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
       untraced_total.served == sampled_total.served &&
       untraced_total.no_pair == sampled_total.no_pair;
 
-  const double untraced_rate =
-      untraced_ms > 0 ? 1000.0 * static_cast<double>(requests) / untraced_ms
-                      : 0.0;
-  const double sampled_rate =
-      sampled_ms > 0 ? 1000.0 * static_cast<double>(requests) / sampled_ms
-                     : 0.0;
-  const double overhead_pct = std::isfinite(overhead_ratio)
-                                  ? (overhead_ratio - 1.0) * 100.0
-                                  : 0.0;
-
-  Table throughput("SAMPLING: tail-sampled tracing vs untraced, Q" +
-                       std::to_string(dim) + " (" + std::to_string(requests) +
-                       " scripted requests, " +
-                       std::to_string(script.num_epochs()) + " epochs, " +
-                       std::to_string(readers) + " readers)",
-                   {"metric", "value"});
-  throughput.set_precision(1, 1);
-  throughput.row() << "untraced routes / sec" << untraced_rate;
-  throughput.row() << "sampled routes / sec" << sampled_rate;
-  throughput.row() << "sampling overhead %" << overhead_pct;
-  throughput.row() << "untraced wall ms" << untraced_ms;
-  throughput.row() << "sampled wall ms" << sampled_ms;
-  bench::emit(throughput, opt);
-
   const auto cell = [](std::uint64_t v) {
     return static_cast<std::int64_t>(v);
   };
@@ -488,7 +405,7 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
   }
 
   // The scripted workload and the unlimited budget make every field
-  // exact for a commit; the wall times and rates above are not recorded.
+  // exact for a commit.
   const bool written = bench::write_record(opt, [&](obs::JsonWriter& w) {
     w.field("bench", "sampling")
         .field("dim", dim)
@@ -542,33 +459,21 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
 
 int main(int argc, char** argv) {
   const ServiceOptions svc_opt = take_service_flags(argc, argv);
-  const auto opt = bench::Options::parse(argc, argv);
+  // --sample always audits and writes the record; the live run takes
+  // --audit and writes no record.
+  const auto opt = bench::Options::parse(
+      argc, argv,
+      bench::kJsonl | bench::kDim | bench::kSeed |
+          (svc_opt.sample ? bench::kBenchJson : bench::kAudit));
   const unsigned dim = opt.dim ? opt.dim : 10;
   const std::uint64_t seed = opt.seed ? opt.seed : 0x5E51CE;
   const unsigned readers = svc_opt.readers;
   const std::uint64_t requests = svc_opt.requests;
 
   if (svc_opt.sample) return run_sample_mode(svc_opt, opt, dim, seed);
-  if (!opt.bench_json.empty()) {
-    std::cerr << argv[0] << ": --bench-json needs --sample; the live run "
-              << "writes no record\n";
-    return 2;
-  }
 
   const topo::Hypercube cube(dim);
   svc::SnapshotOracle oracle(cube);
-
-  bench::TelemetrySession telemetry(opt);
-  obs::Counter routes_counter;
-  obs::Counter epochs_counter;
-  obs::Histogram route_us_metric;
-  if (telemetry.enabled()) {
-    obs::Registry& reg = *telemetry.hooks().registry;
-    routes_counter = reg.counter("svc.routes");
-    epochs_counter = reg.counter("svc.epochs");
-    route_us_metric =
-        reg.histogram("svc.route_us", obs::exponential_bounds(0.05, 1.3, 48));
-  }
 
   const auto audit = opt.make_audit_sink(dim);
   // JsonlSink locks each line, so reader threads may share the file.
@@ -639,7 +544,6 @@ int main(int argc, char** argv) {
           oracle.fail_link(a, d);
         }
       }
-      if (telemetry.enabled()) epochs_counter.inc();
       if (svc_opt.churn_pause_us > 0) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(svc_opt.churn_pause_us));
@@ -648,12 +552,7 @@ int main(int argc, char** argv) {
   });
 
   // --- router workers ---------------------------------------------------
-  const auto latency_bounds = obs::exponential_bounds(0.05, 1.3, 48);
   std::vector<Tally> tallies(readers);
-  std::vector<obs::HistogramData> latencies(readers,
-                                            obs::HistogramData(latency_bounds));
-  telemetry.tick();  // baseline sample before the serving phase
-  const auto t0 = Clock::now();
   {
     std::vector<std::thread> pool;
     pool.reserve(readers);
@@ -663,7 +562,6 @@ int main(int argc, char** argv) {
       pool.emplace_back([&, r, share] {
         Xoshiro256ss rng = exp::substream(seed, /*stream=*/1 + r, 0);
         Tally& tally = tallies[r];
-        obs::HistogramData& lat = latencies[r];
         svc::ServeOptions serve_opt;
         serve_opt.trace = trace;
         for (std::uint64_t i = 0; i < share; ++i) {
@@ -679,17 +577,8 @@ int main(int argc, char** argv) {
             ++tally.no_pair;
             continue;
           }
-          const auto start = Clock::now();
           const svc::ServeResult res =
               svc::serve_route(oracle, snap, pair->s, pair->d, serve_opt);
-          const double us =
-              std::chrono::duration<double, std::micro>(Clock::now() - start)
-                  .count();
-          lat.observe(us);
-          if (telemetry.enabled()) {
-            route_us_metric.observe(us);
-            routes_counter.inc();
-          }
           switch (res.status) {
             case svc::ServeStatus::kDeliveredOptimal:
               ++tally.optimal;
@@ -727,11 +616,8 @@ int main(int argc, char** argv) {
     }
     for (auto& t : pool) t.join();
   }
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   stop_churn.store(true);
   writer.join();
-  telemetry.tick();
 
   // Final consistency probe on the last published epoch.
   const svc::SnapshotPtr last = oracle.acquire();
@@ -740,43 +626,17 @@ int main(int argc, char** argv) {
   }
 
   Tally total;
-  obs::HistogramData latency(latency_bounds);
-  for (unsigned r = 0; r < readers; ++r) {
-    total.merge(tallies[r]);
-    latency.merge(latencies[r]);
-  }
-  const std::uint64_t epochs = oracle.stats().epochs_published;
-  const double wall_s = wall_ms / 1000.0;
-  const double routes_per_sec =
-      wall_s > 0.0 ? static_cast<double>(requests) / wall_s : 0.0;
-  const double epochs_per_sec =
-      wall_s > 0.0 ? static_cast<double>(epochs) / wall_s : 0.0;
+  for (const Tally& t : tallies) total.merge(t);
   const std::uint64_t stale_total =
       total.stale_delivered + total.stale_detour + total.stale_dropped;
   const bool accounted = total.total() == requests;
 
-  Table throughput("SERVICE: " + std::to_string(readers) + " readers vs 1 "
-                       "churn writer, Q" + std::to_string(dim) + " (" +
-                       std::to_string(requests) + " requests, epoch " +
-                       std::to_string(last->epoch) + " final)",
-                   {"metric", "value"});
-  throughput.set_precision(1, 1);
-  throughput.row() << "wall ms" << wall_ms;
-  throughput.row() << "routes / sec" << routes_per_sec;
-  throughput.row() << "epochs published" << static_cast<std::int64_t>(epochs);
-  throughput.row() << "epochs / sec" << epochs_per_sec;
-  bench::emit(throughput, opt);
-
-  Table latency_table("SERVICE: serve latency (us)",
-                      {"p50", "p90", "p99", "p999", "max"});
-  for (unsigned c = 0; c < 5; ++c) latency_table.set_precision(c, 3);
-  latency_table.row() << latency.quantile(0.5) << latency.quantile(0.9)
-                      << latency.quantile(0.99) << latency.quantile(0.999)
-                      << latency.max_seen;
-  bench::emit(latency_table, opt);
-
   const auto cell = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
-  Table outcomes("SERVICE: outcomes and staleness",
+  Table outcomes("SERVICE: outcomes and staleness, " +
+                     std::to_string(readers) + " readers vs 1 churn writer, Q" +
+                     std::to_string(dim) + " (" + std::to_string(requests) +
+                     " requests, epoch " + std::to_string(last->epoch) +
+                     " final)",
                  {"outcome", "count", "of which stale"});
   outcomes.row() << "delivered optimal" << cell(total.optimal)
                  << cell(total.stale_delivered);
@@ -799,8 +659,6 @@ int main(int argc, char** argv) {
             << "staleness: " << stale_total << " of " << requests
             << " routes decided on an epoch older than the one they ran "
                "against\n";
-
-  if (!telemetry.finish(dim, readers)) return 2;
 
   int rc = bench::finish_audit(audit.get());
   if (!consistent.load()) {

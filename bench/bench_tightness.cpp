@@ -19,7 +19,8 @@
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(
+      argc, argv, bench::kTrials | bench::kSeed);
   const unsigned trials = opt.trials ? opt.trials : 120;
   const std::uint64_t seed = opt.seed ? opt.seed : 0x7167;
   bool ok = true;

@@ -31,7 +31,10 @@
 
 int main(int argc, char** argv) {
   using namespace slcube;
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt = bench::Options::parse(
+      argc, argv,
+      bench::kAudit | bench::kTrials | bench::kSeed | bench::kThreads |
+          bench::kTelemetry);
   const unsigned trials = opt.trials ? opt.trials : 250;
   const std::uint64_t seed = opt.seed ? opt.seed : 0x6A12;
   bool ok = true;
@@ -118,7 +121,7 @@ int main(int argc, char** argv) {
         ok &= optimal.hits() + suboptimal.hits() == optimal.total();
       }
       ok &= stuck.hits() == 0;  // consistent levels never strand a packet
-      telemetry.tick();
+      hooks.tick();
     }
     bench::emit(t, opt);
     audit_rc |= bench::finish_audit(audit.get());
@@ -179,7 +182,7 @@ int main(int argc, char** argv) {
               << static_cast<std::int64_t>(refused_pairs)
               << salvaged.percent() << (100.0 - salvaged.percent())
               << wasted.mean();
-      telemetry.tick();
+      hooks.tick();
     }
     bench::emit(t, opt);
   }

@@ -3,8 +3,9 @@
 // file in the same run, --jsonl streams per-point obs events, --audit
 // streams the same events through the invariant-checking AuditSink,
 // --dim/--trials/--seed override binary defaults, and --threads sets the
-// sweep-engine worker count — results are bit-identical for every value),
-// table emission, and the --bench-json record.
+// sweep-engine worker count — results are bit-identical for every value;
+// each bench names the flags it reads and rejects the rest), table
+// emission, the --telemetry flight record, and the --bench-json record.
 #pragma once
 
 #include <charconv>
@@ -40,6 +41,43 @@ template <typename T>
   return true;
 }
 
+/// The shared flags. A bench passes Options::parse the set of those it
+/// reads, and any other shared flag exits 2 by name instead of being
+/// ignored. --csv and --csv-file are always read: every bench prints its
+/// tables through emit(), which honours both.
+enum Flag : unsigned {
+  kCsv = 1u << 0,
+  kCsvFile = 1u << 1,
+  kJsonl = 1u << 2,
+  kAudit = 1u << 3,
+  kDim = 1u << 4,
+  kTrials = 1u << 5,
+  kSeed = 1u << 6,
+  kThreads = 1u << 7,
+  kBenchJson = 1u << 8,
+  kTelemetry = 1u << 9,
+};
+
+/// Each shared flag with its bit and the value it takes in the usage
+/// line ("" for a switch).
+struct FlagSpec {
+  const char* name;
+  Flag bit;
+  const char* value;
+};
+inline constexpr FlagSpec kFlagSpecs[] = {
+    {"--csv", kCsv, ""},
+    {"--csv-file", kCsvFile, " F"},
+    {"--jsonl", kJsonl, " F"},
+    {"--audit", kAudit, ""},
+    {"--dim", kDim, " N"},
+    {"--trials", kTrials, " N"},
+    {"--seed", kSeed, " S"},
+    {"--threads", kThreads, " N"},
+    {"--bench-json", kBenchJson, " F"},
+    {"--telemetry", kTelemetry, " F"},
+};
+
 struct Options {
   bool csv = false;
   /// Tee every trace event through an obs::AuditSink so the bench
@@ -57,81 +95,79 @@ struct Options {
   /// Telemetry recording (empty = off): the time-series + stage JSONL
   /// lands here.
   std::string telemetry_file;
-  /// Cadence of the telemetry sampler thread; 0 = explicit ticks only
-  /// (deterministic output, the default). Ignored without --telemetry.
-  unsigned sample_ms = 0;
 
-  [[nodiscard]] static const char* usage() {
-    return " [--csv] [--csv-file F] [--jsonl F] [--audit] [--dim N]"
-           " [--trials N] [--seed S] [--threads N] [--bench-json F]"
-           " [--telemetry F] [--sample-ms N]";
+  /// The usage line's flags: --csv, --csv-file and those in `reads`.
+  [[nodiscard]] static std::string usage(unsigned reads) {
+    std::string out;
+    for (const FlagSpec& f : kFlagSpecs) {
+      if (((reads | kCsv | kCsvFile) & f.bit) != 0) {
+        out += std::string(" [") + f.name + f.value + "]";
+      }
+    }
+    return out;
   }
 
   /// Testable core of parse(): fills `out` and returns true, or returns
-  /// false with `error` naming the offending flag (unknown flag, a
-  /// trailing flag missing its value argument, or a numeric flag whose
-  /// value parse_unsigned rejects).
-  [[nodiscard]] static bool try_parse(int argc, char** argv, Options& out,
-                                      std::string& error) {
-    const auto value = [&](int& i, const char** v) {
+  /// false with `error` naming the offending flag (unknown flag, a shared
+  /// flag outside `reads`, a trailing flag missing its value argument, or
+  /// a numeric flag whose value parse_unsigned rejects).
+  [[nodiscard]] static bool try_parse(int argc, char** argv, unsigned reads,
+                                      Options& out, std::string& error) {
+    const auto text = [&](int& i, std::string& field) {
       if (i + 1 >= argc) {
         error = std::string("flag ") + argv[i] + " is missing its value";
         return false;
       }
-      *v = argv[++i];
+      field = argv[++i];
       return true;
     };
     const auto number = [&](int& i, auto& field) {
-      const char* v = nullptr;
-      if (!value(i, &v)) return false;
+      std::string v;
+      if (!text(i, v)) return false;
       if (parse_unsigned(v, field)) return true;
       error = std::string("flag ") + argv[i - 1] +
               " needs an unsigned integer that fits, not '" + v + "'";
       return false;
     };
-    const char* v = nullptr;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--csv") == 0) {
-        out.csv = true;
-      } else if (std::strcmp(argv[i], "--audit") == 0) {
-        out.audit = true;
-      } else if (std::strcmp(argv[i], "--csv-file") == 0) {
-        if (!value(i, &v)) return false;
-        out.csv_file = v;
-      } else if (std::strcmp(argv[i], "--jsonl") == 0) {
-        if (!value(i, &v)) return false;
-        out.jsonl_file = v;
-      } else if (std::strcmp(argv[i], "--dim") == 0) {
-        if (!number(i, out.dim)) return false;
-      } else if (std::strcmp(argv[i], "--trials") == 0) {
-        if (!number(i, out.trials)) return false;
-      } else if (std::strcmp(argv[i], "--seed") == 0) {
-        if (!number(i, out.seed)) return false;
-      } else if (std::strcmp(argv[i], "--threads") == 0) {
-        if (!number(i, out.threads)) return false;
-      } else if (std::strcmp(argv[i], "--bench-json") == 0) {
-        if (!value(i, &v)) return false;
-        out.bench_json = v;
-      } else if (std::strcmp(argv[i], "--telemetry") == 0) {
-        if (!value(i, &v)) return false;
-        out.telemetry_file = v;
-      } else if (std::strcmp(argv[i], "--sample-ms") == 0) {
-        if (!number(i, out.sample_ms)) return false;
-      } else {
+      const FlagSpec* spec = nullptr;
+      for (const FlagSpec& f : kFlagSpecs) {
+        if (std::strcmp(argv[i], f.name) == 0) spec = &f;
+      }
+      if (spec == nullptr) {
         error = std::string("unknown flag '") + argv[i] + "'";
         return false;
       }
+      if (((reads | kCsv | kCsvFile) & spec->bit) == 0) {
+        error = std::string("flag ") + argv[i] + " is not read by this bench";
+        return false;
+      }
+      bool ok = true;
+      switch (spec->bit) {
+        case kCsv: out.csv = true; break;
+        case kCsvFile: ok = text(i, out.csv_file); break;
+        case kJsonl: ok = text(i, out.jsonl_file); break;
+        case kAudit: out.audit = true; break;
+        case kDim: ok = number(i, out.dim); break;
+        case kTrials: ok = number(i, out.trials); break;
+        case kSeed: ok = number(i, out.seed); break;
+        case kThreads: ok = number(i, out.threads); break;
+        case kBenchJson: ok = text(i, out.bench_json); break;
+        case kTelemetry: ok = text(i, out.telemetry_file); break;
+      }
+      if (!ok) return false;
     }
     return true;
   }
 
   /// Parse or die: prints the error and a usage line, then exits 2.
-  static Options parse(int argc, char** argv) {
+  /// `reads` is the set of shared flags the bench reads (Flag bits).
+  static Options parse(int argc, char** argv, unsigned reads) {
     Options o;
     std::string error;
-    if (!try_parse(argc, argv, o, error)) {
+    if (!try_parse(argc, argv, reads, o, error)) {
       std::cerr << argv[0] << ": " << error << "\nusage: " << argv[0]
-                << usage() << '\n';
+                << usage(reads) << '\n';
       std::exit(2);
     }
     return o;
@@ -181,8 +217,8 @@ inline int finish_audit(obs::AuditSink* audit) {
 /// all when it isn't — hooks() then hands out null pointers and every
 /// instrumented call site stays on its untelemetered path. finish()
 /// writes the flight record: one "telemetry_meta" line, the ts_sample
-/// time series (wall times omitted in explicit-tick mode so the file is
-/// byte-identical across --threads), and the merged stage tree.
+/// time series of the ticks the driver took (byte-identical across
+/// --threads), and the merged stage tree.
 class TelemetrySession {
  public:
   explicit TelemetrySession(const Options& options)
@@ -190,10 +226,7 @@ class TelemetrySession {
     if (file_.empty()) return;
     registry_ = std::make_unique<obs::Registry>();
     profiler_ = std::make_unique<obs::Profiler>();
-    obs::RecorderOptions rec;
-    rec.sample_interval_ms = options.sample_ms;
-    recorder_ = std::make_unique<obs::TimeSeriesRecorder>(*registry_, rec);
-    recorder_->start();  // no-op unless --sample-ms > 0
+    recorder_ = std::make_unique<obs::TimeSeriesRecorder>(*registry_);
   }
 
   [[nodiscard]] bool enabled() const { return recorder_ != nullptr; }
@@ -208,16 +241,10 @@ class TelemetrySession {
     return h;
   }
 
-  /// Deterministic sample point; call at barriers the bench controls.
-  void tick() const {
-    if (recorder_ != nullptr) recorder_->tick();
-  }
-
-  /// Stop sampling and write the telemetry artifacts. Returns false (with
-  /// a message on stderr) if the output file cannot be opened.
+  /// Write the telemetry artifacts. Returns false (with a message on
+  /// stderr) if the output file cannot be opened.
   bool finish(unsigned dim, unsigned threads) {
     if (!enabled()) return true;
-    recorder_->stop();
     std::ofstream out(file_, std::ios::trunc);
     if (!out) {
       std::cerr << "cannot open " << file_ << " for writing\n";
@@ -227,12 +254,10 @@ class TelemetrySession {
         .field("event", "telemetry_meta")
         .field("dim", dim)
         .field("threads", threads)
-        .field("mode", recorder_->timed() ? "timed" : "ticks")
         .field("samples", recorder_->size())
         .field("ticks", recorder_->total_ticks());
     out << '\n';
-    obs::write_timeseries_jsonl(out, recorder_->samples(),
-                                /*include_wall_time=*/recorder_->timed());
+    obs::write_timeseries_jsonl(out, recorder_->samples());
     obs::write_stage_jsonl(out, profiler_->report());
     return true;
   }

@@ -77,10 +77,10 @@ struct RunResult {
 };
 
 /// One full sweep of `missions` missions on `threads` workers. With
-/// telemetry hooks the run is split into batches via map()'s
+/// telemetry hooks the run is split into at most eight batches via map()'s
 /// trial_offset — every trial keeps its substream, so the digest must
-/// still match the unbatched runs — with a recorder tick at each batch
-/// boundary.
+/// still match the unbatched runs — with a recorder tick before the
+/// first batch and after each one.
 inline RunResult run_sweep(MissionBody body, const Mission& mission,
                            unsigned missions, std::uint64_t seed,
                            unsigned threads,
@@ -91,36 +91,26 @@ inline RunResult run_sweep(MissionBody body, const Mission& mission,
       static_cast<unsigned>(std::max<std::size_t>(1, engine.workers()));
   const auto trial = [&](exp::TrialContext& ctx) { return body(mission, ctx); };
 
-  exp::EngineTiming timing;
-  std::vector<MissionTally> tallies;
-  if (!hooks.enabled()) {
-    tallies = engine.map<MissionTally>(0, missions, trial, &timing);
-  } else {
-    timing.trial_latency_us = obs::HistogramData(exp::trial_latency_bounds());
-    const std::size_t batch = std::max<std::size_t>(1, (missions + 7) / 8);
-    double util_weighted = 0.0;
-    hooks.tick();  // baseline sample: deltas start at the run's t0
-    for (std::size_t off = 0; off < missions; off += batch) {
-      const std::size_t n = std::min<std::size_t>(batch, missions - off);
-      exp::EngineTiming bt;
-      auto part = engine.map<MissionTally>(0, n, trial, &bt, off);
-      tallies.insert(tallies.end(), part.begin(), part.end());
-      timing.wall_ms += bt.wall_ms;
-      util_weighted += bt.utilization * bt.wall_ms;
-      timing.trial_latency_us.merge(bt.trial_latency_us);
-      hooks.tick();
+  const std::size_t batch = std::max<std::size_t>(
+      1, hooks.enabled() ? (missions + 7) / 8 : missions);
+  double util_weighted = 0.0;  // utilization x wall, summed over batches
+  hooks.tick();  // baseline sample: deltas start at the run's t0
+  for (std::size_t off = 0; off < missions; off += batch) {
+    const std::size_t n = std::min<std::size_t>(batch, missions - off);
+    exp::EngineTiming timing;
+    for (const MissionTally& t :
+         engine.map<MissionTally>(0, n, trial, &timing, off)) {
+      for (const std::uint64_t v :
+           {t.optimal, t.suboptimal, t.refused, t.stuck, t.tables}) {
+        result.digest = exp::mix64(result.digest ^ v);
+      }
     }
-    timing.utilization =
-        timing.wall_ms > 0.0 ? util_weighted / timing.wall_ms : 0.0;
+    result.wall_ms += timing.wall_ms;
+    util_weighted += timing.utilization * timing.wall_ms;
+    hooks.tick();
   }
-  result.wall_ms = timing.wall_ms;
-  result.utilization = timing.utilization;
-  for (const MissionTally& t : tallies) {
-    for (const std::uint64_t v :
-         {t.optimal, t.suboptimal, t.refused, t.stuck, t.tables}) {
-      result.digest = exp::mix64(result.digest ^ v);
-    }
-  }
+  result.utilization =
+      result.wall_ms > 0.0 ? util_weighted / result.wall_ms : 0.0;
   return result;
 }
 
@@ -131,7 +121,8 @@ inline RunResult run_sweep(MissionBody body, const Mission& mission,
 /// 1 when the runs' digests diverge, 2 when an output cannot be written.
 inline int run_oracle_bench(int argc, char** argv, const OracleBench& spec,
                             MissionBody body) {
-  const auto opt = Options::parse(argc, argv);
+  const auto opt = Options::parse(
+      argc, argv, kDim | kTrials | kSeed | kThreads | kBenchJson | kTelemetry);
   const unsigned dim = opt.dim ? opt.dim : 14;
   const unsigned missions = opt.trials ? opt.trials : 40;
   const unsigned events = 50;

@@ -15,7 +15,8 @@
 //   $ ./inspect --timeline t.jsonl -o out.json   # explicit output path
 //
 // Exit status: 0 success (a clean audit), 1 an input could not be read, a
-// route endpoint is faulty or the audit found violations, 2 usage error.
+// route endpoint is faulty, the audit found violations or a flight record
+// yields no stage breakdown or throughput line, 2 usage error.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -141,7 +142,8 @@ int replay_trace(const std::string& path, unsigned n) {
 
 /// Render a telemetry flight record (bench --telemetry output) as a
 /// terminal dashboard: stage breakdown, throughput sparkline, interval
-/// percentiles, per-dimension hop heatmap.
+/// percentiles, per-dimension hop heatmap. Exits 1 when the record
+/// yields no stage breakdown or no throughput line.
 int dash_telemetry(const std::string& path) {
   if (!std::ifstream(path).good()) {
     std::fprintf(stderr, "dash: cannot open %s\n", path.c_str());
@@ -153,9 +155,10 @@ int dash_telemetry(const std::string& path) {
     std::fprintf(stderr, "dash: %zu malformed line(s) in %s\n", malformed,
                  path.c_str());
   }
-  const std::size_t samples = obs::render_dashboard(std::cout, events);
-  if (samples == 0 && events.empty()) {
-    std::fprintf(stderr, "dash: %s holds no telemetry events\n", path.c_str());
+  if (!obs::render_dashboard(std::cout, events)) {
+    std::fprintf(stderr,
+                 "dash: %s yields no stage breakdown or no throughput line\n",
+                 path.c_str());
     return 1;
   }
   return 0;

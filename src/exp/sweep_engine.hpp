@@ -67,18 +67,20 @@ struct EngineOptions {
   /// Non-owning; must outlive the engine.
   obs::Registry* registry = nullptr;
   /// When set, workers run with this profiler installed and the engine
-  /// marks "trial" / "engine.rng" stages. Null = no per-trial profiling
-  /// work at all (the loop doesn't even check per trial).
+  /// marks "trial" / "engine.rng" stages. Null = none installed: each
+  /// stage marker costs one thread-local load and a null check.
   obs::Profiler* profiler = nullptr;
 };
 
-/// Wall-clock profile of one map() call (same shape as the sweep timing
-/// the drivers report): wall time, busy-worker utilization, per-trial
-/// latency histogram.
+/// Wall-clock profile of one map() or map_fold() call — and so of one
+/// workload sweep point, which is one map(): wall time, busy-worker
+/// utilization, per-trial latency histogram.
 struct EngineTiming {
   double wall_ms = 0.0;
-  double utilization = 0.0;  ///< busy worker time / (wall * workers)
-  obs::HistogramData trial_latency_us;
+  /// Busy worker time / (wall time * workers); 1.0 = perfectly parallel,
+  /// low values = workers starved (too few trials per point).
+  double utilization = 0.0;
+  obs::HistogramData trial_latency_us;  ///< per-trial wall time
 };
 
 /// 1µs .. ~34s in doubling buckets — wide enough for any trial we run.
@@ -115,58 +117,10 @@ class SweepEngine {
                      EngineTiming* timing = nullptr,
                      std::size_t trial_offset = 0) {
     std::vector<R> out(trials);
-    const std::size_t slots = std::max<std::size_t>(1, pool_.size());
-    std::vector<ChunkMeta> meta(slots);
-    for (ChunkMeta& m : meta) {
-      m.latency = obs::HistogramData(trial_latency_bounds());
-    }
-    const obs::Stopwatch wall;
-    parallel_for_chunks(
-        pool_, trials,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          ChunkMeta& m = meta[chunk];
-          const obs::Stopwatch busy;
-          if (profiler_ == nullptr) {
-            // The untelemetered hot path: identical to the pre-profiler
-            // loop, no per-trial branching.
-            for (std::size_t t = begin; t < end; ++t) {
-              const obs::Stopwatch trial_clock;
-              TrialContext ctx{trial_offset + t, chunk,
-                               substream(seed_, stream, trial_offset + t)};
-              out[t] = body(ctx);
-              m.latency.observe(trial_clock.micros());
-              trials_run_.inc();
-            }
-          } else {
-            obs::ProfilerThreadGuard profiled(profiler_);
-            for (std::size_t t = begin; t < end; ++t) {
-              const obs::Stopwatch trial_clock;
-              obs::StageScope trial_stage("trial");
-              TrialContext ctx = [&] {
-                obs::StageScope rng_stage("engine.rng");
-                return TrialContext{
-                    trial_offset + t, chunk,
-                    substream(seed_, stream, trial_offset + t)};
-              }();
-              out[t] = body(ctx);
-              m.latency.observe(trial_clock.micros());
-              trials_run_.inc();
-            }
-          }
-          m.busy_ms = busy.millis();
-        });
-    if (timing != nullptr) {
-      timing->wall_ms = wall.millis();
-      timing->trial_latency_us = obs::HistogramData(trial_latency_bounds());
-      double busy_ms = 0.0;
-      for (const ChunkMeta& m : meta) {
-        busy_ms += m.busy_ms;
-        timing->trial_latency_us.merge(m.latency);
-      }
-      const double capacity_ms =
-          timing->wall_ms * static_cast<double>(slots);
-      timing->utilization = capacity_ms > 0.0 ? busy_ms / capacity_ms : 0.0;
-    }
+    run_chunks(stream, trials, trial_offset, timing,
+               [&](std::size_t, std::size_t t, TrialContext& ctx) {
+                 out[t] = body(ctx);
+               });
     return out;
   }
 
@@ -186,50 +140,62 @@ class SweepEngine {
   Acc map_fold(std::uint64_t stream, std::size_t trials, Body&& body,
                MergeTrial&& merge_trial, MergeAcc&& merge_acc,
                EngineTiming* timing = nullptr, std::size_t trial_offset = 0) {
-    const std::size_t slots = std::max<std::size_t>(1, pool_.size());
-    std::vector<Acc> accs(slots);
-    std::vector<ChunkMeta> meta(slots);
-    for (ChunkMeta& m : meta) {
-      m.latency = obs::HistogramData(trial_latency_bounds());
-    }
-    const obs::Stopwatch wall;
-    parallel_for_chunks(
-        pool_, trials,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          ChunkMeta& m = meta[chunk];
-          const obs::Stopwatch busy;
-          for (std::size_t t = begin; t < end; ++t) {
-            const obs::Stopwatch trial_clock;
-            TrialContext ctx{trial_offset + t, chunk,
-                             substream(seed_, stream, trial_offset + t)};
-            merge_trial(accs[chunk], body(ctx));
-            m.latency.observe(trial_clock.micros());
-            trials_run_.inc();
-          }
-          m.busy_ms = busy.millis();
-        });
+    std::vector<Acc> accs(std::max<std::size_t>(1, pool_.size()));
+    run_chunks(stream, trials, trial_offset, timing,
+               [&](std::size_t chunk, std::size_t, TrialContext& ctx) {
+                 merge_trial(accs[chunk], body(ctx));
+               });
     Acc out{};
     for (Acc& a : accs) merge_acc(out, a);
-    if (timing != nullptr) {
-      timing->wall_ms = wall.millis();
-      timing->trial_latency_us = obs::HistogramData(trial_latency_bounds());
-      double busy_ms = 0.0;
-      for (const ChunkMeta& m : meta) {
-        busy_ms += m.busy_ms;
-        timing->trial_latency_us.merge(m.latency);
-      }
-      const double capacity_ms =
-          timing->wall_ms * static_cast<double>(slots);
-      timing->utilization = capacity_ms > 0.0 ? busy_ms / capacity_ms : 0.0;
-    }
     return out;
   }
 
  private:
-  struct ChunkMeta {
-    double busy_ms = 0.0;
-    obs::HistogramData latency;
-  };
+  /// The one timed chunk loop behind map() and map_fold(): runs
+  /// `trial(chunk, t, ctx)` for every t in [0, trials), chunk by chunk,
+  /// with ctx holding trial t's substream. Each worker installs the
+  /// engine's profiler only when one is set; otherwise the "trial" and
+  /// "engine.rng" stage scopes find no profiler and do nothing.
+  template <typename Trial>
+  void run_chunks(std::uint64_t stream, std::size_t trials,
+                  std::size_t trial_offset, EngineTiming* timing,
+                  Trial&& trial) {
+    const std::size_t slots = std::max<std::size_t>(1, pool_.size());
+    std::vector<double> busy_ms(slots, 0.0);
+    std::vector<obs::HistogramData> latency(
+        slots, obs::HistogramData(trial_latency_bounds()));
+    const obs::Stopwatch wall;
+    parallel_for_chunks(
+        pool_, trials,
+        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          const obs::Stopwatch busy;
+          const obs::ProfilerThreadGuard profiled(
+              profiler_ != nullptr ? profiler_ : obs::Profiler::current());
+          for (std::size_t t = begin; t < end; ++t) {
+            const obs::Stopwatch trial_clock;
+            const obs::StageScope trial_stage("trial");
+            TrialContext ctx = [&] {
+              const obs::StageScope rng_stage("engine.rng");
+              return TrialContext{trial_offset + t, chunk,
+                                  substream(seed_, stream, trial_offset + t)};
+            }();
+            trial(chunk, t, ctx);
+            latency[chunk].observe(trial_clock.micros());
+            trials_run_.inc();
+          }
+          busy_ms[chunk] = busy.millis();
+        });
+    if (timing == nullptr) return;
+    timing->wall_ms = wall.millis();
+    timing->trial_latency_us = obs::HistogramData(trial_latency_bounds());
+    double busy_total = 0.0;
+    for (std::size_t c = 0; c < slots; ++c) {
+      busy_total += busy_ms[c];
+      timing->trial_latency_us.merge(latency[c]);
+    }
+    const double capacity_ms = timing->wall_ms * static_cast<double>(slots);
+    timing->utilization = capacity_ms > 0.0 ? busy_total / capacity_ms : 0.0;
+  }
 
   ThreadPool pool_;
   std::uint64_t seed_;

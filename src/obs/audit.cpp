@@ -86,8 +86,8 @@ void AuditSink::on_event(const TraceEvent& ev) {
     // epochs are stale from here on, same as a node_fail event.
     if (epoch->churn != 0) {
       if (lane.wave_open) lane.wave_saw_fault_churn = true;
-      if (lane.route_open) lane.route_saw_fault_churn = true;
-      lane.stale_tables = true;
+      if (lane.route_open) lane.route_churn |= kEpochChurn;
+      lane.stale_churn |= kEpochChurn;
     }
   } else if (const auto* send = std::get_if<MessageSendEvent>(&ev)) {
     ++report_.sends;
@@ -112,12 +112,13 @@ void AuditSink::on_event(const TraceEvent& ev) {
   } else if (std::holds_alternative<NodeFailEvent>(ev) ||
              std::holds_alternative<NodeRecoverEvent>(ev)) {
     // Fault churn relaxes the checks that assume a quiet network: the
-    // GS round bound and the "stuck is impossible" rule — the latter
-    // stays suspended until a quiesced GS wave proves re-stabilization
-    // (asynchronous cascades leave no marker in the stream).
+    // GS round bound, the "stuck is impossible" rule and the Theorem-2
+    // floor — the latter two stay suspended until a quiesced GS wave
+    // proves re-stabilization (asynchronous cascades leave no marker in
+    // the stream).
     if (lane.wave_open) lane.wave_saw_fault_churn = true;
-    if (lane.route_open) lane.route_saw_fault_churn = true;
-    lane.stale_tables = true;
+    if (lane.route_open) lane.route_churn |= kNodeChurn;
+    lane.stale_churn |= kNodeChurn;
   } else if (const auto* point = std::get_if<SweepPointEvent>(&ev)) {
     ++report_.sweep_points;
     report_.sweep_wall_ms.observe(point->wall_ms);
@@ -188,7 +189,7 @@ void AuditSink::handle(Lane& lane, const SourceDecisionEvent& ev) {
     }
   }
   lane.route_open = true;
-  lane.route_saw_fault_churn = false;
+  lane.route_churn = 0;
   lane.lost.reset();
   lane.source = ev;
   lane.hops.clear();
@@ -393,9 +394,12 @@ void AuditSink::close_route(Lane& lane, const RouteDoneEvent& done) {
     for (const HopEvent& hop : lane.hops) {
       // Theorem-2 floor: the chosen neighbor's advertised level covers
       // the distance that remains after the hop (holds for spare hops
-      // too — their threshold is H+1 = |nav_after|).
+      // too — their threshold is H+1 = |nav_after|). After node churn
+      // a holder may decide on stale registers and pick a neighbor below
+      // the floor.
       const unsigned remaining = bits::popcount(hop.nav_after);
-      if (hop.level < remaining) {
+      if (((lane.route_churn | lane.stale_churn) & kNodeChurn) == 0 &&
+          hop.level < remaining) {
         std::ostringstream ss;
         ss << "hop " << hop.from << "->" << hop.to << " advertised level "
            << hop.level << " below remaining distance " << remaining;
@@ -437,7 +441,7 @@ void AuditSink::close_route(Lane& lane, const RouteDoneEvent& done) {
       violation(ViolationKind::kHopCountMismatch, ss.str());
     }
     if (cls == StatusClass::kStuck) {
-      if (!lane.route_saw_fault_churn && !lane.stale_tables) {
+      if (lane.route_churn == 0 && lane.stale_churn == 0) {
         std::ostringstream ss;
         ss << "route " << src.source << "->" << src.dest << " stuck after "
            << done.hops << " hops with no mid-route fault churn (impossible "
@@ -632,7 +636,7 @@ void AuditSink::close_wave(Lane& lane, unsigned final_round, bool quiesced) {
   }
   // A quiesced synchronous wave recomputed every level from live state:
   // tables are consistent again and the stuck rule re-arms.
-  if (quiesced && !lane.wave_periodic) lane.stale_tables = false;
+  if (quiesced && !lane.wave_periodic) lane.stale_churn = 0;
   lane.wave_open = false;
 }
 

@@ -17,7 +17,8 @@
 //     it lost, sent by the last node it reached; a refused or
 //     dropped-at-source route chose no first hop;
 //   * every preferred hop's advertised level covers the remaining
-//     distance (level >= popcount(nav_after), the Theorem-2 floor);
+//     distance (level >= popcount(nav_after), the Theorem-2 floor) —
+//     except after node churn that no quiesced GS wave has followed;
 //   * GS/EGS round sequences are monotone (+1 per round) and a wave that
 //     quiesces with no mid-wave fault churn stabilizes within n - 1
 //     rounds (Corollary to Property 1) — checked when the dimension is
@@ -99,20 +100,30 @@ class AuditSink final : public TraceSink {
   [[nodiscard]] std::uint64_t violation_count() const;
 
  private:
+  /// Kinds of fault churn a lane has seen (bits of Lane::route_churn and
+  /// Lane::stale_churn).
+  enum Churn : std::uint8_t {
+    kNodeChurn = 1,   ///< node_fail / node_recover
+    kEpochChurn = 2,  ///< epoch_publish with churn != 0
+  };
+
   /// Per-thread audit lane: the in-flight route chain plus this thread's
   /// GS-wave and send/drop trackers. Threads never share a lane, so all
   /// per-route state is interleaving-free by construction.
   struct Lane {
     // --- in-flight route chain ---
     bool route_open = false;
-    bool route_saw_fault_churn = false;  ///< node died/recovered mid-route
+    std::uint8_t route_churn = 0;  ///< Churn bits seen mid-route
     /// The message the open route lost: a unicast drop matched to its
     /// send while the route was open.
     std::optional<MessageDropEvent> lost;
-    /// Fault churn seen since the last quiesced synchronous GS wave:
-    /// level tables may be stale, so "stuck is impossible" is suspended
-    /// until the stream shows a full re-stabilization.
-    bool stale_tables = false;
+    /// Churn bits seen since the last quiesced synchronous GS wave: level
+    /// tables may be stale, so "stuck is impossible" is suspended until
+    /// the stream shows a full re-stabilization. After node churn so is
+    /// the Theorem-2 floor, because a holder may decide on registers
+    /// that no longer match its neighbors' levels; a served route decides
+    /// on one immutable epoch, so epoch churn leaves the floor on.
+    std::uint8_t stale_churn = 0;
     SourceDecisionEvent source;
     std::vector<HopEvent> hops;
     // --- last closed route, kept for misroute attribution ---

@@ -70,9 +70,9 @@ std::vector<double> series_of(const std::vector<const ParsedEvent*>& samples,
   return out;
 }
 
-void render_stages(std::ostream& os,
+bool render_stages(std::ostream& os,
                    const std::vector<const ParsedEvent*>& stages) {
-  if (stages.empty()) return;
+  if (stages.empty()) return false;
   double total = 0.0;
   for (const ParsedEvent* s : stages) {
     if (s->integer("depth") == 0) total += s->num("total_us");
@@ -99,19 +99,21 @@ void render_stages(std::ostream& os,
     os << line;
   }
   os << '\n';
+  return true;
 }
 
-void render_throughput(std::ostream& os,
+bool render_throughput(std::ostream& os,
                        const std::vector<const ParsedEvent*>& samples) {
   const std::vector<double> d = series_of(samples, "d.exp.trials_run");
   const double peak =
       d.empty() ? 0.0 : *std::max_element(d.begin(), d.end());
-  if (peak <= 0.0) return;
+  if (peak <= 0.0) return false;
   double total = 0.0;
   for (const double v : d) total += v;
   os << "throughput (trials per sample, " << samples.size() << " samples, "
      << fmt(total) << " trials total)\n";
   os << "  " << sparkline(d) << "  peak " << fmt(peak) << "\n\n";
+  return true;
 }
 
 void render_histograms(std::ostream& os,
@@ -174,8 +176,8 @@ void render_heatmap(std::ostream& os,
 
 }  // namespace
 
-std::size_t render_dashboard(std::ostream& os,
-                             const std::vector<ParsedEvent>& events) {
+bool render_dashboard(std::ostream& os,
+                      const std::vector<ParsedEvent>& events) {
   std::vector<const ParsedEvent*> samples;
   std::vector<const ParsedEvent*> stages;
   const ParsedEvent* meta = nullptr;
@@ -191,16 +193,16 @@ std::size_t render_dashboard(std::ostream& os,
   os << "== telemetry dashboard ==\n";
   if (meta != nullptr) {
     os << "run: dim=" << meta->integer("dim")
-       << " threads=" << meta->integer("threads") << " mode="
-       << meta->str("mode") << " ticks=" << meta->integer("ticks") << "\n";
+       << " threads=" << meta->integer("threads")
+       << " ticks=" << meta->integer("ticks") << "\n";
   }
   os << '\n';
-  render_stages(os, stages);
-  render_throughput(os, samples);
+  const bool staged = render_stages(os, stages);
+  const bool paced = render_throughput(os, samples);
   render_histograms(os, samples);
   render_heatmap(os, samples);
   if (samples.empty()) os << "(no ts_sample events in input)\n";
-  return samples.size();
+  return staged && paced;
 }
 
 }  // namespace slcube::obs

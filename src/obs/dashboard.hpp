@@ -9,7 +9,6 @@
 // renderer behind `inspect --dash`.
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <vector>
 
@@ -18,9 +17,9 @@
 namespace slcube::obs {
 
 /// Render every section the events support; sections with no matching
-/// events are skipped. Returns the number of ts_sample events seen (0
-/// means the file held no time series — the caller may want to warn).
-std::size_t render_dashboard(std::ostream& os,
-                             const std::vector<ParsedEvent>& events);
+/// events are skipped. Returns true when both the stage breakdown and
+/// the throughput line were rendered — what every engine-driven
+/// --telemetry record holds.
+bool render_dashboard(std::ostream& os, const std::vector<ParsedEvent>& events);
 
 }  // namespace slcube::obs

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <ostream>
-
-#include "obs/jsonl.hpp"
 
 namespace slcube::obs {
 
@@ -328,22 +325,6 @@ const HistogramData* MetricsSnapshot::histogram(std::string_view name) const {
     if (n == name) return &v;
   }
   return nullptr;
-}
-
-void MetricsSnapshot::write_json(std::ostream& os) const {
-  JsonWriter w(os);
-  for (const auto& [name, v] : counters) w.field(name, v);
-  for (const auto& [name, h] : histograms) {
-    w.object(name, [&h](JsonWriter& o) {
-      o.field("count", h.count)
-          .field("mean", h.mean())
-          .field("p50", h.quantile(0.50))
-          .field("p90", h.quantile(0.90))
-          .field("p99", h.quantile(0.99))
-          .field("p999", h.quantile(0.999))
-          .field("max", h.count ? h.max_seen : 0.0);
-    });
-  }
 }
 
 }  // namespace slcube::obs

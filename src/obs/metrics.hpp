@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -105,11 +104,6 @@ struct MetricsSnapshot {
 
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
   [[nodiscard]] const HistogramData* histogram(std::string_view name) const;
-
-  /// One flat JSON object: counters by name, histograms as
-  /// {"count":..,"mean":..,"p50":..,"p90":..,"p99":..,"p999":..,"max":..}.
-  /// No newline.
-  void write_json(std::ostream& os) const;
 };
 
 namespace detail {

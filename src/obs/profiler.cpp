@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <ostream>
 
 namespace slcube::obs {
 
@@ -104,16 +102,6 @@ Profiler::Arena& Profiler::arena_for_current_thread() {
   return *cached_arena;
 }
 
-void Profiler::reset() {
-  std::lock_guard lock(mutex_);
-  for (auto& [tid, arena] : arenas_) {
-    std::lock_guard arena_lock(arena->mutex);
-    arena->nodes.assign(1, Arena::Node{});
-    arena->current = 0;
-    arena->stack.clear();
-  }
-}
-
 namespace {
 
 // Template so the (private) arena node type is deduced, never named.
@@ -190,36 +178,6 @@ StageScope::StageScope(const char* name) noexcept {
 
 StageScope::~StageScope() {
   if (arena_ != nullptr) arena_->exit();
-}
-
-// --- rendering -------------------------------------------------------------
-
-namespace {
-
-void write_text_lines(std::ostream& os, const StageNode& node, double scale,
-                      unsigned depth) {
-  const std::string indent(static_cast<std::size_t>(depth) * 2, ' ');
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%s%-*s %10.1f ms total  %10.1f ms self  %5.1f%%  x%llu\n",
-                indent.c_str(), static_cast<int>(24 - indent.size()),
-                node.name.c_str(), node.total_us / 1000.0,
-                node.self_us / 1000.0,
-                scale > 0.0 ? 100.0 * node.total_us / scale : 0.0,
-                static_cast<unsigned long long>(node.count));
-  os << buf;
-  for (const StageNode& c : node.children) {
-    write_text_lines(os, c, scale, depth + 1);
-  }
-}
-
-}  // namespace
-
-void write_stage_text(std::ostream& os, const StageReport& report) {
-  const double scale = report.total_us();
-  for (const StageNode& r : report.roots) {
-    write_text_lines(os, r, scale, 0);
-  }
 }
 
 }  // namespace slcube::obs

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -50,9 +49,6 @@ struct StageReport {
   [[nodiscard]] double total_us() const;
 };
 
-/// Indented human rendering: count, total, self, share of the report.
-void write_stage_text(std::ostream& os, const StageReport& report);
-
 class Profiler {
  public:
   Profiler();
@@ -64,9 +60,6 @@ class Profiler {
   /// threads are alive, but only stages that already *closed* are
   /// counted — call it after the profiled region completed.
   [[nodiscard]] StageReport report() const;
-
-  /// Drop all recorded stages (arenas stay registered).
-  void reset();
 
   /// The profiler installed on the calling thread, or null.
   [[nodiscard]] static Profiler* current() noexcept;

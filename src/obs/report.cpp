@@ -58,41 +58,6 @@ std::vector<double> sweep_wall_bounds() {
 AuditReport::AuditReport()
     : hops_per_route(hop_count_bounds()), sweep_wall_ms(sweep_wall_bounds()) {}
 
-void AuditReport::merge(const AuditReport& o) {
-  events += o.events;
-  routes += o.routes;
-  hops += o.hops;
-  spare_hops += o.spare_hops;
-  for (const auto& [k, v] : o.routes_by_status) routes_by_status[k] += v;
-  violations_total += o.violations_total;
-  for (std::size_t i = 0; i < kNumViolationKinds; ++i) {
-    violations_by_kind[i] += o.violations_by_kind[i];
-  }
-  details.insert(details.end(), o.details.begin(), o.details.end());
-  for (const auto& [k, v] : o.preferred_by_dim) preferred_by_dim[k] += v;
-  for (const auto& [k, v] : o.spare_by_dim) spare_by_dim[k] += v;
-  for (const auto& [k, v] : o.spare_by_hamming) spare_by_hamming[k] += v;
-  gs_waves += o.gs_waves;
-  gs_max_round = std::max(gs_max_round, o.gs_max_round);
-  for (const auto& [round, acc] : o.gs_curve) {
-    gs_curve[round].first += acc.first;
-    gs_curve[round].second += acc.second;
-  }
-  misroutes += o.misroutes;
-  for (const auto& [k, v] : o.misroutes_by_class) misroutes_by_class[k] += v;
-  sends += o.sends;
-  drops += o.drops;
-  for (const auto& [k, v] : o.drops_by_reason) drops_by_reason[k] += v;
-  promoted_routes += o.promoted_routes;
-  breadcrumb_routes += o.breadcrumb_routes;
-  for (const auto& [k, v] : o.promoted_by_reason) promoted_by_reason[k] += v;
-  epochs_published += o.epochs_published;
-  events_lost += o.events_lost;
-  hops_per_route.merge(o.hops_per_route);
-  sweep_points += o.sweep_points;
-  sweep_wall_ms.merge(o.sweep_wall_ms);
-}
-
 namespace {
 
 void print_hist_row(Table& t, const char* name, const HistogramData& h) {

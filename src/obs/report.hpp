@@ -110,9 +110,6 @@ struct AuditReport {
 
   [[nodiscard]] bool clean() const noexcept { return violations_total == 0; }
 
-  /// Merge another report into this one (lane/shard reduction).
-  void merge(const AuditReport& o);
-
   /// Human rendering: summary + violations + heatmap + GS profile +
   /// drop forensics as common/table tables (plus the first violation
   /// details verbatim).

@@ -9,63 +9,17 @@
 
 namespace slcube::obs {
 
-using Clock = std::chrono::steady_clock;
-
 TimeSeriesRecorder::TimeSeriesRecorder(Registry& registry,
-                                       RecorderOptions opts)
-    : registry_(registry), opts_(opts), start_time_(Clock::now()) {}
-
-TimeSeriesRecorder::~TimeSeriesRecorder() { stop(); }
+                                       std::size_t capacity)
+    : registry_(registry), capacity_(capacity) {}
 
 void TimeSeriesRecorder::tick() {
   // Scrape outside the ring lock: scrape() takes the registry's own locks
   // and may be slow relative to a deque push.
   MetricsSnapshot snap = registry_.scrape();
-  const double t_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - start_time_)
-          .count();
   std::lock_guard lock(mutex_);
-  TimeSample sample;
-  sample.tick = total_ticks_++;
-  sample.t_ms = t_ms;
-  sample.snapshot = std::move(snap);
-  ring_.push_back(std::move(sample));
-  while (ring_.size() > opts_.capacity) ring_.pop_front();
-}
-
-void TimeSeriesRecorder::start() {
-  // lifecycle_mutex_ serializes the joinable-check/assign (and the
-  // joinable-check/join in stop()): without it two concurrent start()
-  // calls can both see a non-joinable sampler_ and the second assignment
-  // to a running std::thread calls std::terminate, and a start() racing
-  // a stop() is a data race on sampler_ itself. The sampler thread never
-  // takes this mutex, so holding it across spawn/join cannot deadlock.
-  std::lock_guard lifecycle(lifecycle_mutex_);
-  if (!timed() || sampler_.joinable()) return;
-  {
-    std::lock_guard lock(cv_mutex_);
-    stopping_ = false;
-  }
-  sampler_ = std::thread([this] {
-    const auto interval = std::chrono::milliseconds(opts_.sample_interval_ms);
-    std::unique_lock lock(cv_mutex_);
-    while (!cv_.wait_for(lock, interval, [this] { return stopping_; })) {
-      lock.unlock();
-      tick();
-      lock.lock();
-    }
-  });
-}
-
-void TimeSeriesRecorder::stop() {
-  std::lock_guard lifecycle(lifecycle_mutex_);
-  if (!sampler_.joinable()) return;
-  {
-    std::lock_guard lock(cv_mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  sampler_.join();
+  ring_.push_back({total_ticks_++, std::move(snap)});
+  while (ring_.size() > capacity_) ring_.pop_front();
 }
 
 std::vector<TimeSample> TimeSeriesRecorder::samples() const {
@@ -111,14 +65,12 @@ HistogramData interval_histogram(const HistogramData& cur,
 }  // namespace
 
 void write_timeseries_jsonl(std::ostream& os,
-                            const std::vector<TimeSample>& samples,
-                            bool include_wall_time) {
+                            const std::vector<TimeSample>& samples) {
   const TimeSample* prev = nullptr;
   for (const TimeSample& s : samples) {
     {
       JsonWriter w(os);
       w.field("event", "ts_sample").field("tick", s.tick);
-      if (include_wall_time) w.field("t_ms", s.t_ms);
       for (const auto& [name, v] : s.snapshot.counters) {
         const std::uint64_t before = prev ? prev->snapshot.counter(name) : 0;
         w.field("c." + name, v);

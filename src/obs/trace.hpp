@@ -281,9 +281,10 @@ struct RouteSummaryEvent {
 };
 
 /// Per-point summary of an experiment sweep: timing, worker utilization,
-/// per-trial latency percentiles, and flattened result metrics.
+/// per-trial latency percentiles (the point's exp::EngineTiming), and
+/// flattened result metrics.
 struct SweepPointEvent {
-  const char* sweep = "";  ///< "routing" | "rounds"
+  const char* sweep = "";  ///< "routing" | "rounds" | "links" | "diag"
   std::uint64_t fault_count = 0;
   double wall_ms = 0.0;
   double utilization = 0.0;  ///< busy worker time / (wall * workers)

@@ -66,8 +66,8 @@ class Network {
   /// Point-in-time counter snapshot (scraped from metrics()).
   [[nodiscard]] NetworkStats stats() const;
 
-  /// The network's metrics registry; counters live under "net.*". Useful
-  /// for exporting a full snapshot (scrape().write_json) next to results.
+  /// The network's metrics registry; counters live under "net.*", and
+  /// scrape() returns all of them at once.
   [[nodiscard]] const obs::Registry& metrics() const noexcept {
     return metrics_;
   }

@@ -21,7 +21,8 @@ namespace slcube::workload {
 namespace {
 
 void emit_sweep_point(obs::TraceSink* trace, const char* sweep,
-                      std::uint64_t fault_count, const SweepTiming& timing,
+                      std::uint64_t fault_count,
+                      const exp::EngineTiming& timing,
                       unsigned threads,
                       std::vector<std::pair<std::string, double>> values) {
   if (trace == nullptr) return;
@@ -31,9 +32,9 @@ void emit_sweep_point(obs::TraceSink* trace, const char* sweep,
   ev.wall_ms = timing.wall_ms;
   ev.utilization = timing.utilization;
   ev.threads = threads;
-  ev.trial_p50_us = timing.p50_us();
-  ev.trial_p90_us = timing.p90_us();
-  ev.trial_p99_us = timing.p99_us();
+  ev.trial_p50_us = timing.trial_latency_us.quantile(0.5);
+  ev.trial_p90_us = timing.trial_latency_us.quantile(0.9);
+  ev.trial_p99_us = timing.trial_latency_us.quantile(0.99);
   ev.values = std::move(values);
   trace->on_event(ev);
 }
@@ -67,12 +68,6 @@ fault::FaultSet inject(const topo::Hypercube& cube, InjectionKind kind,
 /// per trial are tiny — at most the pair count).
 void add_many(Ratio& r, std::uint64_t hits, std::uint64_t total) {
   for (std::uint64_t i = 0; i < total; ++i) r.add(i < hits);
-}
-
-void adopt_timing(SweepTiming& out, exp::EngineTiming&& in) {
-  out.wall_ms = in.wall_ms;
-  out.utilization = in.utilization;
-  out.trial_latency_us = std::move(in.trial_latency_us);
 }
 
 /// Per-route metrics a sweep registers when a telemetry registry is
@@ -150,7 +145,6 @@ std::vector<SweepPoint> run_routing_sweep(const SweepConfig& config,
     SweepPoint point;
     point.fault_count = fault_count;
 
-    exp::EngineTiming timing;
     const auto trials = engine.map<TrialOut>(
         pi, config.trials,
         [&](exp::TrialContext& ctx) {
@@ -186,8 +180,7 @@ std::vector<SweepPoint> run_routing_sweep(const SweepConfig& config,
           }
           return out;
         },
-        &timing);
-    adopt_timing(point.timing, std::move(timing));
+        &point.timing);
 
     for (const auto& name : names) {
       point.per_router.emplace_back(name, RoutingMetrics{});
@@ -255,7 +248,6 @@ std::vector<RoundsPoint> run_rounds_sweep(
     RoundsPoint point;
     point.fault_count = fault_count;
 
-    exp::EngineTiming timing;
     const auto results = engine.map<TrialOut>(
         pi, trials,
         [&](exp::TrialContext& ctx) {
@@ -278,8 +270,7 @@ std::vector<RoundsPoint> run_rounds_sweep(
               analysis::connected_components(view, faults).disconnected();
           return out;
         },
-        &timing);
-    adopt_timing(point.timing, std::move(timing));
+        &point.timing);
 
     for (const TrialOut& t : results) {
       point.gs_rounds.add(t.gs_rounds);
@@ -345,7 +336,6 @@ std::vector<LinkSweepPoint> run_link_routing_sweep(
     point.node_faults = nf;
     point.link_faults = lf;
 
-    exp::EngineTiming timing;
     const auto trials = engine.map<TrialOut>(
         pi, config.trials,
         [&](exp::TrialContext& ctx) {
@@ -388,8 +378,7 @@ std::vector<LinkSweepPoint> run_link_routing_sweep(
           }
           return out;
         },
-        &timing);
-    adopt_timing(point.timing, std::move(timing));
+        &point.timing);
 
     for (const TrialOut& t : trials) {
       if (!t.valid) continue;
@@ -464,7 +453,6 @@ std::vector<DiagSweepPoint> run_diagnosis_sweep(const DiagSweepConfig& config) {
                             ? config.fixed_faults->count()
                             : fault_count;
 
-    exp::EngineTiming timing;
     const auto trials = engine.map<TrialOut>(
         pi, config.trials,
         [&](exp::TrialContext& ctx) {
@@ -537,8 +525,7 @@ std::vector<DiagSweepPoint> run_diagnosis_sweep(const DiagSweepConfig& config) {
           }
           return out;
         },
-        &timing);
-    adopt_timing(point.timing, std::move(timing));
+        &point.timing);
 
     for (const TrialOut& t : trials) {
       if (!t.valid) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "diag/decoder.hpp"
+#include "exp/sweep_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -53,22 +54,6 @@ struct SweepConfig {
   obs::InstrumentationHooks instrumentation;
 };
 
-/// Wall-clock profile of one sweep point, measured by the driver's
-/// obs::Stopwatch timers (one over the point, one per trial).
-struct SweepTiming {
-  double wall_ms = 0.0;
-  /// Busy worker time / (wall time * pool threads); 1.0 = perfectly
-  /// parallel, low values = workers starved (too few trials per point).
-  double utilization = 0.0;
-  obs::HistogramData trial_latency_us;  ///< per-trial wall time
-
-  [[nodiscard]] double p50_us() const { return trial_latency_us.quantile(0.5); }
-  [[nodiscard]] double p90_us() const { return trial_latency_us.quantile(0.9); }
-  [[nodiscard]] double p99_us() const {
-    return trial_latency_us.quantile(0.99);
-  }
-};
-
 /// Creates one fresh instance of every router under test; called once per
 /// worker chunk (routers may hold per-instance RNG state).
 using RouterFactory = std::function<
@@ -80,7 +65,7 @@ struct SweepPoint {
   std::vector<std::pair<std::string, RoutingMetrics>> per_router;
   Ratio disconnected;  ///< fraction of fault configurations that split the cube
   RunningStat prepare_rounds;  ///< info-exchange rounds of the *first* router
-  SweepTiming timing;
+  exp::EngineTiming timing;
 };
 
 /// Routing sweep: every router sees the identical fault sets and pairs.
@@ -98,7 +83,7 @@ struct RoundsPoint {
   RunningStat safe_lh;
   RunningStat safe_wf;
   Ratio disconnected;
-  SweepTiming timing;
+  exp::EngineTiming timing;
 };
 
 [[nodiscard]] std::vector<RoundsPoint> run_rounds_sweep(
@@ -143,7 +128,7 @@ struct LinkSweepPoint {
   Ratio suboptimal;      ///< of deliveries: hops == H + 2
   Ratio valid_paths;     ///< of deliveries: path avoids faulty nodes AND links
   RunningStat n2_nodes;  ///< |N2| per sampled configuration
-  SweepTiming timing;
+  exp::EngineTiming timing;
 };
 
 [[nodiscard]] std::vector<LinkSweepPoint> run_link_routing_sweep(
@@ -203,7 +188,7 @@ struct DiagSweepPoint {
   /// agree on the digest iff they agree on every trial (the --threads
   /// invariance witness benches gate on).
   std::uint64_t digest = 0;
-  SweepTiming timing;
+  exp::EngineTiming timing;
 };
 
 [[nodiscard]] std::vector<DiagSweepPoint> run_diagnosis_sweep(

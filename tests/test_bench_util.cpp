@@ -1,8 +1,8 @@
 // bench::Options::try_parse — the testable core of the experiment
 // binaries' flag parsing: valid flag sets fill the struct, unknown flags,
-// trailing flags with a missing value and malformed numbers are rejected
-// with an error message that names the offending flag — and the
-// --bench-json record writer.
+// shared flags the bench does not read, trailing flags with a missing
+// value and malformed numbers are rejected with an error message that
+// names the offending flag — and the --bench-json record writer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +18,10 @@
 
 namespace slcube::bench {
 namespace {
+
+/// Every shared flag, as a bench that reads them all would pass it.
+constexpr unsigned kEveryFlag = kJsonl | kAudit | kDim | kTrials | kSeed |
+                                kThreads | kBenchJson | kTelemetry;
 
 /// argv-style scratch: gtest owns the strings, try_parse sees char**.
 struct Argv {
@@ -36,11 +40,11 @@ struct Argv {
 TEST(BenchUtil, ParsesEveryFlag) {
   Argv a({"--csv", "--audit", "--csv-file", "out.csv", "--jsonl", "t.jsonl",
           "--dim", "9", "--trials", "77", "--seed", "12345", "--threads",
-          "3", "--bench-json", "b.json", "--telemetry", "tele.jsonl",
-          "--sample-ms", "25"});
+          "3", "--bench-json", "b.json", "--telemetry", "tele.jsonl"});
   Options o;
   std::string error;
-  ASSERT_TRUE(Options::try_parse(a.argc(), a.argv(), o, error)) << error;
+  ASSERT_TRUE(Options::try_parse(a.argc(), a.argv(), kEveryFlag, o, error))
+      << error;
   EXPECT_TRUE(o.csv);
   EXPECT_TRUE(o.audit);
   EXPECT_EQ(o.csv_file, "out.csv");
@@ -51,14 +55,13 @@ TEST(BenchUtil, ParsesEveryFlag) {
   EXPECT_EQ(o.threads, 3u);
   EXPECT_EQ(o.bench_json, "b.json");
   EXPECT_EQ(o.telemetry_file, "tele.jsonl");
-  EXPECT_EQ(o.sample_ms, 25u);
 }
 
 TEST(BenchUtil, EmptyCommandLineKeepsDefaults) {
   Argv a({});
   Options o;
   std::string error;
-  ASSERT_TRUE(Options::try_parse(a.argc(), a.argv(), o, error));
+  ASSERT_TRUE(Options::try_parse(a.argc(), a.argv(), 0, o, error));
   EXPECT_FALSE(o.csv);
   EXPECT_FALSE(o.audit);
   EXPECT_EQ(o.trials, 0u);
@@ -69,16 +72,48 @@ TEST(BenchUtil, EmptyCommandLineKeepsDefaults) {
   EXPECT_TRUE(o.jsonl_file.empty());
   EXPECT_TRUE(o.bench_json.empty());
   EXPECT_TRUE(o.telemetry_file.empty());
-  EXPECT_EQ(o.sample_ms, 0u);
 }
 
 TEST(BenchUtil, RejectsUnknownFlagByName) {
   Argv a({"--trials", "5", "--missions", "6"});
   Options o;
   std::string error;
-  EXPECT_FALSE(Options::try_parse(a.argc(), a.argv(), o, error));
+  EXPECT_FALSE(Options::try_parse(a.argc(), a.argv(), kEveryFlag, o, error));
   EXPECT_NE(error.find("--missions"), std::string::npos) << error;
   EXPECT_NE(error.find("unknown"), std::string::npos) << error;
+}
+
+TEST(BenchUtil, RejectsSharedFlagsTheBenchDoesNotRead) {
+  // A bench that reads only --trials and --seed: every other shared flag
+  // is named and refused, switch or value flag alike, instead of being
+  // parsed and ignored. --csv and --csv-file are always read (emit()).
+  const unsigned reads = kTrials | kSeed;
+  for (const std::vector<std::string>& words :
+       std::vector<std::vector<std::string>>{{"--audit"},
+                                             {"--threads", "4"},
+                                             {"--telemetry", "t.jsonl"},
+                                             {"--bench-json", "b.json"},
+                                             {"--jsonl", "t.jsonl"},
+                                             {"--dim", "5"}}) {
+    Argv a(words);
+    Options o;
+    std::string error;
+    EXPECT_FALSE(Options::try_parse(a.argc(), a.argv(), reads, o, error))
+        << words[0];
+    EXPECT_NE(error.find(words[0]), std::string::npos) << error;
+    EXPECT_NE(error.find("not read"), std::string::npos) << error;
+  }
+  Argv a({"--trials", "5", "--seed", "9", "--csv", "--csv-file", "o.csv"});
+  Options o;
+  std::string error;
+  ASSERT_TRUE(Options::try_parse(a.argc(), a.argv(), reads, o, error))
+      << error;
+  EXPECT_EQ(o.trials, 5u);
+  EXPECT_EQ(o.seed, 9u);
+  EXPECT_TRUE(o.csv);
+  EXPECT_EQ(o.csv_file, "o.csv");
+  EXPECT_EQ(Options::usage(reads),
+            " [--csv] [--csv-file F] [--trials N] [--seed S]");
 }
 
 TEST(BenchUtil, RejectsTrailingFlagMissingItsValue) {
@@ -93,7 +128,7 @@ TEST(BenchUtil, RejectsTrailingFlagMissingItsValue) {
   std::vector<Case> cases;
   for (const char* flag : {"--csv-file", "--jsonl", "--dim", "--trials",
                            "--seed", "--threads", "--bench-json",
-                           "--telemetry", "--sample-ms"}) {
+                           "--telemetry"}) {
     cases.push_back({{flag}, flag, "missing its value"});
   }
   for (const char* bad : {"-1", "4x", "", "99999999999"}) {
@@ -105,7 +140,7 @@ TEST(BenchUtil, RejectsTrailingFlagMissingItsValue) {
     Argv a(c.words);
     Options o;
     std::string error;
-    EXPECT_FALSE(Options::try_parse(a.argc(), a.argv(), o, error))
+    EXPECT_FALSE(Options::try_parse(a.argc(), a.argv(), kEveryFlag, o, error))
         << c.flag << " " << (c.words.size() > 1 ? c.words[1] : "");
     EXPECT_NE(error.find(c.flag), std::string::npos) << error;
     EXPECT_NE(error.find(c.why), std::string::npos) << error;
@@ -169,7 +204,7 @@ TEST(BenchUtil, TelemetrySessionIsGatedOnTheFlag) {
   EXPECT_EQ(none.hooks().registry, nullptr);
   EXPECT_EQ(none.hooks().profiler, nullptr);
   EXPECT_EQ(none.hooks().recorder, nullptr);
-  none.tick();                         // no-op, not a crash
+  none.hooks().tick();                 // no-op, not a crash
   EXPECT_TRUE(none.finish(6, 1));      // nothing to write, still OK
 
   Options on;
@@ -178,7 +213,7 @@ TEST(BenchUtil, TelemetrySessionIsGatedOnTheFlag) {
   EXPECT_TRUE(session.enabled());
   ASSERT_NE(session.hooks().registry, nullptr);
   session.hooks().registry->counter("gate.count").inc(3);
-  session.tick();
+  session.hooks().tick();
   ASSERT_TRUE(session.finish(6, 2));
   std::size_t malformed = 0;
   const auto events = obs::read_jsonl_file(on.telemetry_file, &malformed);
@@ -187,8 +222,9 @@ TEST(BenchUtil, TelemetrySessionIsGatedOnTheFlag) {
   EXPECT_EQ(events[0].kind(), "telemetry_meta");
   EXPECT_EQ(events[0].integer("dim"), 6);
   EXPECT_EQ(events[0].integer("threads"), 2);
-  EXPECT_EQ(events[0].str("mode"), "ticks");
+  EXPECT_EQ(events[0].integer("ticks"), 1);
   EXPECT_EQ(events[1].kind(), "ts_sample");
+  EXPECT_FALSE(events[1].has("t_ms"));
   EXPECT_EQ(events[1].integer("c.gate.count"), 3);
   std::remove(on.telemetry_file.c_str());
 }

@@ -125,13 +125,14 @@ TEST(RoutingSweep, TimingProfilePopulated) {
   cfg.trials = 8;
   cfg.pairs = 8;
   const auto points = run_routing_sweep(cfg, two_router_factory());
-  const SweepTiming& t = points[0].timing;
+  const exp::EngineTiming& t = points[0].timing;
   EXPECT_GT(t.wall_ms, 0.0);
   EXPECT_GT(t.utilization, 0.0);
   EXPECT_LE(t.utilization, 1.05);  // headroom for clock granularity
   EXPECT_EQ(t.trial_latency_us.count, cfg.trials);
-  EXPECT_GT(t.p50_us(), 0.0);
-  EXPECT_LE(t.p50_us(), t.p99_us());
+  EXPECT_GT(t.trial_latency_us.quantile(0.5), 0.0);
+  EXPECT_LE(t.trial_latency_us.quantile(0.5),
+            t.trial_latency_us.quantile(0.99));
 }
 
 TEST(RoutingSweep, EmitsOneSweepPointEventPerPoint) {

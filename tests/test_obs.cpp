@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "core/unicast.hpp"
 #include "obs/jsonl.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace slcube::obs {
@@ -168,39 +166,11 @@ TEST(Metrics, QuantileEdgeCases) {
       empty.quantile(std::numeric_limits<double>::quiet_NaN()), 0.0);
 }
 
-TEST(Metrics, WriteJsonAgreesWithQuantileEdges) {
-  // A registered-but-never-observed histogram must serialize the same
-  // defined zeros that quantile() now returns — no NaNs, no garbage.
-  Registry reg;
-  (void)reg.histogram("edge.hist", exponential_bounds(1, 2, 4));
-  std::ostringstream os;
-  reg.scrape().write_json(os);
-  EXPECT_NE(os.str().find("\"edge.hist\":{\"count\":0,\"mean\":0,\"p50\":0,"
-                          "\"p90\":0,\"p99\":0,\"p999\":0,\"max\":0}"),
-            std::string::npos)
-      << os.str();
-}
-
 TEST(Metrics, LinearBoundsHelper) {
   const auto bounds = linear_bounds(1.0, 1.0, 4);
   ASSERT_EQ(bounds.size(), 4u);
   EXPECT_DOUBLE_EQ(bounds[0], 1.0);
   EXPECT_DOUBLE_EQ(bounds[3], 4.0);
-}
-
-TEST(Metrics, SnapshotJsonIsParseable) {
-  Registry reg;
-  reg.counter("a.count").inc(3);
-  reg.histogram("a.hist", exponential_bounds(1, 10, 4)).observe(50.0);
-  std::ostringstream os;
-  reg.scrape().write_json(os);
-  const auto parsed = parse_jsonl_line(os.str());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->integer("a.count"), 3);
-  EXPECT_EQ(parsed->integer("a.hist.count"), 1);
-  // The tail fields ride along: p999 interpolated, max exact.
-  EXPECT_TRUE(parsed->has("a.hist.p999"));
-  EXPECT_DOUBLE_EQ(parsed->num("a.hist.max"), 50.0);
 }
 
 TEST(Metrics, DeadThreadShardsFoldIntoRetiredAccumulator) {
@@ -583,55 +553,6 @@ TEST(TracedUnicast, TracingDoesNotPerturbRandomTieBreaks) {
     const auto rb = core::route_unicast(q, f, lv, 0, 31, traced);
     ASSERT_EQ(ra.path, rb.path) << "tracing changed the routed path";
     ASSERT_EQ(ra.status, rb.status);
-  }
-}
-
-// --- recorder lifecycle (TSan regression) ----------------------------------
-
-// Regression for the unlocked start()/stop() window: two concurrent
-// start() calls could both observe sampler_ as non-joinable and the
-// second assignment to a running std::thread calls std::terminate; a
-// stop() racing a start() (or another stop(), or the destructor) was a
-// data race on sampler_ itself. With lifecycle_mutex_ every
-// interleaving below must be terminate-free and TSan-clean, with ticks
-// and scrapes running through the middle of the transitions.
-TEST(Telemetry, LifecycleTransitionsRaceFreely) {
-  for (int round = 0; round < 8; ++round) {
-    Registry reg;
-    const Counter c = reg.counter("life.count");
-    RecorderOptions opts;
-    opts.sample_interval_ms = 1;
-    auto rec = std::make_unique<TimeSeriesRecorder>(reg, opts);
-    std::vector<std::thread> callers;
-    callers.reserve(6);
-    // Double start: exactly one may spawn, the other must no-op.
-    callers.emplace_back([&] { rec->start(); });
-    callers.emplace_back([&] { rec->start(); });
-    // Stop racing the starts and a full start/stop cycle.
-    callers.emplace_back([&] { rec->stop(); });
-    callers.emplace_back([&] {
-      rec->start();
-      rec->stop();
-    });
-    // Explicit ticks and scrapes racing the sampler thread's own ticks.
-    callers.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        c.inc();
-        rec->tick();
-      }
-    });
-    callers.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        (void)rec->samples();
-        (void)rec->total_ticks();
-      }
-    });
-    for (auto& t : callers) t.join();
-    rec->stop();
-    rec->stop();  // idempotent after everything settled
-    // Destructor path: must join a still-running sampler cleanly.
-    rec->start();
-    rec.reset();
   }
 }
 

@@ -1,10 +1,9 @@
-// slcube::obs telemetry — the time-series recorder (explicit ticks and
-// cadence mode, ring bound, concurrent writers), the JSONL exporters,
-// the stage profiler (tree shape, self/total attribution,
-// cross-thread merge, guard nesting), and the dashboard renderer.
+// slcube::obs telemetry — the time-series recorder (explicit ticks, ring
+// bound, concurrent writers), the JSONL exporters, the stage profiler
+// (tree shape, self/total attribution, cross-thread merge, guard
+// nesting), and the dashboard renderer.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -37,7 +36,6 @@ TEST(Telemetry, ExplicitTicksRecordOrderedSamples) {
   Registry reg;
   const Counter c = reg.counter("t.count");
   TimeSeriesRecorder rec(reg);
-  EXPECT_FALSE(rec.timed());
   c.inc(2);
   rec.tick();
   c.inc(3);
@@ -54,9 +52,7 @@ TEST(Telemetry, ExplicitTicksRecordOrderedSamples) {
 
 TEST(Telemetry, RingDropsOldestPastCapacity) {
   Registry reg;
-  RecorderOptions opts;
-  opts.capacity = 4;
-  TimeSeriesRecorder rec(reg, opts);
+  TimeSeriesRecorder rec(reg, /*capacity=*/4);
   for (int i = 0; i < 10; ++i) rec.tick();
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.total_ticks(), 10u);
@@ -64,26 +60,6 @@ TEST(Telemetry, RingDropsOldestPastCapacity) {
   ASSERT_EQ(samples.size(), 4u);
   EXPECT_EQ(samples.front().tick, 6u);  // oldest surviving
   EXPECT_EQ(samples.back().tick, 9u);
-}
-
-TEST(Telemetry, CadenceThreadSamplesOnItsOwn) {
-  Registry reg;
-  reg.counter("cad.count").inc();
-  RecorderOptions opts;
-  opts.sample_interval_ms = 1;
-  TimeSeriesRecorder rec(reg, opts);
-  EXPECT_TRUE(rec.timed());
-  rec.start();
-  // Wait for at least one sample rather than a fixed sleep (slow CI).
-  for (int spin = 0; spin < 2000 && rec.total_ticks() == 0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  rec.stop();
-  rec.stop();  // idempotent
-  EXPECT_GT(rec.total_ticks(), 0u);
-  const auto samples = rec.samples();
-  ASSERT_FALSE(samples.empty());
-  EXPECT_GE(samples.back().t_ms, 0.0);
 }
 
 TEST(Telemetry, RecorderSurvivesConcurrentWritersAndTicks) {
@@ -140,11 +116,11 @@ TEST(Telemetry, TimeseriesJsonlDeltasAndIntervalStats) {
   h.observe(3.0);
   rec.tick();
   std::ostringstream os;
-  write_timeseries_jsonl(os, rec.samples(), /*include_wall_time=*/false);
+  write_timeseries_jsonl(os, rec.samples());
   const auto events = parse_lines(os.str());
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind(), "ts_sample");
-  EXPECT_FALSE(events[0].has("t_ms"));  // deterministic dialect
+  EXPECT_FALSE(events[0].has("t_ms"));  // no wall clock in the record
   EXPECT_EQ(events[0].integer("c.x.count"), 10);
   EXPECT_EQ(events[0].integer("d.x.count"), 10);  // first delta = absolute
   EXPECT_EQ(events[1].integer("c.x.count"), 15);
@@ -155,17 +131,6 @@ TEST(Telemetry, TimeseriesJsonlDeltasAndIntervalStats) {
   EXPECT_TRUE(events[1].has("h.lat.p50"));
   EXPECT_TRUE(events[1].has("h.lat.p999"));
   EXPECT_DOUBLE_EQ(events[1].num("h.lat.max"), 3.0);
-}
-
-TEST(Telemetry, TimeseriesIncludesWallTimeWhenAsked) {
-  Registry reg;
-  TimeSeriesRecorder rec(reg);
-  rec.tick();
-  std::ostringstream os;
-  write_timeseries_jsonl(os, rec.samples(), /*include_wall_time=*/true);
-  const auto events = parse_lines(os.str());
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_TRUE(events[0].has("t_ms"));
 }
 
 TEST(Telemetry, ByteIdenticalAcrossEngineThreadCounts) {
@@ -192,7 +157,7 @@ TEST(Telemetry, ByteIdenticalAcrossEngineThreadCounts) {
       rec.tick();
     }
     std::ostringstream os;
-    write_timeseries_jsonl(os, rec.samples(), /*include_wall_time=*/false);
+    write_timeseries_jsonl(os, rec.samples());
     return os.str();
   };
   const std::string serial = record(1);
@@ -275,17 +240,6 @@ TEST(Profiler, MergesArenasAcrossThreads) {
   EXPECT_EQ(report.roots[0].children[0].count, kThreads * kIters);
 }
 
-TEST(Profiler, ResetDropsRecordedStages) {
-  Profiler prof;
-  {
-    ProfilerThreadGuard guard(&prof);
-    StageScope s("gone");
-  }
-  EXPECT_FALSE(prof.report().empty());
-  prof.reset();
-  EXPECT_TRUE(prof.report().empty());
-}
-
 TEST(Profiler, StageJsonlRoundTrips) {
   Profiler prof;
   {
@@ -305,11 +259,6 @@ TEST(Profiler, StageJsonlRoundTrips) {
   EXPECT_EQ(events[1].integer("depth"), 1);
   EXPECT_EQ(events[1].integer("count"), 1);
   EXPECT_EQ(events[1].integer("threads"), 1);
-
-  std::ostringstream text;
-  write_stage_text(text, prof.report());
-  EXPECT_NE(text.str().find("trial"), std::string::npos);
-  EXPECT_NE(text.str().find("route"), std::string::npos);
 }
 
 TEST(Profiler, EngineMarksTrialStagesOnlyWhenInstalled) {
@@ -359,14 +308,13 @@ TEST(Telemetry, DashboardRendersEverySection) {
   }
   std::ostringstream file;
   file << "{\"event\":\"telemetry_meta\",\"dim\":6,\"threads\":2,"
-          "\"mode\":\"ticks\",\"samples\":2,\"ticks\":2}\n";
-  write_timeseries_jsonl(file, rec.samples(), false);
+          "\"samples\":2,\"ticks\":2}\n";
+  write_timeseries_jsonl(file, rec.samples());
   write_stage_jsonl(file, prof.report());
 
   const auto events = parse_lines(file.str());
   std::ostringstream dash;
-  const std::size_t samples = render_dashboard(dash, events);
-  EXPECT_EQ(samples, 2u);
+  EXPECT_TRUE(render_dashboard(dash, events));
   const std::string out = dash.str();
   EXPECT_NE(out.find("dim=6"), std::string::npos);   // meta header
   EXPECT_NE(out.find("trial"), std::string::npos);   // stage section
@@ -377,7 +325,8 @@ TEST(Telemetry, DashboardRendersEverySection) {
 
 TEST(Telemetry, DashboardHandlesEmptyInput) {
   std::ostringstream dash;
-  EXPECT_EQ(render_dashboard(dash, {}), 0u);
+  EXPECT_FALSE(render_dashboard(dash, {}));
+  EXPECT_NE(dash.str().find("no ts_sample events"), std::string::npos);
 }
 
 }  // namespace
