@@ -286,7 +286,8 @@ int main(int argc, char** argv) {
       std::cerr << "FATAL: telemetry-enabled run diverged\n";
       return 1;
     }
-    if (!telemetry.finish(dims.front(), opt.threads)) return 2;
+    const unsigned workers = telemetered.points.front().timing.workers;
+    if (!telemetry.finish(dims.front(), workers)) return 2;
     std::cout << "telemetry: digest matches untelemetered run ("
               << opt.telemetry_file << ")\n";
   }

@@ -4,8 +4,8 @@
 // DESIGN.md errata): two-view levels of 1000/1001 and the suboptimal
 // route 1101 -> 1111 -> 1011 -> 1010 -> 1000. Part 2 sweeps mixed
 // node/link fault counts through workload::run_link_routing_sweep — the
-// shared sweep engine (worker-cached incremental EgsOracle, per-trial
-// RNG substreams, bit-identical at any --threads), with --jsonl emitting
+// shared sweep engine (run_egs tables per trial, per-trial RNG
+// substreams, bit-identical at any --threads), with --jsonl emitting
 // per-point sweep events and --audit checking every routed path against
 // the Section-4.1 invariants.
 #include <iostream>
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   }
   bench::emit(t, opt);
 
-  if (!telemetry.finish(dim, config.threads)) return 2;
+  if (!telemetry.finish(dim, points.front().timing.workers)) return 2;
   const int audit_rc = bench::finish_audit(audit.get());
   std::cout << "FIG4/LINKS claims: " << (ok ? "HOLD" : "VIOLATED") << "\n";
   return (ok && audit_rc == 0) ? 0 : 1;

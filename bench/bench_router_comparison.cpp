@@ -137,6 +137,8 @@ int main(int argc, char** argv) {
     }
     bench::emit(t, opt);
   }
-  if (!telemetry.finish(cfg.dimension, cfg.threads)) return 2;
+  // A Q1 run drops every point, so no sweep ran and no worker either.
+  const unsigned workers = points.empty() ? 0 : points.front().timing.workers;
+  if (!telemetry.finish(cfg.dimension, workers)) return 2;
   return bench::finish_audit(audit.get());
 }

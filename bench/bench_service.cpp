@@ -7,9 +7,9 @@
 // it, and serves the route with svc::serve_route — decisions on the
 // acquired (possibly already stale) epoch, every traversal judged against
 // the latest published one. Meanwhile the churn writer applies one
-// node/link event every `--churn-pause-us` (bench_egs_oracle's repair
-// policy: ceilings at 2n faults, coin-flip repairs past 4), publishing
-// one epoch per event and emitting node_fail/node_recover trace events.
+// node/link event every `--churn-pause-us` (workload::next_churn:
+// ceilings at 2n faults, coin-flip repairs past 4), publishing one epoch
+// per event and emitting node_fail/node_recover trace events.
 //
 // Reported: the outcome counts and the STALENESS split — of the routes
 // that ran against a ground epoch newer than their decision epoch, how
@@ -28,8 +28,6 @@
 // one CI gates.
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <thread>
@@ -40,70 +38,17 @@
 #include "core/egs.hpp"
 #include "exp/sweep_engine.hpp"
 #include "obs/sampling.hpp"
+#include "service_flags.hpp"
 #include "svc/serve.hpp"
 #include "svc/snapshot_oracle.hpp"
+#include "workload/churn.hpp"
 #include "workload/pair_sampler.hpp"
 #include "workload/service_script.hpp"
 
 namespace {
 
 using namespace slcube;
-
-struct ServiceOptions {
-  unsigned readers = 4;
-  std::uint64_t requests = 1'000'000;
-  unsigned churn_pause_us = 200;
-  std::uint64_t verify_every = 8192;  ///< 0 = no in-flight verification
-  // --sample: the deterministic tail-sampled tracing benchmark (see
-  // run_sample_mode below) instead of the live churn workload.
-  bool sample = false;
-  std::uint64_t script_epochs = 64;  ///< scripted churn events
-  std::uint32_t head_every = 1024;   ///< 1-in-N head sample modulus
-};
-
-/// Split off the service-specific flags, leaving everything else for
-/// bench::Options::parse (whose parser is strict about unknown flags).
-ServiceOptions take_service_flags(int& argc, char** argv) {
-  ServiceOptions svc;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    // Same rules as bench::Options: a missing or malformed value exits 2.
-    const auto number = [&](auto& field) {
-      const char* const flag = argv[i];
-      if (i + 1 >= argc) {
-        std::cerr << argv[0] << ": flag " << flag
-                  << " is missing its value\n";
-        std::exit(2);
-      }
-      if (!bench::parse_unsigned(argv[++i], field)) {
-        std::cerr << argv[0] << ": flag " << flag
-                  << " needs an unsigned integer that fits, not '" << argv[i]
-                  << "'\n";
-        std::exit(2);
-      }
-    };
-    if (std::strcmp(argv[i], "--readers") == 0) {
-      number(svc.readers);
-    } else if (std::strcmp(argv[i], "--requests") == 0) {
-      number(svc.requests);
-    } else if (std::strcmp(argv[i], "--churn-pause-us") == 0) {
-      number(svc.churn_pause_us);
-    } else if (std::strcmp(argv[i], "--verify-every") == 0) {
-      number(svc.verify_every);
-    } else if (std::strcmp(argv[i], "--sample") == 0) {
-      svc.sample = true;
-    } else if (std::strcmp(argv[i], "--script-epochs") == 0) {
-      number(svc.script_epochs);
-    } else if (std::strcmp(argv[i], "--head-every") == 0) {
-      number(svc.head_every);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  if (svc.readers == 0) svc.readers = 1;
-  return svc;
-}
+using bench::ServiceOptions;
 
 /// Per-reader outcome tallies; merged after the join.
 struct Tally {
@@ -458,13 +403,19 @@ int run_sample_mode(const ServiceOptions& svc_opt, const bench::Options& opt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ServiceOptions svc_opt = take_service_flags(argc, argv);
+  const ServiceOptions svc_opt = bench::take_service_flags(argc, argv);
   // --sample always audits and writes the record; the live run takes
   // --audit and writes no record.
-  const auto opt = bench::Options::parse(
-      argc, argv,
+  const unsigned reads =
       bench::kJsonl | bench::kDim | bench::kSeed |
-          (svc_opt.sample ? bench::kBenchJson : bench::kAudit));
+      (svc_opt.sample ? bench::kBenchJson : bench::kAudit);
+  bench::Options opt;
+  std::string error;
+  if (!bench::Options::try_parse(argc, argv, reads, opt, error)) {
+    std::cerr << argv[0] << ": " << error << "\nusage: " << argv[0]
+              << bench::service_usage(reads) << '\n';
+    return 2;
+  }
   const unsigned dim = opt.dim ? opt.dim : 10;
   const std::uint64_t seed = opt.seed ? opt.seed : 0x5E51CE;
   const unsigned readers = svc_opt.readers;
@@ -494,54 +445,21 @@ int main(int argc, char** argv) {
     Xoshiro256ss rng = exp::substream(seed, /*stream=*/0, /*trial=*/0);
     fault::FaultSet faults(cube.num_nodes());
     fault::LinkFaultSet links(cube);
-    const std::uint64_t node_ceiling = 2 * cube.dimension();
-    const std::size_t link_ceiling = 2 * cube.dimension();
     while (!stop_churn.load(std::memory_order_relaxed)) {
-      if (rng.chance(0.5)) {
-        const bool repair = faults.count() >= node_ceiling ||
-                            (faults.count() > 4 && rng.chance(0.3));
-        if (repair) {
-          const auto faulty = faults.faulty_nodes();
-          const NodeId back = faulty[rng.below(faulty.size())];
-          faults.mark_healthy(back);
-          oracle.remove_fault(back);
-          if (trace != nullptr) {
-            obs::NodeRecoverEvent ev;
-            ev.time = oracle.epoch();
-            ev.node = back;
-            trace->on_event(ev);
-          }
-        } else {
-          NodeId victim;
-          do {
-            victim = static_cast<NodeId>(rng.below(cube.num_nodes()));
-          } while (faults.is_faulty(victim));
-          faults.mark_faulty(victim);
-          oracle.add_fault(victim);
-          if (trace != nullptr) {
-            obs::NodeFailEvent ev;
-            ev.time = oracle.epoch();
-            ev.node = victim;
-            trace->on_event(ev);
-          }
-        }
-      } else {
-        const bool repair = links.count() >= link_ceiling ||
-                            (links.count() > 4 && rng.chance(0.3));
-        if (repair) {
-          const auto faulty = links.faulty_links();
-          const auto [a, d] = faulty[rng.below(faulty.size())];
-          links.mark_healthy(a, d);
-          oracle.recover_link(a, d);
-        } else {
-          NodeId a;
-          Dim d;
-          do {
-            a = static_cast<NodeId>(rng.below(cube.num_nodes()));
-            d = static_cast<Dim>(rng.below(cube.dimension()));
-          } while (links.is_faulty(a, d));
-          links.mark_faulty(a, d);
-          oracle.fail_link(a, d);
+      const svc::ChurnRecord ev =
+          workload::next_churn(cube, faults, links, rng);
+      workload::apply_churn(oracle, ev);
+      if (trace != nullptr) {
+        if (ev.kind == svc::ChurnRecord::Kind::kNodeFail) {
+          obs::NodeFailEvent fail;
+          fail.time = oracle.epoch();
+          fail.node = ev.node;
+          trace->on_event(fail);
+        } else if (ev.kind == svc::ChurnRecord::Kind::kNodeRecover) {
+          obs::NodeRecoverEvent recover;
+          recover.time = oracle.epoch();
+          recover.node = ev.node;
+          trace->on_event(recover);
         }
       }
       if (svc_opt.churn_pause_us > 0) {

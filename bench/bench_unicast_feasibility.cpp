@@ -11,18 +11,16 @@
 // first-eligible (tie-break handling of C3) — measured via the random
 // tie-break option.
 //
-// Trials run on the shared exp::SweepEngine; each worker keeps one
-// core::SafetyOracle per cube and retargets it to the trial's fault set,
-// so consecutive trials pay only the incremental cascade instead of a
-// from-scratch level computation. Results are --threads-invariant.
+// Trials run on the shared exp::SweepEngine; each trial samples an
+// independent fault set and builds its level table from scratch with
+// core::compute_safety_levels. Results are --threads-invariant.
 #include <algorithm>
 #include <iostream>
-#include <memory>
 
 #include "analysis/bfs.hpp"
 #include "bench_util.hpp"
 #include "common/stats.hpp"
-#include "core/safety_oracle.hpp"
+#include "core/global_status.hpp"
 #include "core/unicast.hpp"
 #include "exp/sweep_engine.hpp"
 #include "fault/injection.hpp"
@@ -44,7 +42,6 @@ int main(int argc, char** argv) {
   const obs::InstrumentationHooks hooks = telemetry.hooks();
   exp::SweepEngine engine(
       {opt.threads, seed, hooks.registry, hooks.profiler});
-  const std::size_t slots = std::max<std::size_t>(1, engine.workers());
   std::uint64_t stream = 0;
 
   for (const unsigned n : {6u, 8u, 10u}) {
@@ -56,7 +53,6 @@ int main(int argc, char** argv) {
     route_options.trace = audit.get();
     const topo::Hypercube cube(n);
     const topo::HypercubeView view(cube);
-    std::vector<std::unique_ptr<core::SafetyOracle>> oracles(slots);
     Table t("GUAR: unicast outcome rates, Q" + std::to_string(n) + " (" +
                 std::to_string(trials) + " fault sets/point, 32 pairs "
                 "each; paper: faults < n never fails)",
@@ -80,10 +76,7 @@ int main(int argc, char** argv) {
             TrialOut out;
             const auto f = fault::inject_uniform(cube, fc, ctx.rng);
             if (f.healthy_count() < 2) return out;
-            auto& oracle = oracles[ctx.worker];
-            if (!oracle) oracle = std::make_unique<core::SafetyOracle>(cube);
-            oracle->retarget(f);
-            const auto& lv = oracle->levels();
+            const auto lv = core::compute_safety_levels(cube, f);
             for (int p = 0; p < 32; ++p) {
               const auto pair = workload::sample_uniform_pair(f, ctx.rng);
               if (!pair) break;
@@ -132,7 +125,6 @@ int main(int argc, char** argv) {
   // salvage vs mid-route death (wasted traffic).
   {
     const topo::Hypercube cube(8);
-    std::vector<std::unique_ptr<core::SafetyOracle>> oracles(slots);
     Table t("ABLATION: greedy 'route anyway' on pairs the source check "
             "refuses, Q8 (" + std::to_string(trials) + " trials/point)",
             {"faults", "refused pairs", "salvaged%", "died mid-route%",
@@ -149,10 +141,7 @@ int main(int argc, char** argv) {
             TrialOut out;
             const auto f = fault::inject_uniform(cube, fc, ctx.rng);
             if (f.healthy_count() < 2) return out;
-            auto& oracle = oracles[ctx.worker];
-            if (!oracle) oracle = std::make_unique<core::SafetyOracle>(cube);
-            oracle->retarget(f);
-            const auto& lv = oracle->levels();
+            const auto lv = core::compute_safety_levels(cube, f);
             for (int p = 0; p < 32; ++p) {
               const auto pair = workload::sample_uniform_pair(f, ctx.rng);
               if (!pair) break;

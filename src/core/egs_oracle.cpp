@@ -130,22 +130,16 @@ void EgsOracle::apply_toggles(std::span<const NodeId> node_toggles,
     if (want == pseudo_.faults().is_faulty(x)) continue;
     (want ? to_add : to_remove).push_back(x);
   }
-  const std::size_t delta = to_add.size() + to_remove.size();
-  if (retarget_prefers_rebuild(delta, cube_.num_nodes())) {
-    // Hand retarget the full pseudo target. Its delta is this exact
-    // pseudo delta, so the shared predicate guarantees it takes the
-    // rebuild fallback; the rebuild logs every node, which forces the
-    // full self-view resync below.
-    pseudo_.retarget(make_pseudo(cube_, faults_, links_));
-  } else if (delta <= 4) {
-    // Single-event hot path: skip the scratch FaultSet allocation.
+  if (to_add.size() + to_remove.size() <= 4) {
+    // Single-event hot path: one cascade per pseudo toggle.
     for (const NodeId x : to_add) pseudo_.add_fault(x);
     for (const NodeId x : to_remove) pseudo_.remove_fault(x);
   } else {
-    fault::FaultSet batch(cube_.num_nodes());
-    for (const NodeId x : to_add) batch.mark_faulty(x);
-    for (const NodeId x : to_remove) batch.mark_faulty(x);
-    pseudo_.apply(batch);
+    // One falling and one rising cascade, each seeded in ascending node
+    // order (perfbench's churn-q16 pins the resulting recompute count).
+    std::sort(to_add.begin(), to_add.end());
+    std::sort(to_remove.begin(), to_remove.end());
+    pseudo_.apply(to_add, to_remove);
   }
 
   // Phase 3 — N2 membership bookkeeping for the touched nodes.
@@ -204,25 +198,6 @@ void EgsOracle::recover_link(NodeId a, Dim d) {
 
 void EgsOracle::apply(std::span<const NodeId> node_toggles,
                       std::span<const LinkToggle> link_toggles) {
-  if (node_toggles.empty() && link_toggles.empty()) return;
-  apply_toggles(node_toggles, link_toggles);
-}
-
-void EgsOracle::retarget(const fault::FaultSet& target_faults,
-                         const fault::LinkFaultSet& target_links) {
-  const obs::StageScope stage("egs.retarget");
-  SLC_EXPECT(target_faults.num_nodes() == cube_.num_nodes());
-  SLC_EXPECT(target_links.cube().num_nodes() == cube_.num_nodes());
-  std::vector<NodeId> node_toggles;
-  faults_.for_each_difference(
-      target_faults, [&](NodeId a) { node_toggles.push_back(a); });
-  std::vector<LinkToggle> link_toggles;
-  for (const auto& [a, d] : links_.faulty_links()) {
-    if (!target_links.is_faulty(a, d)) link_toggles.push_back({a, d});
-  }
-  for (const auto& [a, d] : target_links.faulty_links()) {
-    if (!links_.is_faulty(a, d)) link_toggles.push_back({a, d});
-  }
   if (node_toggles.empty() && link_toggles.empty()) return;
   apply_toggles(node_toggles, link_toggles);
 }

@@ -3,11 +3,11 @@
 //
 // run_egs() rebuilds both views from scratch: one compute_safety_levels
 // build over the pseudo-fault set (real faults ∪ N2, O(N · n) with its
-// Definition-1 check) plus one NODE_STATUS pass per N2 node. A link-fault
-// sweep pays that again for every sampled configuration even though
-// consecutive configurations differ by a handful of links. EgsOracle is
-// the Section-4.1 analogue of SafetyOracle: the same two views, restored
-// by bounded cascades.
+// Definition-1 check) plus one NODE_STATUS pass per N2 node — the cost a
+// sweep pays per independent sample. A churning machine would pay it
+// again for every event, though one event only moves a node or a link.
+// EgsOracle is the Section-4.1 analogue of SafetyOracle: the same two
+// views, restored by bounded cascades.
 //
 // The reduction is the observation run_egs itself is built on: the
 // public view is exactly the Theorem-1 fixed point of the pseudo-fault
@@ -104,14 +104,6 @@ class EgsOracle {
   /// bit-identical to run_egs on the resulting configuration.
   void apply(std::span<const NodeId> node_toggles,
              std::span<const LinkToggle> link_toggles);
-
-  /// Move to an arbitrary configuration by toggling both symmetric
-  /// differences — the sweep-engine entry point. Inherits SafetyOracle's
-  /// rebuild fallback: a large pseudo delta triggers one from-scratch
-  /// build, whose change log covers every node and forces a full self-view
-  /// resync, so retarget is never asymptotically worse than run_egs.
-  void retarget(const fault::FaultSet& target_faults,
-                const fault::LinkFaultSet& target_links);
 
   /// Work counters since construction (EXPERIMENTS.md cost model).
   struct Stats {

@@ -51,43 +51,22 @@ void SafetyOracle::cascade() {
   ++stats_.cascades;
 }
 
-void SafetyOracle::add_fault(NodeId a) {
-  SLC_EXPECT_MSG(faults_.is_healthy(a), "add_fault on an already-faulty node");
-  faults_.mark_faulty(a);
-  levels_[a] = 0;
-  if (change_log_ != nullptr) change_log_->push_back(a);
-  cube_.for_each_neighbor(a, [&](Dim, NodeId b) { push(b); });
-  cascade();
-}
+void SafetyOracle::add_fault(NodeId a) { update({&a, 1}, {}); }
 
-void SafetyOracle::remove_fault(NodeId a) {
-  SLC_EXPECT_MSG(faults_.is_faulty(a), "remove_fault on a healthy node");
-  faults_.mark_healthy(a);
-  // The newcomer still holds level 0, which is exactly what its
-  // neighbors' implied levels already price in (faulty nodes read 0),
-  // so the state sits pointwise below the new fixed point and the
-  // cascade rises monotonically from the newcomer outward.
-  push(a);
-  cube_.for_each_neighbor(a, [&](Dim, NodeId b) { push(b); });
-  cascade();
-}
+void SafetyOracle::remove_fault(NodeId a) { update({}, {&a, 1}); }
 
-void SafetyOracle::apply(const fault::FaultSet& delta) {
+void SafetyOracle::apply(std::span<const NodeId> additions,
+                         std::span<const NodeId> removals) {
   const obs::StageScope stage("oracle.apply");
-  SLC_EXPECT(delta.num_nodes() == faults_.num_nodes());
-  if (delta.empty()) return;
-  // Falling phase: all additions at once, then one cascade. The
-  // partitions live in member arenas — apply() runs once per churn event
-  // in sweep loops, and per-call allocations thrash at mega-cube sizes.
-  std::vector<NodeId>& additions = additions_scratch_;
-  std::vector<NodeId>& removals = removals_scratch_;
-  additions.clear();
-  removals.clear();
-  delta.for_each_faulty([&](NodeId a) {
-    (faults_.is_healthy(a) ? additions : removals).push_back(a);
-  });
+  update(additions, removals);
+}
+
+void SafetyOracle::update(std::span<const NodeId> additions,
+                          std::span<const NodeId> removals) {
+  // Falling phase: all additions at once, then one cascade.
   if (!additions.empty()) {
     for (const NodeId a : additions) {
+      SLC_EXPECT_MSG(faults_.is_healthy(a), "adding an already-faulty node");
       faults_.mark_faulty(a);
       levels_[a] = 0;
       if (change_log_ != nullptr) change_log_->push_back(a);
@@ -97,51 +76,22 @@ void SafetyOracle::apply(const fault::FaultSet& delta) {
     }
     cascade();
   }
-  // Rising phase: all removals at once, then one cascade.
+  // Rising phase: all removals at once, then one cascade. A newcomer
+  // still holds level 0, which is exactly what its neighbors' implied
+  // levels already price in (faulty nodes read 0), so the state sits
+  // pointwise below the new fixed point and the cascade rises
+  // monotonically from the newcomers outward.
   if (!removals.empty()) {
-    for (const NodeId a : removals) faults_.mark_healthy(a);
+    for (const NodeId a : removals) {
+      SLC_EXPECT_MSG(faults_.is_faulty(a), "removing a healthy node");
+      faults_.mark_healthy(a);
+    }
     for (const NodeId a : removals) {
       push(a);
       cube_.for_each_neighbor(a, [&](Dim, NodeId b) { push(b); });
     }
     cascade();
   }
-}
-
-void SafetyOracle::retarget(const fault::FaultSet& target) {
-  const obs::StageScope stage("oracle.retarget");
-  SLC_EXPECT(target.num_nodes() == faults_.num_nodes());
-  if (target == faults_) return;
-  // Word-at-a-time symmetric difference into the reusable scratch set:
-  // O(N/64) xor words instead of N is_faulty probes and a fresh
-  // allocation per retarget — the sweep-engine entry point runs this
-  // once per trial.
-  if (delta_scratch_.num_nodes() != faults_.num_nodes()) {
-    delta_scratch_ = fault::FaultSet(faults_.num_nodes());
-  } else {
-    delta_scratch_.clear();
-  }
-  fault::FaultSet& delta = delta_scratch_;
-  faults_.for_each_difference(target, [&](NodeId a) { delta.mark_faulty(a); });
-  // Past the cost-model crossover, rebuild — same fixed point either
-  // way. Accounting contract: the fallback bumps `rebuilds` only; the
-  // cascade counters (recomputes/level_changes/cascades) keep counting
-  // incremental work exclusively, so cost-model consumers can compare
-  // the two strategies without the rebuild polluting the cascade side.
-  if (retarget_prefers_rebuild(delta.count(), cube_.num_nodes())) {
-    faults_ = target;
-    levels_ = compute_safety_levels(cube_, faults_);
-    ++stats_.rebuilds;
-    if (change_log_ != nullptr) {
-      // The whole table was rewritten; report every node as changed so
-      // log consumers resync fully (a rebuild is already O(N·n) work).
-      for (NodeId a = 0; a < cube_.num_nodes(); ++a) {
-        change_log_->push_back(a);
-      }
-    }
-    return;
-  }
-  apply(delta);
 }
 
 }  // namespace slcube::core

@@ -1,8 +1,7 @@
 #include "exp/adversarial.hpp"
 
-#include <memory>
-
 #include "common/contracts.hpp"
+#include "core/global_status.hpp"
 #include "core/unicast.hpp"
 
 namespace slcube::exp {
@@ -79,18 +78,11 @@ AdversarialResult adversarial_search(const topo::Hypercube& cube,
   engine_options.seed = config.seed;
   SweepEngine engine(engine_options);
 
-  // Worker-scoped oracles: successive proposals within a restart differ
-  // by at most a 2-node swap, exactly the regime where the incremental
-  // retarget cascade beats a from-scratch GS. Sound because the oracle's
-  // table is bit-identical to a fresh recomputation.
-  const std::size_t slots = std::max<std::size_t>(1, engine.workers());
-  std::vector<std::unique_ptr<core::SafetyOracle>> oracles(slots);
-
+  // Each proposal's table is built from scratch by one peel: a table is
+  // a pure function of its fault set (Theorem 1), so nothing carries
+  // over from one proposal to the next.
   auto results = engine.map<RestartOut>(
       kRestartStream, config.restarts, [&](TrialContext& ctx) {
-        auto& oracle = oracles[ctx.worker];
-        if (!oracle) oracle = std::make_unique<core::SafetyOracle>(cube);
-
         // Initial random placement — also the control arm.
         std::vector<NodeId> placed;
         placed.reserve(config.fault_count);
@@ -102,9 +94,9 @@ AdversarialResult adversarial_search(const topo::Hypercube& cube,
         }
 
         RestartOut out;
-        oracle->retarget(current);
-        std::uint64_t score = score_placement(cube, oracle->levels(), current,
-                                              probes, config.objective);
+        std::uint64_t score =
+            score_placement(cube, core::compute_safety_levels(cube, current),
+                            current, probes, config.objective);
         ++out.evals;
         out.init_score = score;
         out.best = current;
@@ -123,9 +115,9 @@ AdversarialResult adversarial_search(const topo::Hypercube& cube,
           candidate.mark_healthy(placed[slot]);
           candidate.mark_faulty(incoming);
 
-          oracle->retarget(candidate);
           const std::uint64_t cand_score = score_placement(
-              cube, oracle->levels(), candidate, probes, config.objective);
+              cube, core::compute_safety_levels(cube, candidate), candidate,
+              probes, config.objective);
           ++out.evals;
 
           bool accept;

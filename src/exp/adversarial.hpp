@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/safety_oracle.hpp"
+#include "core/safety.hpp"
 #include "exp/sweep_engine.hpp"
 #include "fault/fault_set.hpp"
 

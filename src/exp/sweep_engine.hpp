@@ -20,11 +20,9 @@
 //    hot-path synchronization; per-point wall/utilization/latency
 //    percentiles come back through EngineTiming.
 //
-// Worker-scoped caches (e.g. a core::SafetyOracle reused across the
-// trials of one chunk for incremental level updates) are indexed by
-// TrialContext::worker; they are sound as long as the cached state
-// cannot change a trial's *result* — the oracle qualifies because its
-// table is always bit-identical to a from-scratch recomputation.
+// A trial owns everything it builds: each one samples an independent
+// configuration and builds its tables from scratch, so no state crosses
+// from one trial to the next.
 #pragma once
 
 #include <algorithm>
@@ -74,9 +72,10 @@ struct EngineOptions {
 
 /// Wall-clock profile of one map() or map_fold() call — and so of one
 /// workload sweep point, which is one map(): wall time, busy-worker
-/// utilization, per-trial latency histogram.
+/// utilization, per-trial latency histogram, and the worker count.
 struct EngineTiming {
   double wall_ms = 0.0;
+  unsigned workers = 0;  ///< the engine's worker slots (>= 1)
   /// Busy worker time / (wall time * workers); 1.0 = perfectly parallel,
   /// low values = workers starved (too few trials per point).
   double utilization = 0.0;
@@ -87,10 +86,8 @@ struct EngineTiming {
 [[nodiscard]] std::vector<double> trial_latency_bounds();
 
 struct TrialContext {
-  std::size_t trial = 0;   ///< global trial index within the map() call
-  std::size_t worker = 0;  ///< worker slot in [0, workers()); stable for
-                           ///< the whole chunk — index worker caches by it
-  Xoshiro256ss rng;        ///< this trial's private substream
+  std::size_t trial = 0;  ///< global trial index within the map() call
+  Xoshiro256ss rng;       ///< this trial's private substream
 };
 
 class SweepEngine {
@@ -176,7 +173,7 @@ class SweepEngine {
             const obs::StageScope trial_stage("trial");
             TrialContext ctx = [&] {
               const obs::StageScope rng_stage("engine.rng");
-              return TrialContext{trial_offset + t, chunk,
+              return TrialContext{trial_offset + t,
                                   substream(seed_, stream, trial_offset + t)};
             }();
             trial(chunk, t, ctx);
@@ -187,6 +184,7 @@ class SweepEngine {
         });
     if (timing == nullptr) return;
     timing->wall_ms = wall.millis();
+    timing->workers = static_cast<unsigned>(slots);
     timing->trial_latency_us = obs::HistogramData(trial_latency_bounds());
     double busy_total = 0.0;
     for (std::size_t c = 0; c < slots; ++c) {

@@ -79,18 +79,6 @@ class FaultSet {
     }
   }
 
-  /// Call f(node) for every node whose state differs in `other` (the
-  /// symmetric difference), ascending — a word-at-a-time xor scan.
-  template <typename F>
-  void for_each_difference(const FaultSet& other, F&& f) const {
-    SLC_EXPECT(other.num_nodes_ == num_nodes_);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      bits::for_each_set64(words_[w] ^ other.words_[w], [&](unsigned b) {
-        f(static_cast<NodeId>(w * 64 + b));
-      });
-    }
-  }
-
   /// The backing bitset words (64 nodes per word, node a in word a/64 bit
   /// a%64), for word-at-a-time consumers.
   [[nodiscard]] const std::vector<std::uint64_t>& words() const noexcept {

@@ -82,8 +82,8 @@ void AuditSink::on_event(const TraceEvent& ev) {
   } else if (const auto* epoch = std::get_if<EpochPublishEvent>(&ev)) {
     ++report_.epochs_published;
     // An epoch publish IS fault churn (unless it carries no lineage —
-    // epoch 0 or a no-op retarget barrier): tables decided on older
-    // epochs are stale from here on, same as a node_fail event.
+    // epoch 0 or an empty apply() batch): tables decided on older epochs
+    // are stale from here on, same as a node_fail event.
     if (epoch->churn != 0) {
       if (lane.wave_open) lane.wave_saw_fault_churn = true;
       if (lane.route_open) lane.route_churn |= kEpochChurn;

@@ -229,7 +229,7 @@ struct EpochPublishEvent {
   std::uint64_t epoch = 0;
   std::uint64_t parent = 0;  ///< previous published epoch (== epoch at 0)
   /// "node-fail" | "node-recover" | "link-fail" | "link-recover" |
-  /// "retarget" | "batch" (several churn records) | "init" (epoch 0).
+  /// "batch" (several churn records) | "init" (no churn records: epoch 0).
   const char* cause = "";
   std::int64_t node = -1;  ///< churned node / link endpoint; -1 for batch
   int dim = -1;            ///< link dimension; -1 for node churn

@@ -15,8 +15,6 @@ const char* to_string(ChurnRecord::Kind k) {
       return "link-fail";
     case ChurnRecord::Kind::kLinkRecover:
       return "link-recover";
-    case ChurnRecord::Kind::kRetarget:
-      return "retarget";
   }
   SLC_UNREACHABLE("bad ChurnRecord::Kind");
 }
@@ -67,12 +65,10 @@ obs::EpochPublishEvent make_epoch_event(const Snapshot& snap) {
   } else {
     const ChurnRecord& rec = snap.lineage.front();
     ev.cause = to_string(rec.kind);
-    if (rec.kind != ChurnRecord::Kind::kRetarget) {
-      ev.node = static_cast<std::int64_t>(rec.node);
-      if (rec.kind == ChurnRecord::Kind::kLinkFail ||
-          rec.kind == ChurnRecord::Kind::kLinkRecover) {
-        ev.dim = static_cast<int>(rec.dim);
-      }
+    ev.node = static_cast<std::int64_t>(rec.node);
+    if (rec.kind == ChurnRecord::Kind::kLinkFail ||
+        rec.kind == ChurnRecord::Kind::kLinkRecover) {
+      ev.dim = static_cast<int>(rec.dim);
     }
   }
   return ev;
@@ -119,13 +115,6 @@ void SnapshotOracle::apply(
                         node, dim});
   }
   oracle_.apply(node_toggles, link_toggles);
-  publish();
-}
-
-void SnapshotOracle::retarget(const fault::FaultSet& target_faults,
-                              const fault::LinkFaultSet& target_links) {
-  oracle_.retarget(target_faults, target_links);
-  pending_.push_back({ChurnRecord::Kind::kRetarget, 0, 0});
   publish();
 }
 

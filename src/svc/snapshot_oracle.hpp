@@ -5,10 +5,10 @@
 // worst a newer fault can do is kill the message in flight (Section 2.2's
 // state-change discipline re-converges afterwards). The incremental
 // oracles (core::SafetyOracle / core::EgsOracle) made table maintenance
-// cheap, but they are strictly single-writer, single-reader objects: a
-// sweep worker owns its copy. This unit turns one writer-owned oracle
-// into a service that any number of router threads can read while faults
-// keep churning — the RCU/epoch pattern:
+// under churn cheap, but they are strictly single-writer, single-reader
+// objects. This unit turns one writer-owned oracle into a service that
+// any number of router threads can read while faults keep churning — the
+// RCU/epoch pattern:
 //
 //  * The writer thread applies fault events through its private
 //    core::EgsOracle (bounded cascades, bit-identical to a from-scratch
@@ -57,7 +57,6 @@ struct ChurnRecord {
     kNodeRecover,
     kLinkFail,
     kLinkRecover,
-    kRetarget,  ///< wholesale reconfiguration; node/dim not meaningful
   };
   Kind kind = Kind::kNodeFail;
   NodeId node = 0;  ///< churned node, or the link's endpoint
@@ -141,12 +140,6 @@ class SnapshotOracle {
   /// writer's steady-state entry point.
   void apply(std::span<const NodeId> node_toggles,
              std::span<const core::EgsOracle::LinkToggle> link_toggles);
-
-  /// Move to an arbitrary configuration (symmetric-difference toggles,
-  /// rebuild fallback inherited from the oracles); publishes one epoch
-  /// even when nothing changed, so callers can use it as a barrier.
-  void retarget(const fault::FaultSet& target_faults,
-                const fault::LinkFaultSet& target_links);
 
   /// Writer-side introspection (cascade cost model, current fault sets).
   /// Writer thread only — readers must use acquire().

@@ -6,8 +6,7 @@
 
 #include "analysis/components.hpp"
 #include "analysis/path.hpp"
-#include "core/egs_oracle.hpp"
-#include "core/safety_oracle.hpp"
+#include "core/egs.hpp"
 #include "diag/routing.hpp"
 #include "core/global_status.hpp"
 #include "core/safe_node.hpp"
@@ -23,7 +22,6 @@ namespace {
 void emit_sweep_point(obs::TraceSink* trace, const char* sweep,
                       std::uint64_t fault_count,
                       const exp::EngineTiming& timing,
-                      unsigned threads,
                       std::vector<std::pair<std::string, double>> values) {
   if (trace == nullptr) return;
   obs::SweepPointEvent ev;
@@ -31,7 +29,7 @@ void emit_sweep_point(obs::TraceSink* trace, const char* sweep,
   ev.fault_count = fault_count;
   ev.wall_ms = timing.wall_ms;
   ev.utilization = timing.utilization;
-  ev.threads = threads;
+  ev.threads = timing.workers;
   ev.trial_p50_us = timing.trial_latency_us.quantile(0.5);
   ev.trial_p90_us = timing.trial_latency_us.quantile(0.9);
   ev.trial_p99_us = timing.trial_latency_us.quantile(0.99);
@@ -212,7 +210,6 @@ std::vector<SweepPoint> run_routing_sweep(const SweepConfig& config,
       values.emplace_back("disconnected_pct", point.disconnected.percent());
       values.emplace_back("prepare_rounds_mean", point.prepare_rounds.mean());
       emit_sweep_point(config.trace, "routing", fault_count, point.timing,
-                       static_cast<unsigned>(engine.workers()),
                        std::move(values));
     }
     config.instrumentation.tick();
@@ -284,7 +281,6 @@ std::vector<RoundsPoint> run_rounds_sweep(
 
     emit_sweep_point(
         trace, "rounds", fault_count, point.timing,
-        static_cast<unsigned>(engine.workers()),
         {{"gs_rounds_mean", point.gs_rounds.mean()},
          {"lh_rounds_mean", point.lh_rounds.mean()},
          {"wf_rounds_mean", point.wf_rounds.mean()},
@@ -309,12 +305,6 @@ std::vector<LinkSweepPoint> run_link_routing_sweep(
                            config.instrumentation.profiler});
   RouteInstruments instruments(config.instrumentation.registry,
                                config.dimension);
-
-  // One incremental two-view oracle per worker, retargeted between
-  // trials. Caching across trials cannot perturb results: the oracle's
-  // tables are bit-identical to run_egs on each trial's configuration.
-  const std::size_t slots = std::max<std::size_t>(1, engine.workers());
-  std::vector<std::unique_ptr<core::EgsOracle>> oracles(slots);
 
   struct TrialOut {
     bool valid = false;
@@ -347,22 +337,15 @@ std::vector<LinkSweepPoint> run_link_routing_sweep(
           if (faults.healthy_count() < 2) return out;
           out.valid = true;
 
-          auto& oracle = oracles[ctx.worker];
-          if (!oracle) {
-            oracle = std::make_unique<core::EgsOracle>(cube, faults, links);
-          } else {
-            oracle->retarget(faults, links);
-          }
-          const core::EgsViews views = oracle->views();
-          for (NodeId a = 0; a < cube.num_nodes(); ++a) {
-            if (oracle->in_n2(a)) out.n2_nodes += 1.0;
-          }
+          const core::EgsResult egs = core::run_egs(cube, faults, links);
+          out.n2_nodes = static_cast<double>(
+              std::count(egs.in_n2.begin(), egs.in_n2.end(), true));
 
           for (unsigned p = 0; p < config.pairs; ++p) {
             const auto pair = sample_uniform_pair(faults, ctx.rng);
             if (!pair) break;
             const auto r = core::route_unicast_egs(
-                cube, faults, links, views, pair->s, pair->d, route_options);
+                cube, faults, links, egs, pair->s, pair->d, route_options);
             out.delivered.add(r.delivered());
             out.refused.add(r.status == core::RouteStatus::kSourceRefused);
             out.stuck.add(r.status == core::RouteStatus::kStuck);
@@ -393,7 +376,6 @@ std::vector<LinkSweepPoint> run_link_routing_sweep(
 
     emit_sweep_point(
         config.trace, "links", nf, point.timing,
-        static_cast<unsigned>(engine.workers()),
         {{"link_faults", static_cast<double>(lf)},
          {"delivered_pct", point.delivered.percent()},
          {"optimal_pct", point.optimal.percent()},
@@ -418,14 +400,6 @@ std::vector<DiagSweepPoint> run_diagnosis_sweep(const DiagSweepConfig& config) {
                            config.instrumentation.profiler});
   RouteInstruments instruments(config.instrumentation.registry,
                                config.dimension);
-
-  // Two level tables per worker — the ground world and the believed one.
-  // Retargeting between trials is sound (Theorem-1 uniqueness makes the
-  // oracle bit-identical to a from-scratch GS), so trial results cannot
-  // depend on which worker ran them.
-  const std::size_t slots = std::max<std::size_t>(1, engine.workers());
-  std::vector<std::unique_ptr<core::SafetyOracle>> ground_oracles(slots);
-  std::vector<std::unique_ptr<core::SafetyOracle>> diag_oracles(slots);
 
   struct TrialOut {
     bool valid = false;
@@ -464,12 +438,8 @@ std::vector<DiagSweepPoint> run_diagnosis_sweep(const DiagSweepConfig& config) {
           if (ground.healthy_count() < 2) return out;
           out.valid = true;
 
-          auto& ground_oracle = ground_oracles[ctx.worker];
-          if (!ground_oracle) {
-            ground_oracle = std::make_unique<core::SafetyOracle>(cube, ground);
-          } else {
-            ground_oracle->retarget(ground);
-          }
+          const core::SafetyLevels ground_levels =
+              core::compute_safety_levels(cube, ground);
 
           diag::Diagnosis diagnosis;
           if (config.ground_truth_arm) {
@@ -482,20 +452,15 @@ std::vector<DiagSweepPoint> run_diagnosis_sweep(const DiagSweepConfig& config) {
           out.false_accusations = diagnosis.false_accusations.size();
           out.exact = diagnosis.exact();
 
-          auto& diag_oracle = diag_oracles[ctx.worker];
-          if (!diag_oracle) {
-            diag_oracle =
-                std::make_unique<core::SafetyOracle>(cube, diagnosis.presumed);
-          } else {
-            diag_oracle->retarget(diagnosis.presumed);
-          }
+          const core::SafetyLevels presumed_levels =
+              core::compute_safety_levels(cube, diagnosis.presumed);
 
           for (unsigned p = 0; p < config.pairs; ++p) {
             const auto pair = sample_uniform_pair(ground, ctx.rng);
             if (!pair) break;
             const diag::DiagnosedRouteResult r = diag::route_diagnosed(
-                cube, ground, ground_oracle->levels(), diagnosis.presumed,
-                diag_oracle->levels(), pair->s, pair->d, route_options);
+                cube, ground, ground_levels, diagnosis.presumed,
+                presumed_levels, pair->s, pair->d, route_options);
             instruments.record_walk(r.planned.path, r.delivered);
             ++out.attempts;
             out.delivered += r.delivered ? 1 : 0;
@@ -557,7 +522,6 @@ std::vector<DiagSweepPoint> run_diagnosis_sweep(const DiagSweepConfig& config) {
 
     emit_sweep_point(
         config.trace, "diag", point.fault_count, point.timing,
-        static_cast<unsigned>(engine.workers()),
         {{"missed_mean", point.missed.mean()},
          {"false_accusations_mean", point.false_accusations.mean()},
          {"exact_diagnosis_pct", point.exact_diagnosis.percent()},

@@ -55,7 +55,7 @@ struct SweepConfig {
 };
 
 /// Creates one fresh instance of every router under test; called once per
-/// worker chunk (routers may hold per-instance RNG state).
+/// trial with a trial-local seed (routers may hold per-instance RNG state).
 using RouterFactory = std::function<
     std::vector<std::unique_ptr<routing::Router>>(std::uint64_t seed)>;
 
@@ -93,11 +93,9 @@ struct RoundsPoint {
 
 /// Section-4.1 sweep: EGS routing under mixed node + link faults. Each
 /// point fixes a (node-fault, link-fault) count pair; every trial samples
-/// a fresh configuration and routes `pairs` unicasts on the two-view
-/// tables, which come from one worker-cached core::EgsOracle per engine
-/// worker (retargeted between trials). Theorem-1 uniqueness makes the
-/// oracle's tables bit-identical to a from-scratch run_egs, so the
-/// aggregates are --threads-invariant like every other sweep here.
+/// a fresh configuration, builds its two-view tables with core::run_egs,
+/// and routes `pairs` unicasts on them, so the aggregates are
+/// --threads-invariant like every other sweep here.
 struct LinkSweepConfig {
   unsigned dimension = 7;
   /// One sweep point per (node faults, link faults) pair.

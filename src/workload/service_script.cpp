@@ -5,8 +5,7 @@
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "exp/sweep_engine.hpp"
-#include "fault/fault_set.hpp"
-#include "fault/link_fault_set.hpp"
+#include "workload/churn.hpp"
 #include "workload/pair_sampler.hpp"
 
 namespace slcube::workload {
@@ -24,50 +23,13 @@ ServiceScript::ServiceScript(const ServiceScriptConfig& config)
   snapshots_.reserve(config_.epochs + 1);
   snapshots_.push_back(oracle.acquire());  // epoch 0, fault-free
 
-  // The bench_service writer's repair policy, replayed deterministically:
-  // coin-flip node vs link churn, ceilings at 2n, coin-flip repairs past
-  // 4 standing faults.
+  // The serving workloads' churn policy (workload/churn.hpp), seeded
+  // from the script's own substream.
   Xoshiro256ss rng = exp::substream(config_.seed, kChurnStream, 0);
   fault::FaultSet faults(cube_.num_nodes());
   fault::LinkFaultSet links(cube_);
-  const std::uint64_t node_ceiling = 2 * cube_.dimension();
-  const std::size_t link_ceiling = 2 * cube_.dimension();
   for (std::uint64_t e = 0; e < config_.epochs; ++e) {
-    if (rng.chance(0.5)) {
-      const bool repair = faults.count() >= node_ceiling ||
-                          (faults.count() > 4 && rng.chance(0.3));
-      if (repair) {
-        const auto faulty = faults.faulty_nodes();
-        const NodeId back = faulty[rng.below(faulty.size())];
-        faults.mark_healthy(back);
-        oracle.remove_fault(back);
-      } else {
-        NodeId victim;
-        do {
-          victim = static_cast<NodeId>(rng.below(cube_.num_nodes()));
-        } while (faults.is_faulty(victim));
-        faults.mark_faulty(victim);
-        oracle.add_fault(victim);
-      }
-    } else {
-      const bool repair = links.count() >= link_ceiling ||
-                          (links.count() > 4 && rng.chance(0.3));
-      if (repair) {
-        const auto faulty = links.faulty_links();
-        const auto [a, d] = faulty[rng.below(faulty.size())];
-        links.mark_healthy(a, d);
-        oracle.recover_link(a, d);
-      } else {
-        NodeId a;
-        Dim d;
-        do {
-          a = static_cast<NodeId>(rng.below(cube_.num_nodes()));
-          d = static_cast<Dim>(rng.below(cube_.dimension()));
-        } while (links.is_faulty(a, d));
-        links.mark_faulty(a, d);
-        oracle.fail_link(a, d);
-      }
-    }
+    apply_churn(oracle, next_churn(cube_, faults, links, rng));
     snapshots_.push_back(oracle.acquire());
   }
   SLC_ASSERT_MSG(snapshots_.size() == config_.epochs + 1,

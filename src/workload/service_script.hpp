@@ -5,8 +5,9 @@
 // by *pre-publishing* the whole epoch chain:
 //
 //   * construction drives a svc::SnapshotOracle through `epochs`
-//     deterministic churn events (the bench writer's repair policy,
-//     seeded by exp::substream) and retains every published SnapshotPtr;
+//     deterministic churn events (workload::next_churn, the policy the
+//     live bench writer uses, seeded by exp::substream) and retains
+//     every published SnapshotPtr;
 //   * each request i is a pure function of (config, i, total): its
 //     decision epoch advances linearly across the run, its ground epoch
 //     leads by a small seeded lag with probability `stale_chance`

@@ -2,7 +2,8 @@
 // binaries' flag parsing: valid flag sets fill the struct, unknown flags,
 // shared flags the bench does not read, trailing flags with a missing
 // value and malformed numbers are rejected with an error message that
-// names the offending flag — and the --bench-json record writer.
+// names the offending flag — the --bench-json record writer, the
+// --telemetry record's worker count, and bench_service's own flags.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,8 @@
 
 #include "bench_util.hpp"
 #include "obs/jsonl.hpp"
+#include "service_flags.hpp"
+#include "workload/experiment.hpp"
 
 namespace slcube::bench {
 namespace {
@@ -227,6 +230,63 @@ TEST(BenchUtil, TelemetrySessionIsGatedOnTheFlag) {
   EXPECT_FALSE(events[1].has("t_ms"));
   EXPECT_EQ(events[1].integer("c.gate.count"), 3);
   std::remove(on.telemetry_file.c_str());
+}
+
+// A telemetered sweep run without --threads (Options::threads == 0, one
+// worker per hardware thread) records the engine's real worker count in
+// telemetry_meta, as the sweep benches hand it back from the points.
+TEST(BenchUtil, TelemeteredSweepRecordsItsWorkerCount) {
+  Argv a({"--telemetry", ::testing::TempDir() + "slcube_bench_workers.jsonl"});
+  Options opt;
+  std::string error;
+  ASSERT_TRUE(Options::try_parse(a.argc(), a.argv(), kThreads | kTelemetry,
+                                 opt, error))
+      << error;
+  ASSERT_EQ(opt.threads, 0u);
+  TelemetrySession telemetry(opt);
+  workload::LinkSweepConfig config;
+  config.dimension = 5;
+  config.points = {{2, 2}};
+  config.trials = 4;
+  config.pairs = 4;
+  config.threads = opt.threads;
+  config.instrumentation = telemetry.hooks();
+  const auto points = workload::run_link_routing_sweep(config);
+  ASSERT_EQ(points.size(), 1u);
+  const unsigned workers = points.front().timing.workers;
+  EXPECT_GE(workers, 1u);
+  ASSERT_TRUE(telemetry.finish(config.dimension, workers));
+  const auto events = obs::read_jsonl_file(opt.telemetry_file);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events[0].kind(), "telemetry_meta");
+  EXPECT_EQ(events[0].integer("threads"), static_cast<std::int64_t>(workers));
+  std::remove(opt.telemetry_file.c_str());
+}
+
+// bench_service strips its seven own flags before Options parses the
+// shared ones; its usage line names both kinds.
+TEST(BenchUtil, ServiceUsageNamesTheServiceFlags) {
+  const unsigned reads = kJsonl | kAudit | kDim | kSeed;
+  EXPECT_EQ(service_usage(reads),
+            " [--csv] [--csv-file F] [--jsonl F] [--audit] [--dim N]"
+            " [--seed S] [--readers N] [--requests N] [--churn-pause-us N]"
+            " [--verify-every N] [--sample] [--script-epochs N]"
+            " [--head-every N]");
+  // Every flag in the usage line is one take_service_flags strips.
+  Argv a({"--readers", "2", "--requests", "3", "--churn-pause-us", "4",
+          "--verify-every", "5", "--sample", "--script-epochs", "6",
+          "--head-every", "7", "--telemetry", "t.jsonl"});
+  int argc = a.argc();
+  const ServiceOptions svc = take_service_flags(argc, a.argv());
+  EXPECT_EQ(argc, 3);  // argv[0] and --telemetry's pair are left
+  EXPECT_STREQ(a.argv()[1], "--telemetry");
+  EXPECT_EQ(svc.readers, 2u);
+  EXPECT_EQ(svc.requests, 3u);
+  EXPECT_EQ(svc.churn_pause_us, 4u);
+  EXPECT_EQ(svc.verify_every, 5u);
+  EXPECT_TRUE(svc.sample);
+  EXPECT_EQ(svc.script_epochs, 6u);
+  EXPECT_EQ(svc.head_every, 7u);
 }
 
 TEST(BenchUtil, AuditSinkIsGatedOnTheFlag) {

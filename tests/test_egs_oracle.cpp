@@ -1,6 +1,6 @@
 // core::EgsOracle — the incremental two-view EGS table must be
 // bit-identical to a from-scratch run_egs() after ANY interleaving of
-// node add/remove, link fail/recover, mixed batches, and retargets.
+// node add/remove, link fail/recover, and mixed batches small and large.
 // Theorem 1 pins the public view (the pseudo-fault fixed point is
 // unique) and the self view is a pure function of the public view plus
 // the link set, so there is exactly one right answer per configuration
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fault/injection.hpp"
@@ -141,99 +142,21 @@ TEST(EgsOracle, ApplyMixedBatchMatchesScratch) {
   expect_matches_scratch(oracle, "apply(mixed batch)");
 }
 
-TEST(EgsOracle, RetargetSmallDeltaCascadesWithoutRebuild) {
-  const topo::Hypercube q(8);
-  Xoshiro256ss rng(0x5E7E65);
-  EgsOracle oracle(q, fault::inject_uniform(q, 10, rng),
-                   fault::inject_links_uniform(q, 6, rng));
-  fault::FaultSet target_f = oracle.faults();
-  fault::LinkFaultSet target_l = oracle.links();
-  // Evolve one event at a time: always below the rebuild crossover.
-  for (int step = 0; step < 30; ++step) {
-    if (rng.chance(0.5)) {
-      if (target_f.count() > 0 && rng.chance(0.4)) {
-        const auto f = target_f.faulty_nodes();
-        target_f.mark_healthy(f[rng.below(f.size())]);
-      } else {
-        const auto h = target_f.healthy_nodes();
-        target_f.mark_faulty(h[rng.below(h.size())]);
-      }
-    } else {
-      const auto faulty = target_l.faulty_links();
-      if (!faulty.empty() && rng.chance(0.4)) {
-        const auto [a, d] = faulty[rng.below(faulty.size())];
-        target_l.mark_healthy(a, d);
-      } else {
-        target_l.mark_faulty(static_cast<NodeId>(rng.below(q.num_nodes())),
-                             static_cast<Dim>(rng.below(q.dimension())));
-      }
-    }
-    oracle.retarget(target_f, target_l);
-    expect_matches_scratch(oracle, "retarget(small delta)");
-  }
-  EXPECT_EQ(oracle.pseudo_stats().rebuilds, 0u);
-  EXPECT_GT(oracle.pseudo_stats().cascades, 0u);
-}
-
-TEST(EgsOracle, RetargetLargeDeltaFallsBackToRebuild) {
-  const topo::Hypercube q(8);
-  Xoshiro256ss rng(0xFA11BACC);
-  EgsOracle oracle(q, fault::inject_uniform(q, 40, rng),
-                   fault::inject_links_uniform(q, 10, rng));
-  // Independent samples share almost nothing: the pseudo symmetric
-  // difference is far past num_nodes/48, so the rebuild fallback must
-  // fire — and the views must still land on the fixed point.
-  const auto target_f = fault::inject_uniform(q, 40, rng);
-  const auto target_l = fault::inject_links_uniform(q, 10, rng);
-  oracle.retarget(target_f, target_l);
-  EXPECT_EQ(oracle.pseudo_stats().rebuilds, 1u);
-  EXPECT_EQ(oracle.faults(), target_f);
-  expect_matches_scratch(oracle, "retarget(rebuild fallback)");
-}
-
-// Same accounting contract as SafetyOracle: retargeting to the current
-// configuration (and apply with empty spans) is a free no-op — no
-// events counted, no cascade work, no self-view refreshes.
-TEST(EgsOracle, RetargetToCurrentConfigurationIsFree) {
+// apply() with empty spans is a free no-op: no events counted, no
+// cascade work, no self-view refreshes.
+TEST(EgsOracle, EmptyApplyIsFree) {
   const topo::Hypercube q(6);
   Xoshiro256ss rng(0x40F);
   EgsOracle oracle(q, fault::inject_uniform(q, 5, rng),
                    fault::inject_links_uniform(q, 3, rng));
   const EgsOracle::Stats before = oracle.stats();
-  const std::uint64_t rebuilds_before = oracle.pseudo_stats().rebuilds;
-  oracle.retarget(oracle.faults(), oracle.links());
+  const std::uint64_t cascades_before = oracle.pseudo_stats().cascades;
   oracle.apply({}, {});
   EXPECT_EQ(oracle.stats().node_events, before.node_events);
   EXPECT_EQ(oracle.stats().link_events, before.link_events);
   EXPECT_EQ(oracle.stats().self_refreshes, before.self_refreshes);
-  EXPECT_EQ(oracle.pseudo_stats().rebuilds, rebuilds_before);
-  expect_matches_scratch(oracle, "retarget to current");
-}
-
-// EgsOracle hands its rebuild decision to the shared predicate on the
-// *pseudo* delta, which is exactly the delta the inner
-// SafetyOracle::retarget recomputes — so whenever the outer threshold
-// fires, the inner one must fire too (one rebuild, never a monster
-// cascade). A batch of node kills just past the crossover pins it.
-TEST(EgsOracle, PseudoDeltaThresholdAlignsWithInnerRetarget) {
-  const topo::Hypercube q(8);  // 256 nodes: crossover at ceil(256/48) = 6
-  EgsOracle oracle(q);
-  const std::uint64_t crossover =
-      (q.num_nodes() + core::kRetargetRebuildFactor - 1) /
-      core::kRetargetRebuildFactor;
-  ASSERT_TRUE(core::retarget_prefers_rebuild(crossover, q.num_nodes()));
-  std::vector<NodeId> kills;
-  for (NodeId a = 0; kills.size() < crossover; ++a) kills.push_back(a);
-  oracle.apply(kills, {});
-  EXPECT_EQ(oracle.pseudo_stats().rebuilds, 1u)
-      << "outer threshold fired but the inner retarget cascaded";
-  expect_matches_scratch(oracle, "threshold-aligned batch");
-  // One node short of the crossover must cascade, not rebuild.
-  EgsOracle below(q);
-  std::vector<NodeId> fewer(kills.begin(), kills.end() - 1);
-  below.apply(fewer, {});
-  EXPECT_EQ(below.pseudo_stats().rebuilds, 0u);
-  expect_matches_scratch(below, "below-threshold batch");
+  EXPECT_EQ(oracle.pseudo_stats().cascades, cascades_before);
+  expect_matches_scratch(oracle, "empty apply");
 }
 
 TEST(EgsOracle, StatsAccountForEventsAndCascades) {
@@ -260,9 +183,94 @@ TEST(EgsOracle, StatsAccountForEventsAndCascades) {
   expect_matches_scratch(oracle, "stats scenario");
 }
 
+// Pins the exact cascade work of one seeded Q10 churn sequence: single
+// node events, link failures whose two endpoints both enter N2, link
+// recoveries, and batches of five to ten pseudo toggles. The recompute
+// count depends on the order in which each update seeds the worklist,
+// so this pins that order on both of apply_toggles' paths (up to four
+// pseudo toggles cascade one at a time; more go through one
+// SafetyOracle::apply), as perfbench's churn-q16 check does at Q16.
+TEST(EgsOracle, CascadeWorkMatchesPinnedCount) {
+  const topo::Hypercube q(10);
+  Xoshiro256ss rng(0xCA5CADE);
+  EgsOracle oracle(q, fault::inject_uniform(q, 10, rng),
+                   fault::inject_links_uniform(q, 10, rng));
+  const auto healthy_n1 = [&](NodeId a) {
+    return oracle.faults().is_healthy(a) && !oracle.in_n2(a);
+  };
+  const auto pick_n1 = [&] {
+    NodeId a;
+    do {
+      a = static_cast<NodeId>(rng.below(q.num_nodes()));
+    } while (!healthy_n1(a));
+    return a;
+  };
+  for (int e = 0; e < 120; ++e) {
+    switch (e % 4) {
+      case 0: {  // single node event
+        if (oracle.faults().count() > 16) {
+          const auto faulty = oracle.faults().faulty_nodes();
+          oracle.remove_fault(faulty[rng.below(faulty.size())]);
+        } else {
+          oracle.add_fault(pick_n1());
+        }
+        break;
+      }
+      case 1: {  // link failure: both endpoints enter N2
+        NodeId a;
+        Dim d;
+        do {
+          a = pick_n1();
+          d = static_cast<Dim>(rng.below(q.dimension()));
+        } while (!healthy_n1(q.neighbor(a, d)));
+        oracle.fail_link(a, d);
+        break;
+      }
+      case 2: {  // link recovery
+        const auto faulty = oracle.links().faulty_links();
+        const auto [a, d] = faulty[rng.below(faulty.size())];
+        oracle.recover_link(a, d);
+        break;
+      }
+      default: {  // batch: 3–5 kills, 2–3 repairs, one link recovery
+        std::vector<NodeId> nodes;
+        const std::uint64_t kills = 3 + rng.below(3);
+        while (nodes.size() < kills) {
+          const NodeId a = pick_n1();
+          if (std::find(nodes.begin(), nodes.end(), a) == nodes.end()) {
+            nodes.push_back(a);
+          }
+        }
+        std::vector<NodeId> repairable;
+        for (const NodeId a : oracle.faults().faulty_nodes()) {
+          if (!oracle.links().touches(a)) repairable.push_back(a);
+        }
+        const std::uint64_t repairs = 2 + rng.below(2);
+        for (std::uint64_t i = 0; i < repairs && !repairable.empty(); ++i) {
+          const std::size_t at = rng.below(repairable.size());
+          nodes.push_back(repairable[at]);
+          repairable.erase(repairable.begin() +
+                           static_cast<std::ptrdiff_t>(at));
+        }
+        std::vector<EgsOracle::LinkToggle> links;
+        const auto faulty = oracle.links().faulty_links();
+        if (!faulty.empty()) {
+          const auto [a, d] = faulty[rng.below(faulty.size())];
+          links.push_back({a, d});
+        }
+        oracle.apply(nodes, links);
+        break;
+      }
+    }
+  }
+  expect_matches_scratch(oracle, "pinned churn");
+  EXPECT_EQ(oracle.pseudo_stats().recomputes, 15138u);
+}
+
 // The headline property test: randomized operation sequences across
 // dimensions 3..8, mixing single node add/remove, single link
-// fail/recover, mixed batches, and retargets, checking bit-identity of
+// fail/recover, small mixed batches, and large batches that jump to an
+// independent sample, checking bit-identity of
 // BOTH views (and N2 membership) with from-scratch run_egs after EVERY
 // operation, plus the enter/exit accounting invariant.
 TEST(EgsOracle, RandomizedInterleavingsMatchScratch) {
@@ -317,7 +325,7 @@ TEST(EgsOracle, RandomizedInterleavingsMatchScratch) {
             oracle.recover_link(a, d);
             break;
           }
-          case 4: {  // mixed batch toggle
+          case 4: {  // small mixed batch toggle
             std::vector<NodeId> nodes;
             std::vector<EgsOracle::LinkToggle> links;
             const int k = 1 + static_cast<int>(rng.below(4));
@@ -356,10 +364,27 @@ TEST(EgsOracle, RandomizedInterleavingsMatchScratch) {
             oracle.apply(nodes, links);
             break;
           }
-          default: {  // retarget (occasionally big enough to rebuild)
-            mirror_f = fault::inject_uniform(q, rng.below(num / 4), rng);
-            mirror_l = fault::inject_links_uniform(q, rng.below(2 * dim), rng);
-            oracle.retarget(mirror_f, mirror_l);
+          default: {  // large batch: jump to an independent sample
+            const auto next_f =
+                fault::inject_uniform(q, rng.below(num / 4), rng);
+            const auto next_l =
+                fault::inject_links_uniform(q, rng.below(2 * dim), rng);
+            std::vector<NodeId> nodes;
+            for (NodeId a = 0; a < num; ++a) {
+              if (next_f.is_faulty(a) != mirror_f.is_faulty(a)) {
+                nodes.push_back(a);
+              }
+            }
+            std::vector<EgsOracle::LinkToggle> links;
+            for (const auto& [a, d] : mirror_l.faulty_links()) {
+              if (!next_l.is_faulty(a, d)) links.push_back({a, d});
+            }
+            for (const auto& [a, d] : next_l.faulty_links()) {
+              if (!mirror_l.is_faulty(a, d)) links.push_back({a, d});
+            }
+            oracle.apply(nodes, links);
+            mirror_f = next_f;
+            mirror_l = next_l;
             break;
           }
         }

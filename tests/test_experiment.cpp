@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
 
 #include "baselines/ecube.hpp"
@@ -279,6 +280,35 @@ TEST(LinkRoutingSweep, EmitsSweepPointEventsWithLinkValues) {
     EXPECT_TRUE(link_faults);
     EXPECT_TRUE(delivered);
   }
+}
+
+// Pins the exact aggregates of a small Q6–Q7 link sweep: every point's
+// tallies and N2 mean fold into one digest, so a change in how the
+// two-view tables are built cannot move a single route unnoticed. The
+// tables are a pure function of each trial's configuration (Theorem 1),
+// so any correct table source keeps this value.
+TEST(LinkRoutingSweep, AggregatesMatchPinnedDigest) {
+  std::uint64_t digest = 0;
+  for (const unsigned dim : {6u, 7u}) {
+    LinkSweepConfig cfg;
+    cfg.dimension = dim;
+    cfg.points = {{0, dim}, {dim / 2, dim}, {dim, 2 * dim}, {3 * dim, dim}};
+    cfg.trials = 40;
+    cfg.pairs = 16;
+    cfg.seed = 0x61A5 + dim;
+    cfg.threads = 2;
+    for (const LinkSweepPoint& p : run_link_routing_sweep(cfg)) {
+      for (const Ratio* r : {&p.delivered, &p.refused, &p.stuck, &p.optimal,
+                             &p.suboptimal, &p.valid_paths}) {
+        digest = exp::mix64(digest ^ r->hits());
+        digest = exp::mix64(digest ^ r->total());
+      }
+      digest = exp::mix64(digest ^ p.n2_nodes.count());
+      digest = exp::mix64(digest ^ std::bit_cast<std::uint64_t>(
+                                       p.n2_nodes.mean()));
+    }
+  }
+  EXPECT_EQ(digest, 0x491B2D18B4EBE5A6ull);
 }
 
 TEST(RoutingSweep, TracingDoesNotChangeResults) {

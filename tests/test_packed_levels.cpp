@@ -8,7 +8,7 @@
 //  * Bit-identity — the packed table threaded through compute_safety_levels
 //    and the incremental SafetyOracle is word-for-word identical to a
 //    from-scratch fixed point on every previously supported dim (3–12),
-//    across randomized fault sets and add/remove/retarget interleavings.
+//    across randomized fault sets and add/remove/batch interleavings.
 #include "core/packed_levels.hpp"
 
 #include <gtest/gtest.h>
@@ -117,7 +117,7 @@ TEST(PackedBitIdentity, ScratchTablesMatchUnpackedKernelDims3To12) {
 }
 
 TEST(PackedBitIdentity, OracleInterleavingsMatchScratchDims3To12) {
-  // Randomized add/remove/retarget interleavings: after every operation
+  // Randomized add/remove/batch interleavings: after every operation
   // the oracle's packed words must equal a from-scratch fixed point —
   // not just level-equal, word-for-word equal (tail invariant included).
   for (unsigned dim = 3; dim <= 12; ++dim) {
@@ -141,10 +141,18 @@ TEST(PackedBitIdentity, OracleInterleavingsMatchScratchDims3To12) {
         f.mark_healthy(back);
         oracle.remove_fault(back);
       } else {
-        // Jump to an unrelated fault set (exercises both the word-wise
-        // delta path and the rebuild fallback, depending on distance).
-        f = random_faults(cube, rng.below(cube.num_nodes() / 8), rng);
-        oracle.retarget(f);
+        // Jump to an unrelated fault set in one large apply() batch.
+        const fault::FaultSet next =
+            random_faults(cube, rng.below(cube.num_nodes() / 8), rng);
+        std::vector<NodeId> additions;
+        std::vector<NodeId> removals;
+        for (NodeId a = 0; a < cube.num_nodes(); ++a) {
+          if (next.is_faulty(a) != f.is_faulty(a)) {
+            (next.is_faulty(a) ? additions : removals).push_back(a);
+          }
+        }
+        oracle.apply(additions, removals);
+        f = next;
       }
       const SafetyLevels scratch = compute_safety_levels(cube, f);
       ASSERT_TRUE(oracle.levels().packed() == scratch.packed())

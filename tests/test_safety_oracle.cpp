@@ -1,6 +1,6 @@
 // core::SafetyOracle — the incremental safety-level table must be
 // bit-identical to a from-scratch compute_safety_levels() after ANY
-// interleaving of add_fault / remove_fault / apply / retarget. Theorem 1
+// interleaving of add_fault / remove_fault / apply. Theorem 1
 // (uniqueness of the consistent assignment) is what makes this a fair
 // oracle test: there is exactly one right answer per fault set, so a
 // randomized sweep over >=10^4 operation sequences across dimensions
@@ -8,6 +8,8 @@
 #include "core/safety_oracle.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/global_status.hpp"
@@ -22,6 +24,21 @@ void expect_matches_scratch(const SafetyOracle& oracle, const char* what) {
       << what << " diverged from compute_safety_levels (dim "
       << oracle.cube().dimension() << ", " << oracle.faults().count()
       << " faults)";
+}
+
+/// One apply() batch from `mirror` to `next`: additions and removals in
+/// ascending node order. `mirror` becomes `next`.
+void move_to(SafetyOracle& oracle, fault::FaultSet& mirror,
+             const fault::FaultSet& next) {
+  std::vector<NodeId> additions;
+  std::vector<NodeId> removals;
+  for (NodeId a = 0; a < next.num_nodes(); ++a) {
+    if (next.is_faulty(a) != mirror.is_faulty(a)) {
+      (next.is_faulty(a) ? additions : removals).push_back(a);
+    }
+  }
+  oracle.apply(additions, removals);
+  mirror = next;
 }
 
 TEST(SafetyOracle, FaultFreeStartIsAllSafe) {
@@ -64,8 +81,9 @@ TEST(SafetyOracle, ApplyMixedBatchMatchesScratch) {
   fault::FaultSet start(q.num_nodes(), {1, 2, 8, 33});
   SafetyOracle oracle(q, start);
   // One batch that simultaneously adds {4, 5, 20} and removes {2, 33}.
-  fault::FaultSet delta(q.num_nodes(), {4, 5, 20, 2, 33});
-  oracle.apply(delta);
+  const NodeId additions[] = {4, 5, 20};
+  const NodeId removals[] = {2, 33};
+  oracle.apply(additions, removals);
   expect_matches_scratch(oracle, "apply");
   EXPECT_TRUE(oracle.faults().is_faulty(4));
   EXPECT_TRUE(oracle.faults().is_healthy(2));
@@ -73,110 +91,11 @@ TEST(SafetyOracle, ApplyMixedBatchMatchesScratch) {
   EXPECT_EQ(oracle.faults().count(), 5u);
 }
 
-TEST(SafetyOracle, RetargetSmallDeltaCascadesWithoutRebuild) {
-  const topo::Hypercube q(8);
-  Xoshiro256ss rng(0x5E7);
-  SafetyOracle oracle(q, fault::inject_uniform(q, 10, rng));
-  // Evolve the fault set by one node at a time: always below the
-  // rebuild crossover, so the fallback must never fire.
-  fault::FaultSet target = oracle.faults();
-  for (int step = 0; step < 30; ++step) {
-    if (target.count() > 0 && rng.chance(0.4)) {
-      const auto f = target.faulty_nodes();
-      target.mark_healthy(f[rng.below(f.size())]);
-    } else {
-      const auto h = target.healthy_nodes();
-      target.mark_faulty(h[rng.below(h.size())]);
-    }
-    oracle.retarget(target);
-    expect_matches_scratch(oracle, "retarget(small delta)");
-  }
-  EXPECT_EQ(oracle.stats().rebuilds, 0u);
-  EXPECT_GT(oracle.stats().cascades, 0u);
-}
-
-TEST(SafetyOracle, RetargetLargeDeltaFallsBackToRebuild) {
-  const topo::Hypercube q(8);
-  Xoshiro256ss rng(0xFA11BACC);
-  SafetyOracle oracle(q, fault::inject_uniform(q, 40, rng));
-  // An independent random sample shares almost nothing with the current
-  // set: the symmetric difference is far past num_nodes/48, so retarget
-  // must take the from-scratch path — and still land on the fixed point.
-  const auto target = fault::inject_uniform(q, 40, rng);
-  oracle.retarget(target);
-  EXPECT_EQ(oracle.stats().rebuilds, 1u);
-  EXPECT_EQ(oracle.faults(), target);
-  expect_matches_scratch(oracle, "retarget(rebuild fallback)");
-}
-
-// The shared fallback predicate is the contract both oracles key off:
-// pin its boundary so a drive-by constant change cannot silently move
-// one caller and not the other.
-TEST(SafetyOracle, RetargetPredicateBoundary) {
-  constexpr std::uint64_t n = 1024;  // Q10
-  constexpr std::uint64_t crossover =
-      (n + kRetargetRebuildFactor - 1) / kRetargetRebuildFactor;
-  static_assert(!retarget_prefers_rebuild(0, n));
-  EXPECT_FALSE(retarget_prefers_rebuild(crossover - 1, n));
-  EXPECT_TRUE(retarget_prefers_rebuild(crossover, n));
-  EXPECT_TRUE(retarget_prefers_rebuild(n, n));
-}
-
-// The Stats accounting contract: the rebuild fallback bumps `rebuilds`
-// and nothing else (cascade counters keep counting incremental work
-// exclusively), the change log reports every node after a rebuild, and
-// a retarget to the current fault set is a free no-op.
-TEST(SafetyOracle, RetargetAccountingContract) {
-  const topo::Hypercube q(7);
-  Xoshiro256ss rng(0xACC7);
-  SafetyOracle oracle(q, fault::inject_uniform(q, 8, rng));
-  std::vector<NodeId> log;
-  oracle.set_change_log(&log);
-
-  // Empty delta: no counters move, no log entries appear.
-  const SafetyOracle::Stats before_noop = oracle.stats();
-  oracle.retarget(oracle.faults());
-  EXPECT_EQ(oracle.stats().recomputes, before_noop.recomputes);
-  EXPECT_EQ(oracle.stats().level_changes, before_noop.level_changes);
-  EXPECT_EQ(oracle.stats().cascades, before_noop.cascades);
-  EXPECT_EQ(oracle.stats().rebuilds, before_noop.rebuilds);
-  EXPECT_TRUE(log.empty());
-
-  // Rebuild fallback: exactly one `rebuilds` bump, cascade counters
-  // untouched, and the log covers the whole (rewritten) table.
-  const auto far_target = fault::inject_uniform(q, 30, rng);
-  const SafetyOracle::Stats before_rebuild = oracle.stats();
-  oracle.retarget(far_target);
-  EXPECT_EQ(oracle.stats().rebuilds, before_rebuild.rebuilds + 1);
-  EXPECT_EQ(oracle.stats().recomputes, before_rebuild.recomputes);
-  EXPECT_EQ(oracle.stats().level_changes, before_rebuild.level_changes);
-  EXPECT_EQ(oracle.stats().cascades, before_rebuild.cascades);
-  EXPECT_EQ(log.size(), q.num_nodes());
-  std::vector<bool> seen(q.num_nodes(), false);
-  for (const NodeId a : log) seen[a] = true;
-  for (NodeId a = 0; a < q.num_nodes(); ++a) {
-    ASSERT_TRUE(seen[a]) << "rebuild change log missed node " << a;
-  }
-  expect_matches_scratch(oracle, "rebuild accounting");
-
-  // Incremental path: cascade counters move, `rebuilds` stays put.
-  log.clear();
-  fault::FaultSet near_target = oracle.faults();
-  near_target.mark_faulty(near_target.healthy_nodes().front());
-  const SafetyOracle::Stats before_cascade = oracle.stats();
-  oracle.retarget(near_target);
-  EXPECT_EQ(oracle.stats().rebuilds, before_cascade.rebuilds);
-  EXPECT_GT(oracle.stats().recomputes, before_cascade.recomputes);
-  EXPECT_GT(oracle.stats().cascades, before_cascade.cascades);
-  expect_matches_scratch(oracle, "cascade accounting");
-  oracle.set_change_log(nullptr);
-}
-
 // The headline property test: >=10^4 randomized operation sequences.
 // Each sequence starts from a random fault set and performs a random
-// interleaving of single adds, single removes, mixed batches, and
-// retargets, checking bit-identity with the from-scratch fixed point
-// after EVERY operation. The budget is weighted toward small dimensions
+// interleaving of single adds, single removes, small mixed batches, and
+// large batches that jump to an independent sample, checking
+// bit-identity with the from-scratch fixed point after EVERY operation. The budget is weighted toward small dimensions
 // (cheap scratch recomputation) while still exercising dim 10.
 TEST(SafetyOracle, RandomizedInterleavingsMatchScratch) {
   struct Budget {
@@ -215,25 +134,26 @@ TEST(SafetyOracle, RandomizedInterleavingsMatchScratch) {
             oracle.remove_fault(a);
             break;
           }
-          case 2: {  // mixed batch toggle
+          case 2: {  // small mixed batch toggle
             fault::FaultSet delta(num);
             const int k = 1 + static_cast<int>(rng.below(4));
             for (int i = 0; i < k; ++i) {
               delta.mark_faulty(static_cast<NodeId>(rng.below(num)));
             }
+            fault::FaultSet next = mirror;
             for (const NodeId a : delta.faulty_nodes()) {
               if (mirror.is_faulty(a)) {
-                mirror.mark_healthy(a);
+                next.mark_healthy(a);
               } else {
-                mirror.mark_faulty(a);
+                next.mark_faulty(a);
               }
             }
-            oracle.apply(delta);
+            move_to(oracle, mirror, next);
             break;
           }
-          default: {  // retarget (occasionally big enough to rebuild)
-            mirror = fault::inject_uniform(q, rng.below(num / 2), rng);
-            oracle.retarget(mirror);
+          default: {  // large batch: jump to an independent sample
+            move_to(oracle, mirror,
+                    fault::inject_uniform(q, rng.below(num / 2), rng));
             break;
           }
         }

@@ -144,25 +144,16 @@ TEST(SnapshotOracle, HeldSnapshotsAreImmutableAcrossChurn) {
   expect_snapshot_matches_scratch(*held, "held epoch");
 }
 
-TEST(SnapshotOracle, ApplyBatchAndRetargetPublishOnce) {
+TEST(SnapshotOracle, ApplyBatchPublishesOnce) {
   const topo::Hypercube q(5);
   SnapshotOracle oracle(q);
   const NodeId nodes[] = {1, 2, 9};
   const core::EgsOracle::LinkToggle links[] = {{4, 0}, {12, 3}};
   oracle.apply(nodes, links);
   EXPECT_EQ(oracle.epoch(), 1u);
-  expect_snapshot_matches_scratch(*oracle.acquire(), "apply batch");
-  Xoshiro256ss rng(0x7A96E7);
-  const auto target_f = fault::inject_uniform(q, 6, rng);
-  const auto target_l = fault::inject_links_uniform(q, 4, rng);
-  oracle.retarget(target_f, target_l);
-  EXPECT_EQ(oracle.epoch(), 2u);
   const SnapshotPtr snap = oracle.acquire();
-  EXPECT_EQ(snap->faults, target_f);
-  expect_snapshot_matches_scratch(*snap, "retarget");
-  // Retarget is a publication barrier even with nothing to change.
-  oracle.retarget(target_f, target_l);
-  EXPECT_EQ(oracle.epoch(), 3u);
+  EXPECT_EQ(snap->lineage.size(), 5u);
+  expect_snapshot_matches_scratch(*snap, "apply batch");
 }
 
 /// The events a sink received, as the JSONL lines JsonlSink would write.
