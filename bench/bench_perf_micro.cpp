@@ -1,12 +1,14 @@
 // PERF — google-benchmark microbenchmarks: throughput of the table build
-// (GS rounds, the peel, and its Definition-1 check), a single routing
-// decision, a full unicast (on plain tables and under EGS node + link
-// faults), the safe-node fixed points, and the simulator's event loop.
+// (GS rounds, the peel, and its Definition-1 check), the EGS oracle's
+// writer calls under churn, a single routing decision, a full unicast
+// (on plain tables and under EGS node + link faults), the safe-node fixed
+// points, and the simulator's event loop.
 // These quantify the paper's cost argument (safety levels are cheap
 // limited-global information) in wall-clock terms on this machine.
 #include <benchmark/benchmark.h>
 
 #include "core/egs.hpp"
+#include "core/egs_oracle.hpp"
 #include "core/global_status.hpp"
 #include "core/safe_node.hpp"
 #include "core/unicast.hpp"
@@ -81,6 +83,44 @@ void BM_IsConsistent(benchmark::State& state) {
       static_cast<std::int64_t>(in.cube.num_nodes()));
 }
 BENCHMARK(BM_IsConsistent)->Apply(TableBuildArgs);
+
+/// The churn writer of perfbench's churn-q16 without the publish: an
+/// EgsOracle at Q_n with 2% node faults and 2n faulty links takes one
+/// node fail/recover pair and one link fail/recover pair per iteration
+/// (four writer calls, each a cascade), so both densities hold.
+void BM_EgsOracleChurn(benchmark::State& state) {
+  const topo::Hypercube cube(static_cast<unsigned>(state.range(0)));
+  Xoshiro256ss rng(7);
+  const auto faults = fault::inject_uniform(cube, cube.num_nodes() / 50, rng);
+  const auto links = fault::inject_links_uniform(cube, 2 * cube.dimension(),
+                                                 rng);
+  core::EgsOracle oracle(cube, faults, links);
+  std::vector<NodeId> faulty = faults.faulty_nodes();
+  auto faulty_links = links.faulty_links();
+  for (auto _ : state) {
+    NodeId a = 0;
+    do {
+      a = static_cast<NodeId>(rng.below(cube.num_nodes()));
+    } while (oracle.faults().is_faulty(a));
+    oracle.add_fault(a);
+    const std::size_t i = rng.below(faulty.size());
+    oracle.remove_fault(faulty[i]);
+    faulty[i] = a;
+
+    Dim d = 0;
+    do {
+      a = static_cast<NodeId>(rng.below(cube.num_nodes()));
+      d = static_cast<Dim>(rng.below(cube.dimension()));
+    } while (oracle.links().is_faulty(a, d));
+    oracle.fail_link(a, d);
+    const std::size_t j = rng.below(faulty_links.size());
+    oracle.recover_link(faulty_links[j].first, faulty_links[j].second);
+    faulty_links[j] = {a, d};
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
+}
+BENCHMARK(BM_EgsOracleChurn)->Arg(16)->Unit(benchmark::kMicrosecond);
 
 void BM_SafeNodeFixedPoint(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));

@@ -71,14 +71,14 @@ void EgsOracle::mark_dirty(NodeId a) {
 Level EgsOracle::self_level_of(NodeId a) {
   // Faulty and healthy-non-N2 nodes carry their public level (0 for the
   // former); only N2 nodes run their own NODE_STATUS round.
-  if (!in_n2_[a]) return pseudo_.levels()[a];
+  const std::span<const Level> public_levels = pseudo_.level_bytes();
+  if (!in_n2_[a]) return public_levels[a];
   ++stats_.self_recomputes;
   const unsigned n = cube_.dimension();
   std::array<Level, topo::Hypercube::kMaxDimension> seq{};
   for (Dim d = 0; d < n; ++d) {
-    seq[d] = links_.is_faulty(a, d)
-                 ? Level{0}
-                 : pseudo_.levels()[cube_.neighbor(a, d)];
+    seq[d] = links_.is_faulty(a, d) ? Level{0}
+                                    : public_levels[cube_.neighbor(a, d)];
   }
   std::sort(seq.begin(), seq.begin() + n);
   return node_status(std::span<const Level>(seq.data(), n), n);
@@ -87,15 +87,15 @@ Level EgsOracle::self_level_of(NodeId a) {
 void EgsOracle::apply_toggles(std::span<const NodeId> node_toggles,
                               std::span<const LinkToggle> link_toggles) {
   const obs::StageScope stage("egs.apply");
-  // Phase 1 — toggle the real state, collecting `touched`: the nodes
+  // Phase 1 — toggle the real state, collecting `touched_`: the nodes
   // whose pseudo status or N2 membership may have moved. Dedup matters:
   // the pseudo delta below must list each node at most once.
-  std::vector<NodeId> touched;
+  touched_.clear();
   const auto touch = [&](NodeId x) {
     if (!dirty_mark_[x]) {
       dirty_mark_[x] = true;
       dirty_.push_back(x);
-      touched.push_back(x);
+      touched_.push_back(x);
     }
   };
   for (const NodeId a : node_toggles) {
@@ -123,27 +123,27 @@ void EgsOracle::apply_toggles(std::span<const NodeId> node_toggles,
   // Phase 2 — restore the public view. The pseudo set changed exactly
   // where a touched node's membership (fault ∪ N2) flipped.
   changed_.clear();
-  std::vector<NodeId> to_add;
-  std::vector<NodeId> to_remove;
-  for (const NodeId x : touched) {
+  to_add_.clear();
+  to_remove_.clear();
+  for (const NodeId x : touched_) {
     const bool want = faults_.is_faulty(x) || links_.touches(x);
     if (want == pseudo_.faults().is_faulty(x)) continue;
-    (want ? to_add : to_remove).push_back(x);
+    (want ? to_add_ : to_remove_).push_back(x);
   }
-  if (to_add.size() + to_remove.size() <= 4) {
+  if (to_add_.size() + to_remove_.size() <= 4) {
     // Single-event hot path: one cascade per pseudo toggle.
-    for (const NodeId x : to_add) pseudo_.add_fault(x);
-    for (const NodeId x : to_remove) pseudo_.remove_fault(x);
+    for (const NodeId x : to_add_) pseudo_.add_fault(x);
+    for (const NodeId x : to_remove_) pseudo_.remove_fault(x);
   } else {
     // One falling and one rising cascade, each seeded in ascending node
     // order (perfbench's churn-q16 pins the resulting recompute count).
-    std::sort(to_add.begin(), to_add.end());
-    std::sort(to_remove.begin(), to_remove.end());
-    pseudo_.apply(to_add, to_remove);
+    std::sort(to_add_.begin(), to_add_.end());
+    std::sort(to_remove_.begin(), to_remove_.end());
+    pseudo_.apply(to_add_, to_remove_);
   }
 
   // Phase 3 — N2 membership bookkeeping for the touched nodes.
-  for (const NodeId x : touched) {
+  for (const NodeId x : touched_) {
     const bool now = faults_.is_healthy(x) && links_.touches(x);
     if (now != in_n2_[x]) {
       in_n2_[x] = now;

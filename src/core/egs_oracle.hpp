@@ -75,6 +75,11 @@ class EgsOracle {
   [[nodiscard]] const SafetyLevels& public_view() const noexcept {
     return pseudo_.levels();
   }
+  /// public_view() one byte per node: the table the public cascade and
+  /// the self-view refresh read.
+  [[nodiscard]] std::span<const Level> public_bytes() const noexcept {
+    return pseudo_.level_bytes();
+  }
   /// Level each node uses for itself (differs from public on N2 only).
   [[nodiscard]] const SafetyLevels& self_view() const noexcept {
     return self_view_;
@@ -139,9 +144,14 @@ class EgsOracle {
   std::vector<bool> in_n2_;  ///< one bit per node
   /// Pseudo-oracle change log (registered once, cleared per batch).
   std::vector<NodeId> changed_;
-  /// Scratch for apply_toggles: dirty list + one membership bit per node.
+  /// Scratch for apply_toggles, kept across calls so that a writer call
+  /// allocates nothing once warm: dirty list + one membership bit per
+  /// node, the touched nodes, and the pseudo toggles in each direction.
   std::vector<NodeId> dirty_;
   std::vector<bool> dirty_mark_;
+  std::vector<NodeId> touched_;
+  std::vector<NodeId> to_add_;
+  std::vector<NodeId> to_remove_;
   Stats stats_;
 };
 

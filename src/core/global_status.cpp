@@ -5,17 +5,17 @@ namespace slcube::core {
 namespace {
 
 /// One synchronous round: recompute every healthy node's level from the
-/// previous-round snapshot `cur` into `next`. Returns how many nodes
-/// changed.
+/// previous-round snapshot `cur` into `next`, both a byte per node.
+/// Returns how many nodes changed.
 std::uint64_t gs_round(const topo::Hypercube& cube,
-                       const fault::FaultSet& faults, const SafetyLevels& cur,
-                       SafetyLevels& next) {
+                       const fault::FaultSet& faults,
+                       std::span<const Level> cur, std::span<Level> next) {
   std::uint64_t changed = 0;
   const auto end = static_cast<NodeId>(cube.num_nodes());
   for (NodeId a = 0; a < end; ++a) {
     if (faults.is_faulty(a)) continue;
     const Level updated = implied_level(cube, faults, cur, a);
-    next.set(a, updated);
+    next[a] = updated;
     changed += updated != cur[a] ? 1u : 0u;
   }
   return changed;
@@ -27,16 +27,17 @@ GsResult run_gs(const topo::Hypercube& cube, const fault::FaultSet& faults,
                 const GsOptions& options) {
   const unsigned n = cube.dimension();
   GsResult result;
-  result.levels = SafetyLevels(
-      n, cube.num_nodes(),
+  // The rounds compute on two byte tables; the result is packed once.
+  std::vector<Level> cur(
+      static_cast<std::size_t>(cube.num_nodes()),
       options.pessimistic_start ? Level{0} : static_cast<Level>(n));
-  for (const NodeId a : faults.faulty_nodes()) result.levels[a] = 0;
+  faults.for_each_faulty([&](NodeId a) { cur[a] = 0; });
 
   // Synchronous rounds: every healthy node recomputes from the previous
   // round's snapshot (the paper's parbegin/parend). From the optimistic
   // start levels only fall; from the pessimistic start only rise; either
   // way the monotone kernel reaches the unique fixed point of Theorem 1.
-  SafetyLevels next = result.levels;
+  std::vector<Level> next = cur;
   // Safety valve far above any possible stabilization time: each healthy
   // node changes at most n times and every non-final round changes at
   // least one node.
@@ -44,16 +45,18 @@ GsResult run_gs(const topo::Hypercube& cube, const fault::FaultSet& faults,
   for (std::uint64_t round = 1;; ++round) {
     if (options.max_rounds != 0 && round > options.max_rounds) break;
     SLC_ASSERT_MSG(round <= hard_cap, "GS failed to converge");
-    const std::uint64_t changed = gs_round(cube, faults, result.levels, next);
+    const std::uint64_t changed = gs_round(cube, faults, cur, next);
     if (changed == 0) {
       result.stabilized = true;
       break;
     }
-    std::swap(result.levels, next);
+    std::swap(cur, next);
     result.changes_per_round.push_back(changed);
   }
   result.rounds_to_stabilize =
       static_cast<unsigned>(result.changes_per_round.size());
+  result.levels = SafetyLevels(n, cube.num_nodes(), 0);
+  for (NodeId a = 0; a < cur.size(); ++a) result.levels.set(a, cur[a]);
   if (result.stabilized) {
     SLC_ENSURE_MSG(is_consistent(cube, faults, result.levels),
                    "stabilized GS must satisfy Definition 1");

@@ -3,10 +3,12 @@
 // A safety level is an integer 0..n with n <= topo::Hypercube::kMaxDimension,
 // so 5 bits suffice; 12 levels share one 64-bit word (60 bits used, the top
 // 4 bits always zero). This is the single storage layer behind
-// core::SafetyLevels: the peeled scratch build, the GLOBAL_STATUS rounds,
-// and the incremental SafetyOracle/EgsOracle cascades all read and write
-// the same packed words, which is what makes a Q20 table (2^20 nodes) cost
-// ~700 KiB instead of the 1 MiB of a byte-per-level array.
+// core::SafetyLevels: every table that is stored, published or checked —
+// the peel's result, GS's result, the oracles' views, the serving
+// snapshots — is packed words, which is what makes a Q20 table (2^20
+// nodes) cost ~700 KiB instead of the 1 MiB of a byte-per-level array. The
+// level writers (GS rounds, the oracles' cascades) compute on a byte per
+// node and pack what they store.
 //
 // Invariants (maintained by every mutator, relied on by operator==):
 //   * the 4 spare top bits of every word are zero;

@@ -60,13 +60,12 @@ std::string check_theorem2_gh(const topo::GeneralizedHypercube& gh,
 std::vector<unsigned> gs_stabilization_rounds(const topo::Hypercube& cube,
                                               const fault::FaultSet& faults) {
   const unsigned n = cube.dimension();
-  SafetyLevels levels(n, cube.num_nodes(), static_cast<Level>(n));
-  for (NodeId a = 0; a < cube.num_nodes(); ++a) {
-    if (faults.is_faulty(a)) levels[a] = 0;
-  }
+  std::vector<Level> levels(static_cast<std::size_t>(cube.num_nodes()),
+                            static_cast<Level>(n));
+  faults.for_each_faulty([&](NodeId a) { levels[a] = 0; });
   std::vector<unsigned> last_change(
       static_cast<std::size_t>(cube.num_nodes()), 0);
-  SafetyLevels next = levels;
+  std::vector<Level> next = levels;
   for (unsigned round = 1;; ++round) {
     SLC_ASSERT(round <= cube.num_nodes() * n + 1);
     bool changed = false;

@@ -8,17 +8,16 @@ namespace slcube::core {
 
 namespace {
 
-/// Definition 1 in counting form, over any level accessor: S_i (the
+/// Definition 1 in counting form over a byte-per-node table: S_i (the
 /// (i+1)-th smallest neighbor level) is < i iff at least i+1 neighbors
 /// sit at a level <= i-1, so the minimal failing index is the first i
 /// with cnt_le(i-1) >= i+1 — no sort needed. test_safety pins this equal
 /// to the sort-then-node_status kernel over exhaustive level sequences.
 /// `cnt` has a slot for every value a packed level can hold, so a table
 /// that stores a level above n is judged, not indexed past.
-template <typename LevelAt>
-Level implied_by_counts(unsigned n, NodeId a, LevelAt&& level_at) {
+Level implied_by_counts(unsigned n, NodeId a, const Level* levels) {
   std::array<std::uint8_t, PackedLevels::kSlotMask + 1> cnt{};
-  for (Dim d = 0; d < n; ++d) ++cnt[level_at(bits::flip(a, d))];
+  for (Dim d = 0; d < n; ++d) ++cnt[levels[bits::flip(a, d)]];
   unsigned at_most = 0;  // neighbors with level <= i-1, maintained per i
   for (unsigned i = 1; i < n; ++i) {
     at_most += cnt[i - 1];
@@ -155,11 +154,11 @@ Level node_status(std::span<const Level> sorted, unsigned n) {
 }
 
 Level implied_level(const topo::Hypercube& cube,
-                    const fault::FaultSet& faults, const SafetyLevels& levels,
-                    NodeId a) {
+                    const fault::FaultSet& faults,
+                    std::span<const Level> levels, NodeId a) {
   SLC_EXPECT(faults.is_healthy(a));
-  return implied_by_counts(cube.dimension(), a,
-                           [&](NodeId b) { return levels[b]; });
+  SLC_ASSERT(levels.size() == cube.num_nodes());
+  return implied_by_counts(cube.dimension(), a, levels.data());
 }
 
 bool is_consistent(const topo::Hypercube& cube, const fault::FaultSet& faults,
@@ -182,7 +181,6 @@ bool is_consistent(const topo::Hypercube& cube, const fault::FaultSet& faults,
   Level padded[kBlock] = {};
   std::copy_n(lv.begin(), lanes, padded);
   const Level* table = lanes < kBlock ? padded : lv.data();
-  const auto level_at = [&](NodeId b) { return lv[b]; };
   Level swapped[kBlock];
   Level need[kBlock];
   for (NodeId a0 = 0; a0 < num_nodes; a0 += kBlock) {
@@ -202,7 +200,7 @@ bool is_consistent(const topo::Hypercube& cube, const fault::FaultSet& faults,
     for (unsigned j = 0; j < lanes; ++j) {
       const NodeId a = a0 + j;
       if (need[j] == 0 || faults.is_faulty(a)) continue;
-      if (block[j] != implied_by_counts(n, a, level_at)) return false;
+      if (block[j] != implied_by_counts(n, a, lv.data())) return false;
     }
   }
   return true;

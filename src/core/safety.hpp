@@ -45,10 +45,10 @@ static_assert(topo::Hypercube::kMaxDimension < 32,
 /// Safety levels for every node of one cube, indexed by NodeId.
 ///
 /// Storage is the bit-packed PackedLevels (5 bits per level, 12 per
-/// 64-bit word): every consumer — the scratch build, the incremental
-/// oracles, routing, the serving snapshots — shares this one layer. Reads
-/// return Level by value; writes go through set() or the WriteRef proxy
-/// that `levels[a] = k` resolves to.
+/// 64-bit word): every stored table — the scratch build, GS's result, the
+/// incremental oracles' views, routing, the serving snapshots — shares
+/// this one layer. Reads return Level by value; writes go through set()
+/// or the WriteRef proxy that `levels[a] = k` resolves to.
 class SafetyLevels {
  public:
   /// Write proxy returned by the non-const operator[]; converts to Level
@@ -106,7 +106,8 @@ class SafetyLevels {
   [[nodiscard]] PackedLevels& packed() noexcept { return packed_; }
 
   /// Byte-per-level copy, decoded a packed word at a time: is_consistent
-  /// reads it, and so do tests and reporting. O(N) bytes.
+  /// reads it, SafetyOracle computes on it, and so do tests and
+  /// reporting. O(N) bytes.
   [[nodiscard]] std::vector<Level> unpack() const;
 
   friend bool operator==(const SafetyLevels&, const SafetyLevels&) = default;
@@ -121,12 +122,14 @@ class SafetyLevels {
 [[nodiscard]] Level node_status(std::span<const Level> sorted, unsigned n);
 
 /// Level Definition 1 implies for node `a` given its neighbors' current
-/// levels (counts level occurrences — equivalent to gather + sort +
-/// node_status, without the sort). `a` must be healthy. A neighbor may
-/// hold any value a packed slot can (0..31); one above n counts as n.
+/// levels, one byte per node (counts level occurrences — equivalent to
+/// gather + sort + node_status, without the sort). `a` must be healthy. A
+/// neighbor may hold any value a packed slot can (0..31); one above n
+/// counts as n. The level writers (GS rounds, the oracles' cascades)
+/// compute on byte tables; a packed table reads through unpack().
 [[nodiscard]] Level implied_level(const topo::Hypercube& cube,
                                   const fault::FaultSet& faults,
-                                  const SafetyLevels& levels, NodeId a);
+                                  std::span<const Level> levels, NodeId a);
 
 /// Definition-1 predicate: does `levels` satisfy the safety-level
 /// condition at every node (faulty nodes 0, healthy nodes equal to their

@@ -8,6 +8,8 @@ SafetyOracle::SafetyOracle(const topo::Hypercube& cube)
       faults_(cube.num_nodes()),
       levels_(cube.dimension(), cube.num_nodes(),
               static_cast<Level>(cube.dimension())),
+      bytes_(static_cast<std::size_t>(cube.num_nodes()),
+             static_cast<Level>(cube.dimension())),
       queued_(static_cast<std::size_t>(cube.num_nodes())) {}
 
 SafetyOracle::SafetyOracle(const topo::Hypercube& cube,
@@ -15,6 +17,7 @@ SafetyOracle::SafetyOracle(const topo::Hypercube& cube,
     : cube_(cube),
       faults_(faults),
       levels_(compute_safety_levels(cube, faults)),
+      bytes_(levels_.unpack()),
       queued_(static_cast<std::size_t>(cube.num_nodes())) {
   SLC_EXPECT(faults.num_nodes() == cube.num_nodes());
 }
@@ -24,6 +27,11 @@ void SafetyOracle::push(NodeId a) {
     queued_[a] = true;
     worklist_.push_back(a);
   }
+}
+
+void SafetyOracle::set_level(NodeId a, Level v) {
+  bytes_[a] = v;
+  levels_.set(a, v);
 }
 
 void SafetyOracle::cascade() {
@@ -40,10 +48,10 @@ void SafetyOracle::cascade() {
     worklist_.pop_back();
     queued_[a] = false;
     if (faults_.is_faulty(a)) continue;  // died while queued (batch adds)
-    const Level updated = implied_level(cube_, faults_, levels_, a);
+    const Level updated = implied_level(cube_, faults_, bytes_, a);
     ++stats_.recomputes;
-    if (updated == levels_[a]) continue;
-    levels_[a] = updated;
+    if (updated == bytes_[a]) continue;
+    set_level(a, updated);
     if (change_log_ != nullptr) change_log_->push_back(a);
     ++stats_.level_changes;
     cube_.for_each_neighbor(a, [&](Dim, NodeId b) { push(b); });
@@ -68,7 +76,7 @@ void SafetyOracle::update(std::span<const NodeId> additions,
     for (const NodeId a : additions) {
       SLC_EXPECT_MSG(faults_.is_healthy(a), "adding an already-faulty node");
       faults_.mark_faulty(a);
-      levels_[a] = 0;
+      set_level(a, 0);
       if (change_log_ != nullptr) change_log_->push_back(a);
     }
     for (const NodeId a : additions) {

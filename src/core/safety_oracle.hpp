@@ -25,6 +25,13 @@
 //    scratch fixed point, so incremental results are bit-identical to
 //    compute_safety_levels — which test_safety_oracle verifies over
 //    randomized add/remove interleavings.
+//
+// The cascade computes on a byte per node (level_bytes()): every
+// recomputation reads n neighbor levels, and a byte load is cheaper than
+// a 5-bit slot decode. The packed levels() that routers walk and
+// snapshots copy follow every change through set_level, so the two
+// tables always hold the same levels (DESIGN.md, "Packed safety
+// storage").
 #pragma once
 
 #include <cstdint>
@@ -51,6 +58,10 @@ class SafetyOracle {
   }
   /// The current Theorem-1 fixed point for faults().
   [[nodiscard]] const SafetyLevels& levels() const noexcept { return levels_; }
+  /// The same levels, one byte per node: the table the cascade reads.
+  [[nodiscard]] std::span<const Level> level_bytes() const noexcept {
+    return bytes_;
+  }
 
   /// Healthy node `a` dies; the falling cascade restores the fixed point.
   void add_fault(NodeId a);
@@ -90,6 +101,8 @@ class SafetyOracle {
               std::span<const NodeId> removals);
   /// Queue `a` for recomputation (dedup; faulty nodes never enqueue).
   void push(NodeId a);
+  /// Store `v` as a's level in both tables.
+  void set_level(NodeId a, Level v);
   /// Drain the worklist: recompute each queued node, propagate changes
   /// to its neighbors until quiescence.
   void cascade();
@@ -97,6 +110,7 @@ class SafetyOracle {
   topo::Hypercube cube_;
   fault::FaultSet faults_;
   SafetyLevels levels_;
+  std::vector<Level> bytes_;  ///< levels_ unpacked, one byte per node
   std::vector<NodeId> worklist_;
   std::vector<bool> queued_;  ///< worklist membership, one bit per node
   std::vector<NodeId>* change_log_ = nullptr;

@@ -101,6 +101,8 @@ void SnapshotOracle::recover_link(NodeId a, Dim d) {
 void SnapshotOracle::apply(
     std::span<const NodeId> node_toggles,
     std::span<const core::EgsOracle::LinkToggle> link_toggles) {
+  // An empty batch changes no table, so it publishes no epoch.
+  if (node_toggles.empty() && link_toggles.empty()) return;
   // A toggle flips membership: record the direction it landed on.
   for (const NodeId node : node_toggles) {
     const bool fails_now = !oracle_.faults().is_faulty(node);

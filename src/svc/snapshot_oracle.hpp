@@ -129,7 +129,8 @@ class SnapshotOracle {
 
   // --- writer API (one thread) ---------------------------------------
   // Each call restores the two-view fixed point incrementally via the
-  // underlying core::EgsOracle and publishes exactly one new epoch.
+  // underlying core::EgsOracle and publishes exactly one new epoch; an
+  // apply() with two empty lists changes nothing and publishes none.
 
   void add_fault(NodeId a);
   void remove_fault(NodeId a);
@@ -137,7 +138,7 @@ class SnapshotOracle {
   void recover_link(NodeId a, Dim d);
 
   /// Batched update: one cascade pass, one published epoch — the churn
-  /// writer's steady-state entry point.
+  /// writer's steady-state entry point. An empty batch is a no-op.
   void apply(std::span<const NodeId> node_toggles,
              std::span<const core::EgsOracle::LinkToggle> link_toggles);
 

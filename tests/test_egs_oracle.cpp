@@ -272,7 +272,8 @@ TEST(EgsOracle, CascadeWorkMatchesPinnedCount) {
 // fail/recover, small mixed batches, and large batches that jump to an
 // independent sample, checking bit-identity of
 // BOTH views (and N2 membership) with from-scratch run_egs after EVERY
-// operation, plus the enter/exit accounting invariant.
+// operation, the public byte table against the packed public view, and
+// the enter/exit accounting invariant.
 TEST(EgsOracle, RandomizedInterleavingsMatchScratch) {
   struct Budget {
     unsigned dim;
@@ -393,6 +394,10 @@ TEST(EgsOracle, RandomizedInterleavingsMatchScratch) {
         ASSERT_EQ(oracle.public_view(), scratch.public_view)
             << "dim " << dim << " sequence " << s << " op " << op;
         ASSERT_EQ(oracle.self_view(), scratch.self_view)
+            << "dim " << dim << " sequence " << s << " op " << op;
+        ASSERT_EQ(std::vector<Level>(oracle.public_bytes().begin(),
+                                     oracle.public_bytes().end()),
+                  oracle.public_view().unpack())
             << "dim " << dim << " sequence " << s << " op " << op;
         for (NodeId a = 0; a < num; ++a) {
           ASSERT_EQ(oracle.in_n2(a), static_cast<bool>(scratch.in_n2[a]))

@@ -164,9 +164,10 @@ TEST(PackedBitIdentity, OracleInterleavingsMatchScratchDims3To12) {
 }
 
 TEST(PackedBitIdentity, CountingKernelMatchesSortedNodeStatus) {
-  // implied_level() now counts level occurrences instead of sorting the
+  // implied_level() counts level occurrences instead of sorting the
   // neighborhood; both must realize the same NODE_STATUS map. Compare
-  // against an explicit gather-sort-scan reference on random tables.
+  // against an explicit gather-sort-scan reference on random tables, read
+  // by implied_level through the table's byte copy.
   const topo::Hypercube cube(7);
   auto rng = exp::substream(0x5057A7, 7, 3);
   for (int rep = 0; rep < 50; ++rep) {
@@ -177,13 +178,14 @@ TEST(PackedBitIdentity, CountingKernelMatchesSortedNodeStatus) {
                        ? 0
                        : static_cast<Level>(rng.below(cube.dimension() + 1)));
     }
+    const std::vector<Level> bytes = table.unpack();
     for (NodeId a = 0; a < cube.num_nodes(); ++a) {
       if (faults.is_faulty(a)) continue;
       std::vector<Level> sorted;
       cube.for_each_neighbor(
           a, [&](Dim, NodeId b) { sorted.push_back(table[b]); });
       std::sort(sorted.begin(), sorted.end());
-      EXPECT_EQ(implied_level(cube, faults, table, a),
+      EXPECT_EQ(implied_level(cube, faults, bytes, a),
                 node_status({sorted.data(), sorted.size()},
                             cube.dimension()));
     }

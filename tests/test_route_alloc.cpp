@@ -1,16 +1,20 @@
-// Heap allocations per routed unicast. The walk reserves the longest
-// possible path (H + 2 hops) before the first push_back, so every route —
-// delivered, detoured, refused — costs exactly one allocation: its path.
+// Heap allocations per routed unicast and per writer call. The walk
+// reserves the longest possible path (H + 2 hops) before the first
+// push_back, so every route — delivered, detoured, refused — costs
+// exactly one allocation: its path. The EGS oracle keeps its worklists
+// and scratch lists across calls, so once warm a writer call costs none.
 // This binary replaces the global operator new to count allocations on
 // the calling thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "core/egs.hpp"
+#include "core/egs_oracle.hpp"
 #include "fault/injection.hpp"
 #include "svc/serve.hpp"
 #include "svc/snapshot_oracle.hpp"
@@ -96,6 +100,57 @@ TEST_P(RouteAlloc, ServeRouteAllocatesOncePerRoute) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Q10AndQ16, RouteAlloc, ::testing::Values(10u, 16u));
+
+// Every writer call of a warm EgsOracle reuses its scratch: node and link
+// fail/recover pairs (one cascade per pseudo toggle) and a pair of
+// four-toggle batches (two nodes and two links on six distinct nodes, so
+// six pseudo toggles and one SafetyOracle::apply). Each pair returns the
+// oracle to the same state, so one warm-up pass sizes every list for the
+// passes that follow.
+TEST(WriterAlloc, WarmEgsOracleWriterCallsAllocateNothing) {
+  const FaultyCube net(10);
+  core::EgsOracle oracle(net.cube, net.faults, net.links);
+  // Distinct healthy nodes off every faulty link.
+  std::vector<NodeId> picked;
+  const auto usable = [&](NodeId a) {
+    return net.faults.is_healthy(a) && !net.links.touches(a) &&
+           std::find(picked.begin(), picked.end(), a) == picked.end();
+  };
+  std::vector<core::EgsOracle::LinkToggle> links;
+  for (const auto& p : net.pairs) {
+    if (!usable(p.s)) continue;
+    if (picked.size() < 2) {
+      picked.push_back(p.s);
+      continue;
+    }
+    for (Dim d = 0; d < net.cube.dimension(); ++d) {
+      const NodeId b = net.cube.neighbor(p.s, d);
+      if (!usable(b)) continue;
+      picked.insert(picked.end(), {p.s, b});
+      links.push_back({p.s, d});
+      break;
+    }
+    if (links.size() == 2) break;
+  }
+  ASSERT_EQ(links.size(), 2u);
+  const NodeId nodes[] = {picked[0], picked[1]};
+  const auto pass = [&] {
+    oracle.add_fault(nodes[0]);
+    oracle.remove_fault(nodes[0]);
+    oracle.fail_link(links[0].node, links[0].dim);
+    oracle.recover_link(links[0].node, links[0].dim);
+    oracle.apply(nodes, links);
+    oracle.apply(nodes, links);
+  };
+  pass();  // warm-up: the lists grow to their working size
+  const core::SafetyOracle::Stats warm = oracle.pseudo_stats();
+  const std::uint64_t before = t_allocations;
+  for (int i = 0; i < 20; ++i) pass();
+  EXPECT_EQ(t_allocations - before, 0u);
+  EXPECT_GT(oracle.pseudo_stats().level_changes, warm.level_changes);
+  EXPECT_EQ(oracle.faults(), net.faults);
+  EXPECT_EQ(oracle.links().count(), net.links.count());
+}
 
 }  // namespace
 }  // namespace slcube

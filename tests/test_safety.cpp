@@ -87,7 +87,7 @@ TEST(ImpliedLevel, MatchesHandComputedFig1Node) {
   lv[0b1001] = 0;
   lv[0b0111] = 1;
   lv[0b0001] = 1;
-  EXPECT_EQ(implied_level(q, f, lv, 0b0101), 2);
+  EXPECT_EQ(implied_level(q, f, lv.unpack(), 0b0101), 2);
 }
 
 TEST(Consistency, FixedPointIsConsistent) {

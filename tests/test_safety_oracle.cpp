@@ -18,6 +18,11 @@
 namespace slcube::core {
 namespace {
 
+/// The cascade's byte table holds exactly the packed levels.
+std::vector<Level> bytes_of(const SafetyOracle& oracle) {
+  return {oracle.level_bytes().begin(), oracle.level_bytes().end()};
+}
+
 void expect_matches_scratch(const SafetyOracle& oracle, const char* what) {
   const auto scratch = compute_safety_levels(oracle.cube(), oracle.faults());
   ASSERT_EQ(oracle.levels(), scratch)
@@ -95,8 +100,10 @@ TEST(SafetyOracle, ApplyMixedBatchMatchesScratch) {
 // Each sequence starts from a random fault set and performs a random
 // interleaving of single adds, single removes, small mixed batches, and
 // large batches that jump to an independent sample, checking
-// bit-identity with the from-scratch fixed point after EVERY operation. The budget is weighted toward small dimensions
-// (cheap scratch recomputation) while still exercising dim 10.
+// bit-identity with the from-scratch fixed point, and of the byte table
+// with the packed one, after EVERY operation. The budget is weighted
+// toward small dimensions (cheap scratch recomputation) while still
+// exercising dim 10.
 TEST(SafetyOracle, RandomizedInterleavingsMatchScratch) {
   struct Budget {
     unsigned dim;
@@ -115,6 +122,7 @@ TEST(SafetyOracle, RandomizedInterleavingsMatchScratch) {
     for (int s = 0; s < sequences; ++s) {
       auto mirror = fault::inject_uniform(q, rng.below(num / 2), rng);
       SafetyOracle oracle(q, mirror);
+      ASSERT_EQ(bytes_of(oracle), oracle.levels().unpack());
       const int ops = 3 + static_cast<int>(rng.below(6));
       for (int op = 0; op < ops; ++op) {
         switch (rng.below(4)) {
@@ -160,6 +168,8 @@ TEST(SafetyOracle, RandomizedInterleavingsMatchScratch) {
         ASSERT_EQ(oracle.faults(), mirror);
         const auto scratch = compute_safety_levels(q, mirror);
         ASSERT_EQ(oracle.levels(), scratch)
+            << "dim " << dim << " sequence " << s << " op " << op;
+        ASSERT_EQ(bytes_of(oracle), oracle.levels().unpack())
             << "dim " << dim << " sequence " << s << " op " << op;
       }
     }

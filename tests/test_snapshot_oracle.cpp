@@ -156,6 +156,26 @@ TEST(SnapshotOracle, ApplyBatchPublishesOnce) {
   expect_snapshot_matches_scratch(*snap, "apply batch");
 }
 
+// An empty batch changes no table, so it publishes nothing: the epoch,
+// the current snapshot, the publish count and the trace all stay put.
+TEST(SnapshotOracle, EmptyApplyPublishesNothing) {
+  const topo::Hypercube q(4);
+  SnapshotOracle oracle(q);
+  obs::RingBufferSink ring;
+  oracle.set_trace(&ring);
+  oracle.add_fault(3);
+  const std::uint64_t epoch = oracle.epoch();
+  const SnapshotPtr current = oracle.acquire();
+  const std::uint64_t published = oracle.stats().epochs_published;
+  const std::uint64_t events = ring.total_seen();
+  ASSERT_EQ(events, 1u);
+  oracle.apply({}, {});
+  EXPECT_EQ(oracle.epoch(), epoch);
+  EXPECT_EQ(oracle.acquire(), current);
+  EXPECT_EQ(oracle.stats().epochs_published, published);
+  EXPECT_EQ(ring.total_seen(), events);
+}
+
 /// The events a sink received, as the JSONL lines JsonlSink would write.
 std::vector<std::string> jsonl_lines(const obs::RingBufferSink& ring) {
   std::vector<std::string> lines;
