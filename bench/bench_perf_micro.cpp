@@ -1,11 +1,13 @@
 // PERF — google-benchmark microbenchmarks: throughput of the table build
 // (GS rounds, the peel, and its Definition-1 check), the EGS oracle's
-// writer calls under churn, a single routing decision, a full unicast
-// (on plain tables and under EGS node + link faults), the safe-node fixed
-// points, and the simulator's event loop.
+// writer calls under churn and its first writer call, a single routing
+// decision, a full unicast (on plain tables and under EGS node + link
+// faults), the safe-node fixed points, and the simulator's event loop.
 // These quantify the paper's cost argument (safety levels are cheap
 // limited-global information) in wall-clock terms on this machine.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "core/egs.hpp"
 #include "core/egs_oracle.hpp"
@@ -121,6 +123,39 @@ void BM_EgsOracleChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
 }
 BENCHMARK(BM_EgsOracleChurn)->Arg(16)->Unit(benchmark::kMicrosecond);
+
+/// The writer call that builds the cascade's count records: an EgsOracle
+/// at Q_n with pct% node faults and 2n faulty links, constructed outside
+/// the timer, takes its first add_fault. {16, 2} is churn-q16's
+/// configuration and {20, 1} table-q20's, whose oracle is never written.
+void BM_EgsOracleFirstWrite(benchmark::State& state) {
+  const topo::Hypercube cube(static_cast<unsigned>(state.range(0)));
+  Xoshiro256ss rng(8);
+  const auto pct = static_cast<std::uint64_t>(state.range(1));
+  const auto faults =
+      fault::inject_uniform(cube, cube.num_nodes() * pct / 100, rng);
+  const auto links = fault::inject_links_uniform(cube, 2 * cube.dimension(),
+                                                 rng);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto oracle = std::make_unique<core::EgsOracle>(cube, faults, links);
+    NodeId a = 0;
+    do {
+      a = static_cast<NodeId>(rng.below(cube.num_nodes()));
+    } while (faults.is_faulty(a) || links.touches(a));
+    state.ResumeTiming();
+    oracle->add_fault(a);
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    oracle.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_EgsOracleFirstWrite)
+    ->ArgNames({"n", "pct"})
+    ->Args({16, 2})
+    ->Args({20, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SafeNodeFixedPoint(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));

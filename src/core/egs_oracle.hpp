@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -75,10 +76,16 @@ class EgsOracle {
   [[nodiscard]] const SafetyLevels& public_view() const noexcept {
     return pseudo_.levels();
   }
-  /// public_view() one byte per node: the table the public cascade and
-  /// the self-view refresh read.
+  /// public_view() one byte per node: the table the self-view refresh
+  /// reads.
   [[nodiscard]] std::span<const Level> public_bytes() const noexcept {
     return pseudo_.level_bytes();
+  }
+  /// The public cascade's count records over public_bytes() (nullopt
+  /// until the first writer call; SafetyOracle::neighbor_counts).
+  [[nodiscard]] std::optional<std::span<const std::uint64_t>> public_counts()
+      const noexcept {
+    return pseudo_.neighbor_counts();
   }
   /// Level each node uses for itself (differs from public on N2 only).
   [[nodiscard]] const SafetyLevels& self_view() const noexcept {

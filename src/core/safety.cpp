@@ -8,22 +8,30 @@ namespace slcube::core {
 
 namespace {
 
-/// Definition 1 in counting form over a byte-per-node table: S_i (the
-/// (i+1)-th smallest neighbor level) is < i iff at least i+1 neighbors
-/// sit at a level <= i-1, so the minimal failing index is the first i
-/// with cnt_le(i-1) >= i+1 — no sort needed. test_safety pins this equal
-/// to the sort-then-node_status kernel over exhaustive level sequences.
-/// `cnt` has a slot for every value a packed level can hold, so a table
-/// that stores a level above n is judged, not indexed past.
-Level implied_by_counts(unsigned n, NodeId a, const Level* levels) {
-  std::array<std::uint8_t, PackedLevels::kSlotMask + 1> cnt{};
-  for (Dim d = 0; d < n; ++d) ++cnt[levels[bits::flip(a, d)]];
-  unsigned at_most = 0;  // neighbors with level <= i-1, maintained per i
-  for (unsigned i = 1; i < n; ++i) {
-    at_most += cnt[i - 1];
-    if (at_most >= i + 1) return static_cast<Level>(i);
+/// kLaneOf[v] is the count record of one neighbor at level v, for every
+/// value a packed slot can hold. Values from 8 · kMaxCountWords up fall
+/// past every record; like n - 1, n and the rest above n, they never
+/// decide (safety.hpp).
+constexpr auto kLaneOf = [] {
+  std::array<std::array<std::uint64_t, kMaxCountWords>,
+             PackedLevels::kSlotMask + 1>
+      lane{};
+  for (unsigned v = 0; v < 8 * kMaxCountWords; ++v) {
+    lane[v][v / 8] = count_lane(static_cast<Level>(v));
   }
-  return static_cast<Level>(n);
+  return lane;
+}();
+
+/// Definition 1 over a byte-per-node table: a's n neighbor levels
+/// gathered into a count record, then level_from_counts. test_safety and
+/// test_packed_levels pin this equal to sort + node_status.
+Level implied_by_counts(unsigned n, NodeId a, const Level* levels) {
+  std::uint64_t record[kMaxCountWords] = {};
+  for (Dim d = 0; d < n; ++d) {
+    const auto& lane = kLaneOf[levels[bits::flip(a, d)]];
+    for (unsigned w = 0; w < kMaxCountWords; ++w) record[w] += lane[w];
+  }
+  return level_from_counts(record, n);
 }
 
 /// is_consistent walks the nodes in blocks of this many consecutive ids.

@@ -18,6 +18,8 @@
 // Definition-1 predicate used to verify any candidate assignment.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -121,12 +123,72 @@ class SafetyLevels {
 /// sequence of `n` neighbor levels.
 [[nodiscard]] Level node_status(std::span<const Level> sorted, unsigned n);
 
+// Definition 1 in counting form. S_i < i iff at least i + 1 neighbors sit
+// at a level <= i - 1, so, with t = i - 1, a node's level is the first
+// t + 1 (t = 0..n-2) at which at_most(t), its neighbors at a level <= t,
+// reaches t + 2, and n if there is none. A *count record* holds a node's
+// neighbors per level: lane t, byte t % 8 of word t / 8 read as a number
+// (so byte order does not matter), counts the neighbors at level t. Only
+// lanes 0..n-2 can decide: a crossing at t >= n - 1 needs n + 1
+// neighbors, so a record may count anything in its higher lanes —
+// levels n - 1 and n, or a stored value above n.
+
+/// Words in a count record: ceil((n - 1) / 8), so 0 at Q1, where no
+/// level decides.
+[[nodiscard]] constexpr unsigned count_words(unsigned n) noexcept {
+  return (n + 6) / 8;
+}
+inline constexpr unsigned kMaxCountWords =
+    count_words(topo::Hypercube::kMaxDimension);
+
+/// One neighbor at level `v`: add this to word v / 8 of a record.
+[[nodiscard]] constexpr std::uint64_t count_lane(Level v) noexcept {
+  return std::uint64_t{1} << (8 * (v % 8));
+}
+
+namespace detail {
+inline constexpr std::uint64_t kEveryLane = 0x0101010101010101;
+/// Byte k of word w is 0x80 - (8w + k + 2): added to at_most(8w + k),
+/// which is at most n, it sets the byte's high bit iff the crossing is
+/// reached there, and never carries into the next byte.
+inline constexpr auto kCrossing = [] {
+  std::array<std::uint64_t, kMaxCountWords> words{};
+  for (unsigned w = 0; w < kMaxCountWords; ++w) {
+    for (unsigned k = 0; k < 8; ++k) {
+      words[w] |= std::uint64_t{0x80 - (8 * w + k + 2)} << (8 * k);
+    }
+  }
+  return words;
+}();
+}  // namespace detail
+
+/// The level a count record implies (count_words(n) words, at most n
+/// neighbors in all): one multiply per word turns its lanes into prefix
+/// sums, the lower words' total is added to every lane, and one SWAR add
+/// against the thresholds finds the first crossing.
+[[nodiscard]] inline Level level_from_counts(const std::uint64_t* record,
+                                             unsigned n) noexcept {
+  std::uint64_t below = 0;  // the lower words' total, in every lane
+  for (unsigned w = 0; w < count_words(n); ++w) {
+    const std::uint64_t at_most = record[w] * detail::kEveryLane + below;
+    const std::uint64_t hit =
+        (at_most + detail::kCrossing[w]) & (detail::kEveryLane << 7);
+    if (hit != 0) {
+      const auto lane = static_cast<unsigned>(std::countr_zero(hit)) / 8;
+      return static_cast<Level>(8 * w + lane + 1);
+    }
+    below = (at_most >> 56) * detail::kEveryLane;
+  }
+  return static_cast<Level>(n);
+}
+
 /// Level Definition 1 implies for node `a` given its neighbors' current
-/// levels, one byte per node (counts level occurrences — equivalent to
-/// gather + sort + node_status, without the sort). `a` must be healthy. A
-/// neighbor may hold any value a packed slot can (0..31); one above n
-/// counts as n. The level writers (GS rounds, the oracles' cascades)
-/// compute on byte tables; a packed table reads through unpack().
+/// levels, one byte per node: the n neighbor levels gathered into a count
+/// record, then level_from_counts — equivalent to gather + sort +
+/// node_status, without the sort. `a` must be healthy. A neighbor may
+/// hold any value a packed slot can (0..31); one above n counts as n. The
+/// GS rounds and is_consistent's full test compute this way; the oracles'
+/// cascades keep each node's record and call level_from_counts directly.
 [[nodiscard]] Level implied_level(const topo::Hypercube& cube,
                                   const fault::FaultSet& faults,
                                   std::span<const Level> levels, NodeId a);

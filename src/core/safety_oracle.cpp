@@ -30,8 +30,38 @@ void SafetyOracle::push(NodeId a) {
 }
 
 void SafetyOracle::set_level(NodeId a, Level v) {
+  const unsigned n = cube_.dimension();
+  const unsigned words = count_words(n);
+  const Level old = bytes_[a];
+  // At each neighbor, a's old level leaves its lane and the new one
+  // enters; levels n - 1 and n have no lane, so a move between them
+  // touches no record.
+  if (old + 1u < n || v + 1u < n) {
+    std::uint64_t delta[kMaxCountWords] = {};
+    if (old + 1u < n) delta[old / 8] -= count_lane(old);
+    if (v + 1u < n) delta[v / 8] += count_lane(v);
+    std::uint64_t* counts = counts_->data();
+    cube_.for_each_neighbor(a, [&](Dim, NodeId b) {
+      std::uint64_t* record = counts + std::size_t{b} * words;
+      for (unsigned w = 0; w < words; ++w) record[w] += delta[w];
+    });
+  }
   bytes_[a] = v;
   levels_.set(a, v);
+}
+
+void SafetyOracle::build_counts() {
+  const unsigned n = cube_.dimension();
+  const unsigned words = count_words(n);
+  counts_.emplace(static_cast<std::size_t>(cube_.num_nodes()) * words);
+  std::uint64_t* counts = counts_->data();
+  for (NodeId a = 0; a < bytes_.size(); ++a) {
+    const Level v = bytes_[a];
+    if (v + 1u >= n) continue;
+    cube_.for_each_neighbor(a, [&](Dim, NodeId b) {
+      counts[std::size_t{b} * words + v / 8] += count_lane(v);
+    });
+  }
 }
 
 void SafetyOracle::cascade() {
@@ -39,8 +69,10 @@ void SafetyOracle::cascade() {
   // Safety valve: in one monotone phase each healthy node changes level
   // at most n times and is re-enqueued at most once per change of one of
   // its n inputs.
-  const std::uint64_t hard_cap =
-      cube_.num_nodes() * (cube_.dimension() + 1) * cube_.dimension() + 1;
+  const unsigned n = cube_.dimension();
+  const std::uint64_t hard_cap = cube_.num_nodes() * (n + 1) * n + 1;
+  const unsigned words = count_words(n);
+  const std::uint64_t* const counts = counts_->data();
   std::uint64_t steps = 0;
   while (!worklist_.empty()) {
     SLC_ASSERT_MSG(++steps <= hard_cap, "oracle cascade failed to converge");
@@ -48,7 +80,8 @@ void SafetyOracle::cascade() {
     worklist_.pop_back();
     queued_[a] = false;
     if (faults_.is_faulty(a)) continue;  // died while queued (batch adds)
-    const Level updated = implied_level(cube_, faults_, bytes_, a);
+    const Level updated =
+        level_from_counts(counts + std::size_t{a} * words, n);
     ++stats_.recomputes;
     if (updated == bytes_[a]) continue;
     set_level(a, updated);
@@ -71,6 +104,8 @@ void SafetyOracle::apply(std::span<const NodeId> additions,
 
 void SafetyOracle::update(std::span<const NodeId> additions,
                           std::span<const NodeId> removals) {
+  if (additions.empty() && removals.empty()) return;
+  if (!counts_) build_counts();
   // Falling phase: all additions at once, then one cascade.
   if (!additions.empty()) {
     for (const NodeId a : additions) {

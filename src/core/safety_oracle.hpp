@@ -26,15 +26,23 @@
 //    compute_safety_levels — which test_safety_oracle verifies over
 //    randomized add/remove interleavings.
 //
-// The cascade computes on a byte per node (level_bytes()): every
-// recomputation reads n neighbor levels, and a byte load is cheaper than
-// a 5-bit slot decode. The packed levels() that routers walk and
-// snapshots copy follow every change through set_level, so the two
-// tables always hold the same levels (DESIGN.md, "Packed safety
-// storage").
+// The cascade computes on counts, not on the neighbors' levels. Each node
+// keeps a count record (safety.hpp): how many of its neighbors sit at each
+// level 0..n-2, in count_words(n) words — 16 bytes per node at Q10–Q17,
+// 24 at Q18–Q20. set_level, the one level writer, moves the count at
+// each of the changed node's n neighbors, and a recomputation reads only
+// the popped node's own record (level_from_counts), so neighbor probes
+// are paid per level change instead of per recomputation. The records are
+// built on the first writer call, never at construction, so an oracle
+// nobody writes never allocates them. Levels also stay one byte per node
+// (level_bytes(), what the change compares against and the counts are
+// built from) and packed (levels(), what routers walk and snapshots
+// copy); set_level keeps all three in step (DESIGN.md, "Incremental
+// safety maintenance" and "Packed safety storage").
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -58,9 +66,17 @@ class SafetyOracle {
   }
   /// The current Theorem-1 fixed point for faults().
   [[nodiscard]] const SafetyLevels& levels() const noexcept { return levels_; }
-  /// The same levels, one byte per node: the table the cascade reads.
+  /// The same levels, one byte per node.
   [[nodiscard]] std::span<const Level> level_bytes() const noexcept {
     return bytes_;
+  }
+  /// Every node's count record, count_words(n) words per node in node
+  /// order, over the levels in level_bytes(); nullopt until the first
+  /// writer call builds them. At Q1 a built table is empty.
+  [[nodiscard]] std::optional<std::span<const std::uint64_t>>
+  neighbor_counts() const noexcept {
+    if (!counts_) return std::nullopt;
+    return std::span<const std::uint64_t>(*counts_);
   }
 
   /// Healthy node `a` dies; the falling cascade restores the fixed point.
@@ -76,13 +92,14 @@ class SafetyOracle {
   /// (one falling cascade), then removals (one rising cascade), each
   /// phase seeding the worklist in list order — cheaper than one cascade
   /// per node and still bit-identical to a from-scratch recomputation.
+  /// An empty batch changes nothing and builds nothing.
   void apply(std::span<const NodeId> additions,
              std::span<const NodeId> removals);
 
   /// Work counters since construction (cost-model instrumentation; see
   /// EXPERIMENTS.md "Incremental oracle cost model").
   struct Stats {
-    std::uint64_t recomputes = 0;     ///< node_status evaluations
+    std::uint64_t recomputes = 0;     ///< Definition-1 evaluations
     std::uint64_t level_changes = 0;  ///< recomputations that moved a level
     std::uint64_t cascades = 0;       ///< monotone phases drained
   };
@@ -97,11 +114,15 @@ class SafetyOracle {
 
  private:
   /// The one writer body behind apply(), add_fault() and remove_fault().
+  /// The first call that changes something builds the count records.
   void update(std::span<const NodeId> additions,
               std::span<const NodeId> removals);
+  /// Zero-fill the count records, then count every node below n - 1 at
+  /// each of its neighbors.
+  void build_counts();
   /// Queue `a` for recomputation (dedup; faulty nodes never enqueue).
   void push(NodeId a);
-  /// Store `v` as a's level in both tables.
+  /// Store `v` as a's level in both tables and move its neighbors' counts.
   void set_level(NodeId a, Level v);
   /// Drain the worklist: recompute each queued node, propagate changes
   /// to its neighbors until quiescence.
@@ -111,6 +132,8 @@ class SafetyOracle {
   fault::FaultSet faults_;
   SafetyLevels levels_;
   std::vector<Level> bytes_;  ///< levels_ unpacked, one byte per node
+  /// Count records, built by the first writer call.
+  std::optional<std::vector<std::uint64_t>> counts_;
   std::vector<NodeId> worklist_;
   std::vector<bool> queued_;  ///< worklist membership, one bit per node
   std::vector<NodeId>* change_log_ = nullptr;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "count_records.hpp"
 #include "fault/injection.hpp"
 
 namespace slcube::core {
@@ -265,6 +266,32 @@ TEST(EgsOracle, CascadeWorkMatchesPinnedCount) {
   }
   expect_matches_scratch(oracle, "pinned churn");
   EXPECT_EQ(oracle.pseudo_stats().recomputes, 15138u);
+  EXPECT_EQ(oracle.pseudo_stats().level_changes, 1355u);
+  EXPECT_EQ(oracle.pseudo_stats().cascades, 210u);
+}
+
+// Neither start builds the public cascade's count records, and reads
+// leave them unbuilt; a writer call that moves the pseudo set builds them.
+TEST(EgsOracle, ConstructionAndReadsLeaveCountsUnbuilt) {
+  const topo::Hypercube q(6);
+  Xoshiro256ss rng(0xE6C047);
+  EgsOracle fault_free(q);
+  EgsOracle faulty(q, fault::inject_uniform(q, 6, rng),
+                   fault::inject_links_uniform(q, 6, rng));
+  for (EgsOracle* oracle : {&fault_free, &faulty}) {
+    for (int read = 0; read < 3; ++read) {
+      EXPECT_EQ(oracle->public_view().unpack().size(), q.num_nodes());
+      EXPECT_EQ(oracle->self_view().size(), q.num_nodes());
+      EXPECT_EQ(oracle->pseudo_stats().recomputes, 0u);
+      oracle->apply({}, {});
+      EXPECT_FALSE(oracle->public_counts().has_value());
+    }
+  }
+  fault_free.fail_link(0, 0);
+  ASSERT_TRUE(fault_free.public_counts().has_value());
+  EXPECT_TRUE(counts_match_gather(fault_free.public_counts(),
+                                  fault_free.pseudo_stats().cascades, q,
+                                  fault_free.public_bytes()));
 }
 
 // The headline property test: randomized operation sequences across
@@ -272,8 +299,9 @@ TEST(EgsOracle, CascadeWorkMatchesPinnedCount) {
 // fail/recover, small mixed batches, and large batches that jump to an
 // independent sample, checking bit-identity of
 // BOTH views (and N2 membership) with from-scratch run_egs after EVERY
-// operation, the public byte table against the packed public view, and
-// the enter/exit accounting invariant.
+// operation, the public byte table against the packed public view, its
+// count records against a fresh gather, and the enter/exit accounting
+// invariant.
 TEST(EgsOracle, RandomizedInterleavingsMatchScratch) {
   struct Budget {
     unsigned dim;
@@ -398,6 +426,10 @@ TEST(EgsOracle, RandomizedInterleavingsMatchScratch) {
         ASSERT_EQ(std::vector<Level>(oracle.public_bytes().begin(),
                                      oracle.public_bytes().end()),
                   oracle.public_view().unpack())
+            << "dim " << dim << " sequence " << s << " op " << op;
+        ASSERT_TRUE(counts_match_gather(oracle.public_counts(),
+                                        oracle.pseudo_stats().cascades, q,
+                                        oracle.public_bytes()))
             << "dim " << dim << " sequence " << s << " op " << op;
         for (NodeId a = 0; a < num; ++a) {
           ASSERT_EQ(oracle.in_n2(a), static_cast<bool>(scratch.in_n2[a]))

@@ -19,6 +19,7 @@
 #include "core/global_status.hpp"
 #include "core/safety.hpp"
 #include "core/safety_oracle.hpp"
+#include "count_records.hpp"
 #include "exp/sweep_engine.hpp"
 #include "fault/fault_set.hpp"
 
@@ -119,7 +120,8 @@ TEST(PackedBitIdentity, ScratchTablesMatchUnpackedKernelDims3To12) {
 TEST(PackedBitIdentity, OracleInterleavingsMatchScratchDims3To12) {
   // Randomized add/remove/batch interleavings: after every operation
   // the oracle's packed words must equal a from-scratch fixed point —
-  // not just level-equal, word-for-word equal (tail invariant included).
+  // not just level-equal, word-for-word equal (tail invariant included) —
+  // and its count records a fresh gather.
   for (unsigned dim = 3; dim <= 12; ++dim) {
     const topo::Hypercube cube(dim);
     auto rng = exp::substream(0x0'0AC1E, dim, 1);
@@ -159,6 +161,10 @@ TEST(PackedBitIdentity, OracleInterleavingsMatchScratchDims3To12) {
           << "dim " << dim << " op " << op << " faults " << f.count();
       ASSERT_EQ(packed_digest(oracle.levels().packed()),
                 packed_digest(scratch.packed()));
+      ASSERT_TRUE(counts_match_gather(oracle.neighbor_counts(),
+                                      oracle.stats().cascades, cube,
+                                      oracle.level_bytes()))
+          << "dim " << dim << " op " << op;
     }
   }
 }

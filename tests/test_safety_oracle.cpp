@@ -4,15 +4,19 @@
 // (uniqueness of the consistent assignment) is what makes this a fair
 // oracle test: there is exactly one right answer per fault set, so a
 // randomized sweep over >=10^4 operation sequences across dimensions
-// 3..10 leaves the cascade logic nowhere to hide.
+// 3..10 leaves the cascade logic nowhere to hide. The count records the
+// cascade reads are pinned the same way, to a fresh gather over the
+// levels after every operation.
 #include "core/safety_oracle.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/global_status.hpp"
+#include "count_records.hpp"
 #include "fault/injection.hpp"
 
 namespace slcube::core {
@@ -21,6 +25,12 @@ namespace {
 /// The cascade's byte table holds exactly the packed levels.
 std::vector<Level> bytes_of(const SafetyOracle& oracle) {
   return {oracle.level_bytes().begin(), oracle.level_bytes().end()};
+}
+
+::testing::AssertionResult counts_match(const SafetyOracle& oracle) {
+  return counts_match_gather(oracle.neighbor_counts(),
+                             oracle.stats().cascades, oracle.cube(),
+                             oracle.level_bytes());
 }
 
 void expect_matches_scratch(const SafetyOracle& oracle, const char* what) {
@@ -96,14 +106,73 @@ TEST(SafetyOracle, ApplyMixedBatchMatchesScratch) {
   EXPECT_EQ(oracle.faults().count(), 5u);
 }
 
+// Neither start builds the count records, and reads, an empty batch
+// included, leave them unbuilt: an oracle nobody writes never allocates
+// them. The first change builds them.
+TEST(SafetyOracle, ConstructionAndReadsLeaveCountsUnbuilt) {
+  const topo::Hypercube q(6);
+  Xoshiro256ss rng(0xC0047);
+  SafetyOracle fault_free(q);
+  SafetyOracle faulty(q, fault::inject_uniform(q, 12, rng));
+  for (SafetyOracle* oracle : {&fault_free, &faulty}) {
+    for (int read = 0; read < 3; ++read) {
+      EXPECT_EQ(oracle->levels().unpack(), bytes_of(*oracle));
+      EXPECT_EQ(oracle->stats().recomputes, 0u);
+      EXPECT_EQ(oracle->faults().num_nodes(), q.num_nodes());
+      oracle->apply({}, {});
+      EXPECT_FALSE(oracle->neighbor_counts().has_value());
+    }
+  }
+  fault_free.add_fault(9);
+  ASSERT_TRUE(fault_free.neighbor_counts().has_value());
+  EXPECT_TRUE(counts_match(fault_free));
+}
+
+// Q1–Q4 exhaustively: a Gray-code walk from the fault-free start visits
+// every fault set by single adds and removes, and every tenth step also
+// jumps to an independent sample in one batch. After each step the
+// levels equal the scratch fixed point and the counts a fresh gather. At
+// Q1 no level is counted, so the built table is empty.
+TEST(SafetyOracle, CountsFollowEveryQ1ToQ4FaultSet) {
+  Xoshiro256ss rng(0x61A7);
+  for (unsigned dim = 1; dim <= 4; ++dim) {
+    const topo::Hypercube q(dim);
+    const std::uint64_t num = q.num_nodes();
+    SafetyOracle oracle(q);
+    fault::FaultSet mirror(num);
+    for (std::uint64_t step = 1; step < (std::uint64_t{1} << num); ++step) {
+      const auto a = static_cast<NodeId>(std::countr_zero(step));
+      if (mirror.is_faulty(a)) {
+        mirror.mark_healthy(a);
+        oracle.remove_fault(a);
+      } else {
+        mirror.mark_faulty(a);
+        oracle.add_fault(a);
+      }
+      expect_matches_scratch(oracle, "gray-code step");
+      ASSERT_TRUE(counts_match(oracle)) << "dim " << dim << " step " << step;
+      if (step % 10 == 0) {
+        fault::FaultSet gray = mirror;
+        move_to(oracle, mirror, fault::inject_uniform(q, rng.below(num), rng));
+        expect_matches_scratch(oracle, "batch jump");
+        ASSERT_TRUE(counts_match(oracle)) << "dim " << dim << " jump " << step;
+        move_to(oracle, mirror, gray);
+      }
+    }
+    ASSERT_TRUE(oracle.neighbor_counts().has_value());
+    EXPECT_EQ(oracle.neighbor_counts()->size(),
+              dim == 1 ? 0u : q.num_nodes());
+  }
+}
+
 // The headline property test: >=10^4 randomized operation sequences.
 // Each sequence starts from a random fault set and performs a random
 // interleaving of single adds, single removes, small mixed batches, and
 // large batches that jump to an independent sample, checking
-// bit-identity with the from-scratch fixed point, and of the byte table
-// with the packed one, after EVERY operation. The budget is weighted
-// toward small dimensions (cheap scratch recomputation) while still
-// exercising dim 10.
+// bit-identity with the from-scratch fixed point, of the byte table with
+// the packed one, and of the count records with a fresh gather, after
+// EVERY operation. The budget is weighted toward small dimensions (cheap
+// scratch recomputation) while still exercising dim 10.
 TEST(SafetyOracle, RandomizedInterleavingsMatchScratch) {
   struct Budget {
     unsigned dim;
@@ -170,6 +239,8 @@ TEST(SafetyOracle, RandomizedInterleavingsMatchScratch) {
         ASSERT_EQ(oracle.levels(), scratch)
             << "dim " << dim << " sequence " << s << " op " << op;
         ASSERT_EQ(bytes_of(oracle), oracle.levels().unpack())
+            << "dim " << dim << " sequence " << s << " op " << op;
+        ASSERT_TRUE(counts_match(oracle))
             << "dim " << dim << " sequence " << s << " op " << op;
       }
     }

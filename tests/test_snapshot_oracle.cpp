@@ -176,6 +176,25 @@ TEST(SnapshotOracle, EmptyApplyPublishesNothing) {
   EXPECT_EQ(ring.total_seen(), events);
 }
 
+// A snapshot oracle that only serves, as a read-only table does, never
+// builds its writer's count records; the first writer call does.
+TEST(SnapshotOracle, ServingWithoutWritesBuildsNoCounts) {
+  const topo::Hypercube q(6);
+  Xoshiro256ss rng(0x5EAD);
+  SnapshotOracle oracle(q, fault::inject_uniform(q, 4, rng),
+                        fault::inject_links_uniform(q, 6, rng));
+  for (int i = 0; i < 200; ++i) {
+    const SnapshotPtr snap = oracle.acquire();
+    const auto pair = workload::sample_uniform_pair(snap->faults, rng);
+    ASSERT_TRUE(pair.has_value());
+    (void)serve_route(oracle, snap, pair->s, pair->d);
+  }
+  EXPECT_FALSE(oracle.writer_oracle().public_counts().has_value());
+  const auto healthy = oracle.writer_oracle().faults().healthy_nodes();
+  oracle.add_fault(healthy.front());
+  EXPECT_TRUE(oracle.writer_oracle().public_counts().has_value());
+}
+
 /// The events a sink received, as the JSONL lines JsonlSink would write.
 std::vector<std::string> jsonl_lines(const obs::RingBufferSink& ring) {
   std::vector<std::string> lines;
